@@ -34,7 +34,6 @@ from .evalharness import (
     EvalProtocol,
     boxplot_rows,
     family_masks,
-    flatten_player_pool,
     loss_by_ply_rows,
     prior_curve_rows,
     run_ablation,
@@ -52,7 +51,6 @@ from .records import (
     FilterConfig,
     filter_match,
     parse_sgf,
-    rank_group_of,
     read_datapoints,
     split_sides,
     write_datapoints,
@@ -239,28 +237,36 @@ def cmd_synth(args) -> int:
 # ablate
 
 
+def _ablate(run: RunConfig, full_config, train_pool, test_pool, r_groups, ns, outdir):
+    """Retrain and re-evaluate per ablation mask and n; writes the summary
+    and per-group tables into ``outdir`` and returns the reports."""
+    ctx = AblationContext(
+        full_config=full_config,
+        train_pool=train_pool,
+        test_pool=test_pool,
+        gbdt_params=run.gbdt,
+        train_repetitions=run.train_repetitions,
+        train_seed=run.seed,
+        protocol_template=EvalProtocol("random", ns[0], run.eval_repetitions, run.seed),
+        r_groups=r_groups,
+    )
+    masks = single_level_masks(full_config) if run.ablation_levels else family_masks(full_config)
+    results = run_ablation(masks, ns, ctx)
+    write_ablation_csv(results, outdir / "ablation_summary.csv")
+    write_per_group_csv(results, max(ns), outdir / "ablation_per_group.csv")
+    return results
+
+
 def cmd_ablate(args) -> int:
     run = run_config_from(read_config_file(args.config))
     train_config, train_rows = read_feature_store(args.train_features)
     test_config, test_rows = read_feature_store(args.test_features)
     if train_config.schema_id() != test_config.schema_id():
         raise DataError("train and test stores have different schemas")
-    ns = run.ablation_ns or [10]
-    ctx = AblationContext(
-        full_config=train_config,
-        train_pool=_pool_from_store(train_rows),
-        test_pool=_pool_from_store(test_rows),
-        gbdt_params=run.gbdt,
-        train_repetitions=run.train_repetitions,
-        train_seed=run.seed,
-        protocol_template=EvalProtocol("random", ns[0], run.eval_repetitions, run.seed),
-        r_groups=max(_pool_from_store(test_rows)) + 1,
-    )
-    masks = single_level_masks(train_config) if run.ablation_levels else family_masks(train_config)
-    results = run_ablation(masks, ns, ctx)
+    test_pool = _pool_from_store(test_rows)
     outdir = Path(args.out)
-    write_ablation_csv(results, outdir / "ablation_summary.csv")
-    write_per_group_csv(results, max(ns), outdir / "ablation_per_group.csv")
+    results = _ablate(run, train_config, _pool_from_store(train_rows), test_pool,
+                      max(test_pool) + 1, run.ablation_ns or [10], outdir)
     for (name, n), report in results.items():
         write_report(report, outdir / f"{name}_n{n}")
     _log(f"ablate: {len(results)} runs -> {outdir}")
@@ -357,23 +363,8 @@ def run_pipeline(run: RunConfig, outdir) -> dict:
 
         stage = "ablate"
         if run.ablation_ns:
-            ctx = AblationContext(
-                full_config=run.features,
-                train_pool=pools["train"],
-                test_pool=pools["test"],
-                gbdt_params=run.gbdt,
-                train_repetitions=run.train_repetitions,
-                train_seed=run.seed,
-                protocol_template=EvalProtocol("random", run.ablation_ns[0],
-                                               run.eval_repetitions, run.seed),
-                r_groups=synth.groups,
-            )
-            masks = (single_level_masks(run.features) if run.ablation_levels
-                     else family_masks(run.features))
-            results = run_ablation(masks, run.ablation_ns, ctx)
-            write_ablation_csv(results, outdir / "ablation" / "ablation_summary.csv")
-            write_per_group_csv(results, max(run.ablation_ns),
-                                outdir / "ablation" / "ablation_per_group.csv")
+            results = _ablate(run, run.features, pools["train"], pools["test"],
+                              synth.groups, run.ablation_ns, outdir / "ablation")
             metrics["ablation"] = {
                 f"{name}_n{n}": report.accuracy for (name, n), report in results.items()
             }

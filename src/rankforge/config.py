@@ -1,15 +1,14 @@
-"""Run configuration: a small TOML-subset reader and typed assembly.
+"""Run configuration: TOML reading and typed assembly.
 
-The reader covers what run configs need: [section] headers, `key = value`
-pairs with strings, integers, floats (inf included), booleans, and
-(nested) single- or multi-line arrays.  Flags override file values at the
-CLI layer.  The stdlib gains tomllib only on 3.11, so this stays
-self-contained.
+Files are read with the standard library's ``tomllib``; flags override
+file values at the CLI layer.  Any failure to read a file or to assemble
+its values into typed configs raises ``ConfigError``.
 """
 
 import datetime
 import hashlib
 import json
+import tomllib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -19,136 +18,11 @@ from .gbdt import GbdtParams
 from .synthlab import SynthConfig, SynthLevel
 
 
-def _parse_scalar(text: str, where: str):
-    text = text.strip()
-    if not text:
-        raise ConfigError(f"{where}: empty value")
-    if text.startswith('"'):
-        if not text.endswith('"') or len(text) < 2:
-            raise ConfigError(f"{where}: unterminated string")
-        body = text[1:-1]
-        return body.replace('\\"', '"').replace("\\\\", "\\")
-    if text in ("true", "false"):
-        return text == "true"
-    if text in ("inf", "+inf"):
-        return float("inf")
-    if text == "-inf":
-        return float("-inf")
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigError(f"{where}: unreadable value {text!r}") from None
-
-
-def _split_items(text: str, where: str):
-    items, depth, start, in_str = [], 0, 0, False
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if in_str:
-            if ch == "\\":
-                i += 1
-            elif ch == '"':
-                in_str = False
-        elif ch == '"':
-            in_str = True
-        elif ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-            if depth < 0:
-                raise ConfigError(f"{where}: unbalanced brackets")
-        elif ch == "," and depth == 0:
-            items.append(text[start:i])
-            start = i + 1
-        i += 1
-    tail = text[start:].strip()
-    if tail:
-        items.append(tail)
-    return items
-
-
-def _parse_value(text: str, where: str):
-    text = text.strip()
-    if text.startswith("["):
-        if not text.endswith("]"):
-            raise ConfigError(f"{where}: unterminated array")
-        return [
-            _parse_value(item, where) for item in _split_items(text[1:-1], where)
-        ]
-    return _parse_scalar(text, where)
-
-
-def _strip_comment(line: str) -> str:
-    out, in_str = [], False
-    i = 0
-    while i < len(line):
-        ch = line[i]
-        if in_str:
-            if ch == "\\":
-                out.append(ch)
-                i += 1
-                if i < len(line):
-                    out.append(line[i])
-                i += 1
-                continue
-            if ch == '"':
-                in_str = False
-        elif ch == '"':
-            in_str = True
-        elif ch == "#":
-            break
-        out.append(ch)
-        i += 1
-    return "".join(out)
-
-
 def read_config_text(text: str) -> dict:
-    root: dict = {}
-    section = root
-    pending = None  # (key, buffer, where) while an array spans lines
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
-        where = f"line {lineno}"
-        if pending is not None:
-            key, buffer, key_where = pending
-            buffer += " " + line
-            if buffer.count("[") == buffer.count("]"):
-                section[key] = _parse_value(buffer, key_where)
-                pending = None
-            else:
-                pending = (key, buffer, key_where)
-            continue
-        if not line:
-            continue
-        if line.startswith("["):
-            if not line.endswith("]"):
-                raise ConfigError(f"{where}: malformed section header")
-            name = line[1:-1].strip()
-            if not name:
-                raise ConfigError(f"{where}: empty section name")
-            section = root
-            for part in name.split("."):
-                section = section.setdefault(part, {})
-                if not isinstance(section, dict):
-                    raise ConfigError(f"{where}: section {name!r} collides with a key")
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{where}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        key = key.strip().strip('"')
-        value = value.strip()
-        if value.startswith("[") and value.count("[") != value.count("]"):
-            pending = (key, value, where)
-            continue
-        section[key] = _parse_value(value, where)
-    if pending is not None:
-        raise ConfigError(f"unterminated array for key {pending[0]!r}")
-    return root
+    try:
+        return tomllib.loads(text)
+    except tomllib.TOMLDecodeError as exc:
+        raise ConfigError(f"unreadable config: {exc}") from None
 
 
 def read_config_file(path) -> dict:
@@ -172,14 +46,11 @@ def synth_config_from(data: dict, seed: int) -> SynthConfig:
         if not isinstance(entry, list) or len(entry) < 2:
             raise ConfigError("synth.levels entries must be [label, skill, ...]")
         label, skill = str(entry[0]), float(entry[1])
-        extra = entry[2:]
-        kwargs = {}
-        if len(extra) >= 1 and extra[0] is not None and extra[0] != "":
-            kwargs["q_lo"] = float(extra[0])
-        if len(extra) >= 2 and extra[1] is not None and extra[1] != "":
-            kwargs["q_hi"] = float(extra[1])
-        if len(extra) >= 3 and extra[2] is not None and extra[2] != "":
-            kwargs["q_center"] = float(extra[2])
+        kwargs = {
+            name: float(value)
+            for name, value in zip(("q_lo", "q_hi", "q_center"), entry[2:])
+            if value is not None and value != ""
+        }
         levels.append(SynthLevel(label, skill, **kwargs))
     cfg = SynthConfig(
         groups=int(data["groups"]),
@@ -259,6 +130,19 @@ class RunConfig:
 
 
 def run_config_from(data: dict) -> RunConfig:
+    """Typed run config; a missing key, a value of the wrong type, or one
+    that cannot be hashed as JSON raises ConfigError."""
+    try:
+        run = _assemble_run_config(data)
+        run.hash()
+    except KeyError as exc:
+        raise ConfigError(f"config is missing key {exc}") from None
+    except (AttributeError, OverflowError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad config value: {exc}") from None
+    return run
+
+
+def _assemble_run_config(data: dict) -> RunConfig:
     seed = int(data.get("seed", 0))
     synth = synth_config_from(data["synth"], seed) if "synth" in data else None
     if "features" not in data:

@@ -11,9 +11,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, SchemaMismatchError
-from .features import FeatureVector, average_features
+from .features import average_features
 from .gbdt import GbdtParams, TreeEnsemble, fit
-from .rng import substream
+from .rng import draw_means
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,6 @@ def build_training_set(pool: dict, spec: TrainingSetSpec):
         raise ConfigError("empty training pool")
     schema = None
     rows = []
-    targets = []
     for g in groups:
         vectors = list(pool[g])
         if len(vectors) < spec.n:
@@ -60,12 +59,10 @@ def build_training_set(pool: dict, spec: TrainingSetSpec):
         stacked = np.array([v.values for v in vectors], dtype=np.float64)
         if any(v.schema_id != schema for v in vectors):
             raise SchemaMismatchError("training pool mixes feature schemas")
-        for rep in range(spec.repetitions_per_group):
-            gen = substream(spec.seed, "trainset", g, rep)
-            idx = gen.choice(len(vectors), size=spec.n, replace=False)
-            rows.append(stacked[idx].mean(axis=0))
-            targets.append(float(g))
-    return np.array(rows), np.array(targets)
+        rows.append(draw_means(stacked, spec.n, spec.repetitions_per_group,
+                               spec.seed, "trainset", g))
+    targets = np.repeat(np.array(groups, dtype=np.float64), spec.repetitions_per_group)
+    return np.concatenate(rows), targets
 
 
 def train_meta_model(

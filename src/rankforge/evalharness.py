@@ -8,7 +8,7 @@ confusion matrix with rows = actual group, columns = predicted group.
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ConfigError
 from .estimator import estimate_rank_rows
 from .features import FeatureConfig, FeatureVector, StoredFeature
-from .rng import substream
+from .rng import draw_means
 
 RANDOM_MODE = "random"
 PLAYER_MODE = "player"
@@ -41,10 +41,20 @@ class EvaluationReport:
     accuracy: float
     accuracy_pm1: float
     confusion: np.ndarray
-    per_group_accuracy: list
-    total_predictions: int
     drops: dict = field(default_factory=dict)
     config: dict = field(default_factory=dict)
+
+    @property
+    def total_predictions(self) -> int:
+        return int(self.confusion.sum())
+
+    @property
+    def per_group_accuracy(self) -> list:
+        row_totals = self.confusion.sum(axis=1)
+        return [
+            float(self.confusion[j, j] / row_totals[j]) if row_totals[j] else 0.0
+            for j in range(self.confusion.shape[0])
+        ]
 
     def to_dict(self) -> dict:
         return {
@@ -61,41 +71,22 @@ class EvaluationReport:
 def accuracy_metrics(pairs, r_groups: int):
     """(accuracy, accuracy within one group, confusion matrix) from
     (actual, predicted) index pairs."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    if ((pairs < 0) | (pairs >= r_groups)).any():
+        raise ConfigError("group index outside [0, R)")
     confusion = np.zeros((r_groups, r_groups), dtype=np.int64)
-    for actual, predicted in pairs:
-        if not (0 <= actual < r_groups and 0 <= predicted < r_groups):
-            raise ConfigError("group index outside [0, R)")
-        confusion[actual, predicted] += 1
+    np.add.at(confusion, (pairs[:, 0], pairs[:, 1]), 1)
     total = int(confusion.sum())
     if total == 0:
         raise ConfigError("no predictions to score")
     hits = int(np.trace(confusion))
-    near = hits
-    for offset in (1, -1):
-        near += int(np.trace(confusion, offset=offset))
+    near = hits + int(np.trace(confusion, offset=1)) + int(np.trace(confusion, offset=-1))
     return hits / total, near / total, confusion
 
 
-def _report_from_confusion(confusion, protocol, extra_config=None) -> EvaluationReport:
-    total = int(confusion.sum())
-    hits = int(np.trace(confusion))
-    near = hits + int(np.trace(confusion, offset=1)) + int(np.trace(confusion, offset=-1))
-    row_totals = confusion.sum(axis=1)
-    per_group = [
-        float(confusion[j, j] / row_totals[j]) if row_totals[j] else 0.0
-        for j in range(confusion.shape[0])
-    ]
-    config = {"mode": protocol.mode, "n": protocol.n,
-              "repetitions": protocol.repetitions, "seed": protocol.seed}
-    config.update(extra_config or {})
-    return EvaluationReport(
-        accuracy=hits / total,
-        accuracy_pm1=near / total,
-        confusion=confusion,
-        per_group_accuracy=per_group,
-        total_predictions=total,
-        config=config,
-    )
+def _score(pairs, r_groups: int, protocol: EvalProtocol) -> EvaluationReport:
+    accuracy, accuracy_pm1, confusion = accuracy_metrics(pairs, r_groups)
+    return EvaluationReport(accuracy, accuracy_pm1, confusion, config=asdict(protocol))
 
 
 def _as_matrix(vectors, schema_id) -> np.ndarray:
@@ -110,22 +101,17 @@ def run_random_sampling(testpool: dict, model, protocol: EvalProtocol) -> Evalua
     if protocol.mode != RANDOM_MODE:
         raise ConfigError("protocol mode must be 'random'")
     r_groups = model.meta.get("r_groups") or (max(testpool) + 1)
-    confusion = np.zeros((r_groups, r_groups), dtype=np.int64)
     schema = model.schema_id
+    pairs = []
     for g in sorted(testpool):
         vectors = list(testpool[g])
         if len(vectors) < protocol.n:
             raise ConfigError(f"group {g} pool smaller than n={protocol.n}")
         stacked = _as_matrix(vectors, schema or vectors[0].schema_id)
-        rows = np.empty((protocol.repetitions, stacked.shape[1]))
-        for rep in range(protocol.repetitions):
-            gen = substream(protocol.seed, "eval-random", g, rep)
-            idx = gen.choice(len(vectors), size=protocol.n, replace=False)
-            rows[rep] = stacked[idx].mean(axis=0)
-        predicted = estimate_rank_rows(model, rows, r_groups)
-        for p in predicted:
-            confusion[g, p] += 1
-    return _report_from_confusion(confusion, protocol)
+        rows = draw_means(stacked, protocol.n, protocol.repetitions, protocol.seed,
+                          "eval-random", g)
+        pairs.extend((g, p) for p in estimate_rank_rows(model, rows, r_groups))
+    return _score(pairs, r_groups, protocol)
 
 
 def run_player_specific(testpool_by_player: dict, model, protocol: EvalProtocol) -> EvaluationReport:
@@ -133,8 +119,8 @@ def run_player_specific(testpool_by_player: dict, model, protocol: EvalProtocol)
     if protocol.mode != PLAYER_MODE:
         raise ConfigError("protocol mode must be 'player'")
     r_groups = model.meta.get("r_groups") or (max(testpool_by_player) + 1)
-    confusion = np.zeros((r_groups, r_groups), dtype=np.int64)
     schema = model.schema_id
+    pairs = []
     excluded = []
     for g in sorted(testpool_by_player):
         for player_id in sorted(testpool_by_player[g]):
@@ -144,15 +130,10 @@ def run_player_specific(testpool_by_player: dict, model, protocol: EvalProtocol)
                                  "reason": "fewer_datapoints_than_n"})
                 continue
             stacked = _as_matrix(vectors, schema or vectors[0].schema_id)
-            rows = np.empty((protocol.repetitions, stacked.shape[1]))
-            for rep in range(protocol.repetitions):
-                gen = substream(protocol.seed, "eval-player", g, player_id, rep)
-                idx = gen.choice(len(vectors), size=protocol.n, replace=False)
-                rows[rep] = stacked[idx].mean(axis=0)
-            predicted = estimate_rank_rows(model, rows, r_groups)
-            for p in predicted:
-                confusion[g, p] += 1
-    report = _report_from_confusion(confusion, protocol)
+            rows = draw_means(stacked, protocol.n, protocol.repetitions, protocol.seed,
+                              "eval-player", g, player_id)
+            pairs.extend((g, p) for p in estimate_rank_rows(model, rows, r_groups))
+    report = _score(pairs, r_groups, protocol)
     if excluded:
         report.drops["excluded_players"] = excluded
     return report
@@ -231,39 +212,11 @@ def run_ablation(masks, ns, ctx: AblationContext) -> dict:
 def family_masks(full_config: FeatureConfig):
     """The standard ablation masks: all features, then one family removed."""
     masks = [("use_all", full_config)]
-    if full_config.include_strength:
-        masks.append(
-            ("wo_strength", FeatureConfig(
-                game=full_config.game,
-                policy_levels=full_config.policy_levels,
-                loss_selected=full_config.loss_selected,
-                include_strength=False,
-                include_priors=full_config.include_priors,
-                include_loss=full_config.include_loss,
-            ))
-        )
-    if full_config.include_priors:
-        masks.append(
-            ("wo_prior", FeatureConfig(
-                game=full_config.game,
-                policy_levels=full_config.policy_levels,
-                loss_selected=full_config.loss_selected,
-                include_strength=full_config.include_strength,
-                include_priors=False,
-                include_loss=full_config.include_loss,
-            ))
-        )
-    if full_config.include_loss:
-        masks.append(
-            ("wo_loss", FeatureConfig(
-                game=full_config.game,
-                policy_levels=full_config.policy_levels,
-                loss_selected=full_config.loss_selected,
-                include_strength=full_config.include_strength,
-                include_priors=full_config.include_priors,
-                include_loss=False,
-            ))
-        )
+    for name, family in (("wo_strength", "include_strength"),
+                         ("wo_prior", "include_priors"),
+                         ("wo_loss", "include_loss")):
+        if getattr(full_config, family):
+            masks.append((name, replace(full_config, **{family: False})))
     return masks
 
 
@@ -405,15 +358,16 @@ def boxplot_rows(rows, config: FeatureConfig, column: str, mode: str = "player",
                 })
         elif mode == "random":
             values = np.array([r.vector.values[col] for r in group_rows])
-            take = min(sample_size, len(values))
+            # As an (n, 1) column the mean is bit-equal to the 1-D
+            # values[idx].mean(); a mean over a wider matrix is not.
+            means = draw_means(values[:, None], min(sample_size, len(values)), samples,
+                               seed, "boxplot", g)
             for s in range(samples):
-                gen = substream(seed, "boxplot", g, s)
-                idx = gen.choice(len(values), size=take, replace=False)
                 out.append({
                     "group": g,
                     "subject": f"sample{s:03d}",
                     "statistic": column,
-                    "value": float(values[idx].mean()),
+                    "value": float(means[s, 0]),
                 })
         else:
             raise ConfigError(f"unknown boxplot mode {mode!r}")

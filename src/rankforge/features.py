@@ -223,14 +223,10 @@ class DropReport:
         }
 
 
-def extract_features(datapoint, bank: BackendBank, config: FeatureConfig) -> FeatureVector:
-    """Schema-ordered feature vector for one data point."""
-    report = DropReport()
-    vector = _extract_one(datapoint, bank, config, report)
-    return vector
-
-
-def _extract_one(datapoint, bank, config, report) -> FeatureVector:
+def extract_features(datapoint, bank: BackendBank, config: FeatureConfig,
+                     report: DropReport | None = None) -> FeatureVector:
+    """Schema-ordered feature vector for one data point; win-rate clamps and
+    empty loss cutoffs are counted in ``report`` when one is given."""
     if datapoint.k < 1:
         raise DataError("data point has no moves")
     states = [m[1] for m in datapoint.moves]
@@ -245,10 +241,11 @@ def _extract_one(datapoint, bank, config, report) -> FeatureVector:
             values.append(prior_geomean(priors))
     if config.include_loss:
         losses, clamps = move_losses(datapoint, bank.value, config.value_transform())
-        report.winrate_clamps += clamps
+        if report is not None:
+            report.winrate_clamps += clamps
         for spec in config.loss_selected:
             value, empty = loss_stats(losses, spec.stat, spec.n_cut)
-            if empty:
+            if empty and report is not None:
                 report.flag(datapoint.match_id, datapoint.side, f"empty_after_cut:{spec.feature_name}")
             values.append(value)
     if any(math.isnan(v) for v in values):
@@ -280,7 +277,7 @@ def extract_many(datapoints, bank: BackendBank, config: FeatureConfig):
     rows = []
     for dp in datapoints:
         try:
-            vector = _extract_one(dp, bank, config, report)
+            vector = extract_features(dp, bank, config, report)
         except BackendTimeoutError:
             report.drop(dp.match_id, dp.side, "backend_timeout")
             continue

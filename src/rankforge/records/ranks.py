@@ -9,9 +9,6 @@ import re
 from ..errors import ConfigError, RankRangeError
 from .types import RankGroup
 
-GO_GROUPS = 11
-CHESS_GROUPS = 8
-
 _GO_LABELS = ["3-5k", "1-2k"] + [f"{d}d" for d in range(1, 10)]
 _GO_LABEL_RE = re.compile(r"^\s*(\d+)\s*(k|kyu|d|dan)\s*$", re.IGNORECASE)
 
@@ -23,14 +20,6 @@ def go_group_label(index: int) -> str:
 def chess_group_label(index: int) -> str:
     lo = 1000 + 200 * index
     return f"R{lo}-R{lo + 199}"
-
-
-def group_count(game: str) -> int:
-    if game == "go":
-        return GO_GROUPS
-    if game == "chess":
-        return CHESS_GROUPS
-    raise ConfigError(f"no fixed rank grouping for game {game!r}")
 
 
 def rank_group_of(label, game: str) -> RankGroup:

@@ -1,7 +1,7 @@
 """Match records, plies, rank groups, and per-player data points."""
 
 import datetime
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import DataError
 

@@ -25,3 +25,13 @@ def substream(root_seed: int, *path) -> np.random.Generator:
     key = tuple(_token(p) for p in path)
     seq = np.random.SeedSequence(entropy=int(root_seed), spawn_key=key)
     return np.random.Generator(np.random.PCG64(seq))
+
+
+def draw_means(stacked: np.ndarray, n: int, repetitions: int, root_seed: int, *path) -> np.ndarray:
+    """Row ``rep`` is the mean of n distinct rows of ``stacked``, drawn with
+    the substream ``(*path, rep)``; one row per repetition."""
+    means = np.empty((repetitions, stacked.shape[1]))
+    for rep in range(repetitions):
+        idx = substream(root_seed, *path, rep).choice(len(stacked), size=n, replace=False)
+        means[rep] = stacked[idx].mean(axis=0)
+    return means

@@ -17,8 +17,7 @@ outside the window.  Players never clip; generation is unaffected.
 
 import hashlib
 import json
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 

@@ -273,3 +273,52 @@ def test_eval_rejects_schema_mismatch(tmp_path):
     model.write_text(json.dumps(blob))
     assert main(["eval", "--mode", "random", "--n", "2", "--model", str(model),
                  "--features", str(store), "--out", str(tmp_path / "rep")]) == 2
+
+
+@pytest.mark.parametrize("mode", ["random", "player"])
+def test_eval_group_unknown_to_model_exits_one(tmp_path, mode):
+    config = tmp_path / "run.toml"
+    config.write_text(TINY_SYNTH)
+    dataset = tmp_path / "d.jsonl"
+    store = tmp_path / "s.jsonl"
+    model = tmp_path / "m.json"
+    main(["synth", "--config", str(config), "--matches", "6", "--out", str(dataset)])
+    main(["extract", "--config", str(config), "--dataset", str(dataset),
+          "--out", str(store)])
+    main(["train", "--config", str(config), "--features", str(store), "--n", "1",
+          "--repetitions", "20", "--out", str(model)])
+    blob = json.loads(model.read_text())
+    blob["meta"]["r_groups"] = 2  # the store also holds group 2
+    model.write_text(json.dumps(blob))
+    assert main(["eval", "--mode", mode, "--n", "1", "--model", str(model),
+                 "--features", str(store), "--out", str(tmp_path / "rep")]) == 1
+
+
+@pytest.mark.parametrize("config_text", [
+    TINY_SYNTH.replace("seed = 77", 'seed = "abc"'),
+    TINY_SYNTH.replace("groups = 3\n", ""),
+    TINY_SYNTH.replace("ns = [1, 3]", 'ns = ["x"]'),
+    TINY_SYNTH.replace("num_trees = 25", "num_trees = [1]"),
+    "note = 2024-01-01\n" + TINY_SYNTH,
+], ids=["seed-string", "synth-without-groups", "ns-string", "num-trees-array", "date-value"])
+def test_pipeline_bad_config_value_exits_one(tmp_path, config_text):
+    config = tmp_path / "run.toml"
+    config.write_text(config_text)
+    assert config_text != TINY_SYNTH
+    assert main(["pipeline", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_ablate_matches_pipeline_ablation(tmp_path):
+    config = tmp_path / "run.toml"
+    config.write_text(TINY_SYNTH)
+    run = tmp_path / "run"
+    assert main(["pipeline", "--config", str(config), "--out", str(run)]) == 0
+    out = tmp_path / "ablate"
+    assert main(["ablate", "--config", str(config),
+                 "--train-features", str(run / "train_features.jsonl"),
+                 "--test-features", str(run / "test_features.jsonl"),
+                 "--out", str(out)]) == 0
+    for name in ("ablation_summary.csv", "ablation_per_group.csv"):
+        assert (out / name).read_bytes() == (run / "ablation" / name).read_bytes()
+    assert json.loads((out / "use_all_n3" / "metrics.json").read_text())["config"]["mask"] == "use_all"

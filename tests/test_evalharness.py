@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from rankforge.errors import ConfigError
-from rankforge.estimator import TrainingSetSpec, train_meta_model
+from rankforge.estimator import TrainingSetSpec, build_training_set, train_meta_model
 from rankforge.features import FeatureConfig, FeatureVector, LossSpec
 from rankforge.gbdt import GbdtParams
 from rankforge.evalharness import (
@@ -28,6 +28,7 @@ from rankforge.evalharness import (
     write_report,
 )
 from rankforge.features import StoredFeature
+from rankforge.rng import substream
 
 
 class _FixedModel:
@@ -170,6 +171,81 @@ def test_heterogeneous_players_hurt_player_specific_mode():
     random_report = run_random_sampling(flat, model, EvalProtocol("random", 8, 60, seed=6))
     player_report = run_player_specific(pool, model, EvalProtocol("player", 8, 5, seed=6))
     assert random_report.accuracy > player_report.accuracy + 0.05
+
+
+@pytest.mark.parametrize("mode", ["random", "player"])
+def test_group_unknown_to_model_is_config_error(mode):
+    model = _FixedModel(lambda row: row[0], r_groups=3)
+    protocol = EvalProtocol(mode, 3, 5, seed=0)
+    with pytest.raises(ConfigError, match="outside"):
+        if mode == "random":
+            run_random_sampling(_pool(groups=4), model, protocol)
+        else:
+            run_player_specific(_player_pool(groups=4), model, protocol)
+
+
+def test_player_specific_with_every_player_excluded_is_config_error():
+    model = _FixedModel(lambda row: row[0], r_groups=3)
+    with pytest.raises(ConfigError, match="no predictions"):
+        run_player_specific(_player_pool(per_player=2), model, EvalProtocol("player", 4, 5, seed=1))
+
+
+# ---------------------------------------------------------------------------
+# sampling: each call site draws from its own named substreams
+
+
+class _RecordingModel(_FixedModel):
+    def __init__(self, r_groups, schema_id):
+        super().__init__(lambda row: row[0], r_groups, schema_id)
+        self.seen = []
+
+    def predict_many(self, X):
+        self.seen.append(np.array(X))
+        return super().predict_many(X)
+
+
+def _reference_means(stacked, n, repetitions, seed, *path):
+    return np.array([
+        stacked[substream(seed, *path, rep).choice(len(stacked), size=n, replace=False)]
+        .mean(axis=0)
+        for rep in range(repetitions)
+    ])
+
+
+@pytest.mark.parametrize("site", ["trainset", "eval-random", "eval-player", "boxplot"])
+def test_sampler_rows_follow_the_site_substream_path(site):
+    config, pool = _stored(per_group=36)
+    stacked = {g: np.array([v.values for v in vs]) for g, vs in pool.items()}
+    seed, n, reps = 13, 9, 7
+    if site == "trainset":
+        X, y = build_training_set(pool, TrainingSetSpec(n, reps, seed))
+        expected = np.concatenate([_reference_means(stacked[g], n, reps, seed, site, g)
+                                   for g in sorted(pool)])
+        assert np.array_equal(X, expected)
+        assert np.array_equal(y, np.repeat([0.0, 1.0, 2.0], reps))
+    elif site == "eval-random":
+        model = _RecordingModel(3, config.schema_id())
+        run_random_sampling(pool, model, EvalProtocol("random", n, reps, seed))
+        for g, seen in zip(sorted(pool), model.seen, strict=True):
+            assert np.array_equal(seen, _reference_means(stacked[g], n, reps, seed, site, g))
+    elif site == "eval-player":
+        by_player = {g: {f"p{k}": vs[k::3] for k in range(3)} for g, vs in pool.items()}
+        model = _RecordingModel(3, config.schema_id())
+        run_player_specific(by_player, model, EvalProtocol("player", n, reps, seed))
+        expected = [
+            _reference_means(stacked[g][k::3], n, reps, seed, site, g, f"p{k}")
+            for g in sorted(pool) for k in range(3)
+        ]
+        for seen, want in zip(model.seen, expected, strict=True):
+            assert np.array_equal(seen, want)
+    else:
+        out = boxplot_rows(_store_rows(config, pool), config, "mean_strength",
+                           mode="random", sample_size=n, samples=reps, seed=seed)
+        for g in sorted(pool):
+            got = [row["value"] for row in out if row["group"] == g]
+            # the reference is the one-dimensional mean of the drawn values
+            want = _reference_means(stacked[g][:, 0], n, reps, seed, site, g)
+            assert got == want.tolist()
 
 
 # ---------------------------------------------------------------------------
