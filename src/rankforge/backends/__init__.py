@@ -12,7 +12,6 @@ from .base import (
     BackendBank,
     BackendDescriptor,
     logit,
-    make_backend,
 )
 from .cache import CachedBackend, ResponseCache, default_cache_path
 from .client import SubprocessBackend
@@ -29,5 +28,4 @@ __all__ = [
     "SubprocessBackend",
     "SyntheticBackend",
     "logit",
-    "make_backend",
 ]

@@ -104,15 +104,3 @@ class BackendBank:
     def close(self) -> None:
         for backend in {id(b): b for b in (self.strength, self.policy, self.value) if b}.values():
             backend.close()
-
-
-def make_backend(descriptor: BackendDescriptor, synth_config=None, timeout: float = 30.0) -> Backend:
-    """Instantiate a backend from its descriptor."""
-    from .client import SubprocessBackend
-    from .synthetic import SyntheticBackend
-
-    if descriptor.launch == BUILTIN_SYNTHETIC:
-        if synth_config is None:
-            raise ConfigError("builtin:synthetic backend needs a synthetic config")
-        return SyntheticBackend(synth_config, descriptor=descriptor)
-    return SubprocessBackend(descriptor, timeout=timeout)

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..errors import DataError
 from .base import Backend
 
 CACHE_ENV = "RANKFORGE_CACHE"
@@ -22,18 +23,28 @@ def default_cache_path() -> Path | None:
 
 
 class ResponseCache:
+    """An unparseable last line is the torn tail of an interrupted write: it
+    is skipped on load and cut off before the next record is appended.  A
+    bad line anywhere else raises DataError."""
+
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._data: dict[tuple, float] = {}
         self._fh = None
         if self.path.exists():
             with self.path.open() as fh:
-                for line in fh:
+                bad = None
+                for lineno, line in enumerate(fh, start=1):
+                    if bad is not None:
+                        raise DataError(bad)
                     line = line.strip()
                     if not line:
                         continue
-                    rec = json.loads(line)
-                    self._data[self._key_of(rec)] = float(rec["v"])
+                    try:
+                        rec = json.loads(line)
+                        self._data[self._key_of(rec)] = float(rec["v"])
+                    except (KeyError, TypeError, ValueError) as exc:
+                        bad = f"{self.path}:{lineno}: bad cache line ({exc})"
 
     @staticmethod
     def _key_of(rec: dict) -> tuple:
@@ -46,12 +57,24 @@ class ResponseCache:
         self._data[key] = value
         if self._fh is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
+            self._cut_torn_tail()
             self._fh = self.path.open("a")
         backend, kind, state, move, level = key
         self._fh.write(
             json.dumps({"b": backend, "k": kind, "s": state, "m": move, "l": level, "v": value})
             + "\n"
         )
+
+    def _cut_torn_tail(self) -> None:
+        """Truncate the file after its last newline, so the next record
+        starts on a fresh line."""
+        size = self.path.stat().st_size if self.path.exists() else 0
+        if size:
+            with self.path.open("rb+") as fh:
+                fh.seek(size - 1)
+                if fh.read(1) != b"\n":
+                    fh.seek(0)
+                    fh.truncate(fh.read().rfind(b"\n") + 1)
 
     def flush(self) -> None:
         if self._fh is not None:
@@ -61,9 +84,6 @@ class ResponseCache:
         if self._fh is not None:
             self._fh.close()
             self._fh = None
-
-    def __len__(self) -> int:
-        return len(self._data)
 
 
 class CachedBackend(Backend):

@@ -11,11 +11,11 @@ States are self-describing ids; the quality block for a match is derived
 on first use and kept in a small LRU.
 """
 
-from collections import OrderedDict
+from functools import lru_cache, partial
 
 import numpy as np
 
-from ..errors import ConfigError, DataError
+from ..errors import DataError
 from ..synthlab import (
     SynthConfig,
     parse_state_id,
@@ -28,36 +28,13 @@ from .base import Backend, BackendDescriptor, floor_priors
 
 
 class SyntheticBackend(Backend):
-    def __init__(
-        self,
-        config: SynthConfig,
-        descriptor: BackendDescriptor | None = None,
-        value_table: dict[str, float] | None = None,
-        value_mode: str = "scorelead",
-        cache_blocks: int = 1024,
-    ):
-        if value_mode not in ("scorelead", "winrate"):
-            raise ConfigError(f"unknown value mode {value_mode!r}")
+    def __init__(self, config: SynthConfig, descriptor: BackendDescriptor | None = None):
         self.config = config
         self.descriptor = descriptor or BackendDescriptor(
             kind="value", game="synthetic", levels=config.level_labels()
         )
-        self.value_table = dict(value_table or {})
-        self.value_mode = value_mode
-        self._cache_blocks = cache_blocks
-        self._qualities: OrderedDict[str, np.ndarray] = OrderedDict()
-        self._noise: OrderedDict[str, np.ndarray] = OrderedDict()
-
-    def _block(self, cache: OrderedDict, uid: str, build) -> np.ndarray:
-        block = cache.get(uid)
-        if block is None:
-            block = build(self.config, uid)
-            cache[uid] = block
-            if len(cache) > self._cache_blocks:
-                cache.popitem(last=False)
-        else:
-            cache.move_to_end(uid)
-        return block
+        self._qualities = lru_cache(maxsize=1024)(partial(quality_block, config))
+        self._noise = lru_cache(maxsize=1024)(partial(strength_noise_block, config))
 
     def _move_index(self, move, width: int) -> int:
         idx = int(move)
@@ -89,11 +66,9 @@ class SyntheticBackend(Backend):
         out = np.empty(len(states))
         sd = self.config.strength_noise_sd
         for uid, where, plies, cols in self._grouped(states, moves):
-            q = self._block(self._qualities, uid, quality_block)
-            beta = q[plies, cols]
+            beta = self._qualities(uid)[plies, cols]
             if sd > 0:
-                noise = self._block(self._noise, uid, strength_noise_block)
-                beta = beta + sd * noise[plies, cols]
+                beta = beta + sd * self._noise(uid)[plies, cols]
             out[where] = beta
         return out
 
@@ -102,44 +77,15 @@ class SyntheticBackend(Backend):
         temp = self.config.temperature(lv.skill)
         out = np.empty(len(states))
         for uid, where, plies, cols in self._grouped(states, moves):
-            q = self._block(self._qualities, uid, quality_block)
+            q = self._qualities(uid)
             probs = softmax(perceived_qualities(lv, q[plies]) / temp, axis=1)
             out[where] = probs[np.arange(len(plies)), cols]
         return floor_priors(out)
 
-    def policy_distribution(self, state: str, level: str) -> np.ndarray:
-        """Full move distribution at one state; sums to 1."""
-        lv = self.config.level_by_label(level)
-        uid, ply = parse_state_id(state)
-        q = self._block(self._qualities, uid, quality_block)
-        return softmax(perceived_qualities(lv, q[ply - 1]) / self.config.temperature(lv.skill))
-
-    def _table_value(self, state: str) -> float | None:
-        if state in self.value_table:
-            return float(self.value_table[state])
-        if state.startswith("flip:"):
-            inner = self._table_value(state[len("flip:"):])
-            if inner is not None:
-                return 1.0 - inner if self.value_mode == "winrate" else -inner
-        return None
-
     def evaluate_state_many(self, states, moves=None) -> np.ndarray:
-        if self.value_table:
-            out = np.empty(len(states))
-            for i, state in enumerate(states):
-                move = None if moves is None else moves[i]
-                table = self._table_value(state)
-                if table is not None and move is None:
-                    out[i] = table
-                else:
-                    out[i] = self._evaluate_table_free([state], None if move is None else [move])[0]
-            return out
-        return self._evaluate_table_free(states, moves)
-
-    def _evaluate_table_free(self, states, moves) -> np.ndarray:
         out = np.empty(len(states))
         for uid, where, plies, cols in self._grouped(states, moves):
-            q = self._block(self._qualities, uid, quality_block)
+            q = self._qualities(uid)
             if cols is None:
                 out[where] = q[plies].max(axis=1)
             else:

@@ -17,10 +17,11 @@ from .backends import (
     BackendDescriptor,
     CachedBackend,
     ResponseCache,
+    SubprocessBackend,
     SyntheticBackend,
     default_cache_path,
-    make_backend,
 )
+from .backends.base import BUILTIN_SYNTHETIC
 from .config import (
     RunConfig,
     date_window_from,
@@ -119,35 +120,42 @@ def cmd_ingest(args) -> int:
 # backends wiring
 
 
-def _build_bank(run: RunConfig, timeout: float = 30.0) -> BackendBank:
+def _build_bank(run: RunConfig) -> BackendBank:
     backends_cfg = run.raw.get("backends", {})
     features = run.features
+    if not backends_cfg and run.synth is not None:
+        shared = SyntheticBackend(run.synth)
+        return BackendBank(strength=shared, policy=shared, value=shared)
+    try:
+        timeout = float(backends_cfg.get("timeout", 30.0))
+    except (AttributeError, TypeError, ValueError):
+        raise ConfigError("[backends] must be a table whose timeout is in seconds") from None
+    cache_path = default_cache_path()
 
-    def external(kind: str, launch: str):
+    def external(kind: str):
+        launch = backends_cfg.get(kind)
+        if not isinstance(launch, str):
+            raise ConfigError(f"[backends] names no {kind} engine")
         descriptor = BackendDescriptor(
             kind=kind,
             game=features.game,
             launch=launch,
             levels=features.policy_levels if kind == "policy" else (),
         )
-        backend = make_backend(descriptor, synth_config=run.synth,
-                               timeout=float(backends_cfg.get("timeout", timeout)))
-        cache_path = default_cache_path()
-        if cache_path is not None and launch != "builtin:synthetic":
-            backend = CachedBackend(backend, ResponseCache(cache_path))
-        return backend
+        if launch == BUILTIN_SYNTHETIC:
+            if run.synth is None:
+                raise ConfigError("builtin:synthetic backend needs a synthetic config")
+            return SyntheticBackend(run.synth, descriptor=descriptor)
+        backend = SubprocessBackend(descriptor, timeout=timeout)
+        if cache_path is None:
+            return backend
+        return CachedBackend(backend, ResponseCache(cache_path))
 
-    if not backends_cfg and run.synth is not None:
-        shared = SyntheticBackend(run.synth)
-        return BackendBank(strength=shared, policy=shared, value=shared)
-    bank = BackendBank()
-    if features.include_strength:
-        bank.strength = external("strength", backends_cfg["strength"])
-    if features.include_priors:
-        bank.policy = external("policy", backends_cfg["policy"])
-    if features.include_loss:
-        bank.value = external("value", backends_cfg["value"])
-    return bank
+    return BackendBank(
+        strength=external("strength") if features.include_strength else None,
+        policy=external("policy") if features.include_priors else None,
+        value=external("value") if features.include_loss else None,
+    )
 
 
 def cmd_extract(args) -> int:

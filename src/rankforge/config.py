@@ -9,7 +9,7 @@ import datetime
 import hashlib
 import json
 import tomllib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigError
@@ -29,7 +29,11 @@ def read_config_file(path) -> dict:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file {path} does not exist")
-    return read_config_text(path.read_text())
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8: {exc}") from None
+    return read_config_text(text)
 
 
 def config_hash(data: dict) -> str:
@@ -86,15 +90,9 @@ def feature_config_from(data: dict) -> FeatureConfig:
 
 
 def gbdt_params_from(data: dict) -> GbdtParams:
-    return GbdtParams(
-        num_trees=int(data.get("num_trees", 100)),
-        learning_rate=float(data.get("learning_rate", 0.1)),
-        max_leaves=int(data.get("max_leaves", 31)),
-        min_samples_leaf=int(data.get("min_samples_leaf", 20)),
-        min_gain=float(data.get("min_gain", 0.0)),
-        feature_fraction=float(data.get("feature_fraction", 1.0)),
-        seed=int(data.get("seed", 0)),
-    )
+    """Absent keys keep the GbdtParams defaults."""
+    return GbdtParams(**{f.name: f.type(data[f.name]) for f in fields(GbdtParams)
+                         if f.name in data})
 
 
 def date_window_from(value) -> tuple[datetime.date, datetime.date] | None:
@@ -102,8 +100,10 @@ def date_window_from(value) -> tuple[datetime.date, datetime.date] | None:
         return None
     if not (isinstance(value, list) and len(value) == 2):
         raise ConfigError("date_window must be [start, end]")
-    start = datetime.date.fromisoformat(str(value[0]))
-    end = datetime.date.fromisoformat(str(value[1]))
+    try:
+        start, end = (datetime.date.fromisoformat(str(day)) for day in value)
+    except ValueError as exc:
+        raise ConfigError(f"date_window: {exc}") from None
     if end < start:
         raise ConfigError("date_window end precedes start")
     return (start, end)
@@ -118,7 +118,6 @@ class RunConfig:
     train_ns: list
     train_repetitions: int
     gbdt: GbdtParams
-    eval_mode: str
     eval_repetitions: int
     ablation_ns: list = field(default_factory=list)
     ablation_levels: bool = False
@@ -159,7 +158,6 @@ def _assemble_run_config(data: dict) -> RunConfig:
         train_ns=[int(n) for n in training.get("ns", [1, 5, 10, 15, 20])],
         train_repetitions=int(training.get("repetitions_per_group", 1000)),
         gbdt=gbdt_params_from(data.get("gbdt", {})),
-        eval_mode=str(evaluation.get("mode", "random")),
         eval_repetitions=int(evaluation.get("repetitions", 500)),
         ablation_ns=[int(n) for n in ablation.get("ns", [])],
         ablation_levels=bool(ablation.get("levels", False)),

@@ -5,13 +5,12 @@ paired with the group index as the regression target.  Predictions are
 rounded half away from zero and clamped into the valid group range.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, SchemaMismatchError
-from .features import average_features
+from .features import average_features, stack_vectors
 from .gbdt import GbdtParams, TreeEnsemble, fit
 from .rng import draw_means
 
@@ -46,7 +45,7 @@ def build_training_set(pool: dict, spec: TrainingSetSpec):
     groups = sorted(pool)
     if not groups:
         raise ConfigError("empty training pool")
-    schema = None
+    schema = ""
     rows = []
     for g in groups:
         vectors = list(pool[g])
@@ -54,13 +53,9 @@ def build_training_set(pool: dict, spec: TrainingSetSpec):
             raise ConfigError(
                 f"group {g} has {len(vectors)} data points, fewer than n={spec.n}"
             )
-        if schema is None:
-            schema = vectors[0].schema_id
-        stacked = np.array([v.values for v in vectors], dtype=np.float64)
-        if any(v.schema_id != schema for v in vectors):
-            raise SchemaMismatchError("training pool mixes feature schemas")
-        rows.append(draw_means(stacked, spec.n, spec.repetitions_per_group,
-                               spec.seed, "trainset", g))
+        schema = schema or vectors[0].schema_id
+        rows.append(draw_means(stack_vectors(vectors, schema), spec.n,
+                               spec.repetitions_per_group, spec.seed, "trainset", g))
     targets = np.repeat(np.array(groups, dtype=np.float64), spec.repetitions_per_group)
     return np.concatenate(rows), targets
 
@@ -82,8 +77,13 @@ def train_meta_model(
     )
 
 
-def round_half_away(x: float) -> float:
-    return math.floor(x + 0.5) if x >= 0 else math.ceil(x - 0.5)
+def round_half_away(x):
+    """Round half away from zero, elementwise."""
+    return np.where(x >= 0, np.floor(x + 0.5), np.ceil(x - 0.5))
+
+
+def _group_of(raw, r_groups: int):
+    return np.clip(round_half_away(raw), 0, r_groups - 1).astype(int)
 
 
 def estimate_rank(model: TreeEnsemble, vectors, r_groups: int | None = None) -> RankPrediction:
@@ -102,12 +102,9 @@ def estimate_rank(model: TreeEnsemble, vectors, r_groups: int | None = None) -> 
     if r_groups is None:
         raise ConfigError("number of rank groups unknown")
     raw = model.predict(np.asarray(avg.values))
-    group = int(min(max(round_half_away(raw), 0), r_groups - 1))
-    return RankPrediction(raw=raw, group_index=group)
+    return RankPrediction(raw=raw, group_index=int(_group_of(raw, r_groups)))
 
 
 def estimate_rank_rows(model: TreeEnsemble, rows: np.ndarray, r_groups: int) -> np.ndarray:
     """Vectorized group prediction for pre-averaged feature rows."""
-    raw = model.predict_many(rows)
-    rounded = np.where(raw >= 0, np.floor(raw + 0.5), np.ceil(raw - 0.5))
-    return np.clip(rounded, 0, r_groups - 1).astype(int)
+    return _group_of(model.predict_many(rows), r_groups)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .estimator import estimate_rank_rows
-from .features import FeatureConfig, FeatureVector, StoredFeature
+from .features import FeatureConfig, FeatureVector, StoredFeature, stack_vectors
 from .rng import draw_means
 
 RANDOM_MODE = "random"
@@ -84,15 +84,16 @@ def accuracy_metrics(pairs, r_groups: int):
     return hits / total, near / total, confusion
 
 
-def _score(pairs, r_groups: int, protocol: EvalProtocol) -> EvaluationReport:
+def _evaluate(subjects, model, protocol: EvalProtocol, r_groups: int) -> EvaluationReport:
+    """Score `repetitions` draws of n vectors per subject, one prediction per
+    draw; a subject is (actual group, substream path, vectors)."""
+    pairs = []
+    for g, path, vectors in subjects:
+        rows = draw_means(stack_vectors(vectors, model.schema_id), protocol.n,
+                          protocol.repetitions, protocol.seed, *path)
+        pairs.extend((g, p) for p in estimate_rank_rows(model, rows, r_groups))
     accuracy, accuracy_pm1, confusion = accuracy_metrics(pairs, r_groups)
     return EvaluationReport(accuracy, accuracy_pm1, confusion, config=asdict(protocol))
-
-
-def _as_matrix(vectors, schema_id) -> np.ndarray:
-    if any(v.schema_id != schema_id for v in vectors):
-        raise ConfigError("evaluation pool mixes feature schemas")
-    return np.array([v.values for v in vectors], dtype=np.float64)
 
 
 def run_random_sampling(testpool: dict, model, protocol: EvalProtocol) -> EvaluationReport:
@@ -100,40 +101,31 @@ def run_random_sampling(testpool: dict, model, protocol: EvalProtocol) -> Evalua
     every draw yields one prediction."""
     if protocol.mode != RANDOM_MODE:
         raise ConfigError("protocol mode must be 'random'")
-    r_groups = model.meta.get("r_groups") or (max(testpool) + 1)
-    schema = model.schema_id
-    pairs = []
+    subjects = []
     for g in sorted(testpool):
         vectors = list(testpool[g])
         if len(vectors) < protocol.n:
             raise ConfigError(f"group {g} pool smaller than n={protocol.n}")
-        stacked = _as_matrix(vectors, schema or vectors[0].schema_id)
-        rows = draw_means(stacked, protocol.n, protocol.repetitions, protocol.seed,
-                          "eval-random", g)
-        pairs.extend((g, p) for p in estimate_rank_rows(model, rows, r_groups))
-    return _score(pairs, r_groups, protocol)
+        subjects.append((g, ("eval-random", g), vectors))
+    r_groups = model.meta.get("r_groups") or (max(testpool) + 1)
+    return _evaluate(subjects, model, protocol, r_groups)
 
 
 def run_player_specific(testpool_by_player: dict, model, protocol: EvalProtocol) -> EvaluationReport:
     """Per player, `repetitions` draws of n of that player's data points."""
     if protocol.mode != PLAYER_MODE:
         raise ConfigError("protocol mode must be 'player'")
-    r_groups = model.meta.get("r_groups") or (max(testpool_by_player) + 1)
-    schema = model.schema_id
-    pairs = []
-    excluded = []
+    subjects, excluded = [], []
     for g in sorted(testpool_by_player):
         for player_id in sorted(testpool_by_player[g]):
             vectors = list(testpool_by_player[g][player_id])
             if len(vectors) < protocol.n:
                 excluded.append({"player_id": player_id, "group": g,
                                  "reason": "fewer_datapoints_than_n"})
-                continue
-            stacked = _as_matrix(vectors, schema or vectors[0].schema_id)
-            rows = draw_means(stacked, protocol.n, protocol.repetitions, protocol.seed,
-                              "eval-player", g, player_id)
-            pairs.extend((g, p) for p in estimate_rank_rows(model, rows, r_groups))
-    report = _score(pairs, r_groups, protocol)
+            else:
+                subjects.append((g, ("eval-player", g, player_id), vectors))
+    r_groups = model.meta.get("r_groups") or (max(testpool_by_player) + 1)
+    report = _evaluate(subjects, model, protocol, r_groups)
     if excluded:
         report.drops["excluded_players"] = excluded
     return report
@@ -236,14 +228,8 @@ def single_level_masks(full_config: FeatureConfig):
 def write_ablation_csv(results: dict, path) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    mask_names = []
-    ns = []
-    for name, n in results:
-        if name not in mask_names:
-            mask_names.append(name)
-        if n not in ns:
-            ns.append(n)
-    ns.sort()
+    mask_names = list(dict.fromkeys(name for name, _ in results))
+    ns = sorted({n for _, n in results})
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         header = ["n"]

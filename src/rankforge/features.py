@@ -297,15 +297,24 @@ def extract_many(datapoints, bank: BackendBank, config: FeatureConfig):
     return rows, report
 
 
-def average_features(vectors) -> FeatureVector:
+def stack_vectors(vectors, schema_id: str = "") -> np.ndarray:
+    """The vectors' values as a float64 matrix, one row per vector.  Every
+    vector must carry ``schema_id``, or the first vector's schema when it
+    is empty."""
     vectors = list(vectors)
     if not vectors:
-        raise DataError("cannot average zero feature vectors")
-    schema = vectors[0].schema_id
-    if any(v.schema_id != schema for v in vectors):
-        raise SchemaMismatchError("cannot average vectors with different schemas")
-    stacked = np.array([v.values for v in vectors], dtype=float)
-    return FeatureVector(values=tuple(float(x) for x in stacked.mean(axis=0)), schema_id=schema)
+        raise DataError("no feature vectors to stack")
+    schema_id = schema_id or vectors[0].schema_id
+    if any(v.schema_id != schema_id for v in vectors):
+        raise SchemaMismatchError("feature vectors mix schemas")
+    return np.array([v.values for v in vectors], dtype=np.float64)
+
+
+def average_features(vectors) -> FeatureVector:
+    vectors = list(vectors)
+    stacked = stack_vectors(vectors)
+    return FeatureVector(values=tuple(float(x) for x in stacked.mean(axis=0)),
+                         schema_id=vectors[0].schema_id)
 
 
 def write_feature_store(path, rows, config: FeatureConfig) -> None:
@@ -337,30 +346,38 @@ def write_feature_store(path, rows, config: FeatureConfig) -> None:
 
 
 def read_feature_store(path):
+    """(config, rows) of a feature store.  A line that is not JSON or lacks
+    a field raises DataError naming ``path:line``."""
     path = Path(path)
+    rows = []
     with path.open() as fh:
         first = fh.readline()
         if not first.strip():
             raise DataError(f"feature store {path} is empty")
-        header = json.loads(first)["schema"]
-        config = FeatureConfig.from_dict(header["config"])
-        if config.schema_id() != header["schema_id"]:
+        try:
+            header = json.loads(first)["schema"]
+            config = FeatureConfig.from_dict(header["config"])
+            schema_id = header["schema_id"]
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"{path}:1: bad feature store header ({exc})") from None
+        if config.schema_id() != schema_id:
             raise SchemaMismatchError("feature store header hash does not match its config")
-        rows = []
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
-            rec = json.loads(line)
-            if rec["schema_id"] != header["schema_id"]:
-                raise SchemaMismatchError("feature store row with foreign schema id")
-            rows.append(
-                StoredFeature(
+            try:
+                rec = json.loads(line)
+                row = StoredFeature(
                     match_id=rec["match_id"],
                     player_id=rec["player_id"],
                     side=rec["side"],
                     group_index=int(rec["group_index"]),
                     vector=FeatureVector(tuple(rec["features"]), rec["schema_id"]),
                 )
-            )
+            except (KeyError, TypeError, ValueError) as exc:
+                raise DataError(f"{path}:{lineno}: bad feature row ({exc})") from None
+            if row.vector.schema_id != schema_id:
+                raise SchemaMismatchError("feature store row with foreign schema id")
+            rows.append(row)
     return config, rows

@@ -10,7 +10,7 @@ ensemble with zero trees.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -42,15 +42,7 @@ class GbdtParams:
             raise ConfigError("feature_fraction must be in (0, 1]")
 
     def to_dict(self) -> dict:
-        return {
-            "num_trees": self.num_trees,
-            "learning_rate": self.learning_rate,
-            "max_leaves": self.max_leaves,
-            "min_samples_leaf": self.min_samples_leaf,
-            "min_gain": self.min_gain,
-            "feature_fraction": self.feature_fraction,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def best_split_for_feature(x: np.ndarray, residuals: np.ndarray, min_samples_leaf: int):
@@ -112,6 +104,10 @@ def _search_node(node, X, residuals, features, params):
     node.best = best
 
 
+_FLAT_DTYPES = {"feature": np.int32, "threshold": np.float64, "left": np.int32,
+                "right": np.int32, "value": np.float64}
+
+
 @dataclass
 class FlatTree:
     feature: np.ndarray  # -1 marks a leaf
@@ -135,23 +131,12 @@ class FlatTree:
         return int((self.feature < 0).sum())
 
     def to_dict(self) -> dict:
-        return {
-            "feature": self.feature.tolist(),
-            "threshold": self.threshold.tolist(),
-            "left": self.left.tolist(),
-            "right": self.right.tolist(),
-            "value": self.value.tolist(),
-        }
+        return {name: getattr(self, name).tolist() for name in _FLAT_DTYPES}
 
     @classmethod
     def from_dict(cls, data: dict) -> "FlatTree":
-        return cls(
-            feature=np.asarray(data["feature"], dtype=np.int32),
-            threshold=np.asarray(data["threshold"], dtype=np.float64),
-            left=np.asarray(data["left"], dtype=np.int32),
-            right=np.asarray(data["right"], dtype=np.int32),
-            value=np.asarray(data["value"], dtype=np.float64),
-        )
+        return cls(**{name: np.asarray(data[name], dtype=dtype)
+                      for name, dtype in _FLAT_DTYPES.items()})
 
 
 def _flatten(root) -> FlatTree:
@@ -174,13 +159,8 @@ def _flatten(root) -> FlatTree:
         return my_id
 
     visit(root)
-    return FlatTree(
-        feature=np.asarray(feature, dtype=np.int32),
-        threshold=np.asarray(threshold, dtype=np.float64),
-        left=np.asarray(left, dtype=np.int32),
-        right=np.asarray(right, dtype=np.int32),
-        value=np.asarray(value, dtype=np.float64),
-    )
+    return FlatTree.from_dict({"feature": feature, "threshold": threshold, "left": left,
+                               "right": right, "value": value})
 
 
 def _grow_tree(X, residuals, features, params) -> FlatTree | None:

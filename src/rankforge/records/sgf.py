@@ -83,14 +83,7 @@ def _skip_subtree(sc: _Scanner) -> None:
         if ch == "\\":
             sc.next()
         elif ch == "[":
-            while True:
-                inner = sc.next()
-                if inner == "":
-                    raise sc.error("unterminated property value")
-                if inner == "\\":
-                    sc.next()
-                elif inner == "]":
-                    break
+            _read_prop_value(sc)
         elif ch == "(":
             depth += 1
         elif ch == ")":

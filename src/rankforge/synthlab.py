@@ -172,19 +172,16 @@ def gen_match(
     group: int,
     uid: str,
     player_skill: float | None = None,
-    rng: np.random.Generator | None = None,
 ) -> SynthMatch:
     """Generate one match: per ply, sample a move from the softmax of the
     state's qualities at the player's skill temperature."""
     if not 0 <= group < config.groups:
         raise ConfigError(f"group {group} outside [0, {config.groups})")
     skill = float(group) if player_skill is None else float(player_skill)
-    if rng is None:
-        rng = substream(config.seed, "moves", uid)
     qualities = quality_block(config, uid)
     probs = softmax(qualities / config.temperature(skill), axis=1)
     cdf = np.cumsum(probs, axis=1)
-    draws = rng.random(config.plies_per_match)
+    draws = substream(config.seed, "moves", uid).random(config.plies_per_match)
     chosen = (draws[:, None] > cdf).sum(axis=1)
     chosen = np.minimum(chosen, config.moves_per_state - 1)
     plies = tuple(

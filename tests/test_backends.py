@@ -113,16 +113,6 @@ def test_illegal_move_is_domain_error():
         backend.score_strength(match.plies[0].state, "99")
 
 
-def test_value_table_and_perspective_flip():
-    backend = SyntheticBackend(tiny_config(), value_table={"s1": 0.62},
-                               value_mode="winrate")
-    assert backend.evaluate_state("s1") == 0.62
-    assert abs(backend.evaluate_state("flip:s1") - 0.38) < 1e-12
-    score = SyntheticBackend(tiny_config(), value_table={"s1": 0.5})
-    assert score.evaluate_state("s1") == 0.5
-    assert score.evaluate_state("flip:s1") == -0.5
-
-
 def test_prior_floor_applied():
     cfg = SynthConfig(
         groups=3, moves_per_state=6, plies_per_match=4,
@@ -256,6 +246,36 @@ def test_cache_round_trip_and_reuse(tmp_path):
     assert np.array_equal(first, third)
     assert inner2.calls == 0  # persisted across processes
     cached2.close()
+
+
+def test_cache_skips_torn_tail_and_appends_on_a_fresh_line(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    keys = [("b", "value", f"s{i}", None, None) for i in range(3)]
+    cache = ResponseCache(path)
+    cache.put(keys[0], 0.25)
+    cache.put(keys[1], 0.5)
+    cache.close()
+    path.write_bytes(path.read_bytes()[:-10])  # the second record, half written
+    cache = ResponseCache(path)
+    assert cache.get(keys[0]) == 0.25
+    assert cache.get(keys[1]) is None
+    cache.put(keys[2], 0.75)
+    cache.close()
+    cache = ResponseCache(path)
+    assert [cache.get(k) for k in keys] == [0.25, None, 0.75]
+    assert path.read_text().count("\n") == 2
+
+
+def test_cache_bad_line_before_the_end_is_data_error(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    cache = ResponseCache(path)
+    for i in range(3):
+        cache.put(("b", "value", f"s{i}", None, None), float(i))
+    cache.close()
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join([lines[0], lines[1][:20], lines[2]]) + "\n")
+    with pytest.raises(DataError, match="cache.jsonl:2:"):
+        ResponseCache(path)
 
 
 def test_bank_requires_backends_for_enabled_families():

@@ -322,3 +322,94 @@ def test_ablate_matches_pipeline_ablation(tmp_path):
     for name in ("ablation_summary.csv", "ablation_per_group.csv"):
         assert (out / name).read_bytes() == (run / "ablation" / name).read_bytes()
     assert json.loads((out / "use_all_n3" / "metrics.json").read_text())["config"]["mask"] == "use_all"
+
+
+@pytest.mark.parametrize("command, config_bytes", [
+    ("pipeline", b"\xff" + TINY_SYNTH.encode()),
+    ("ingest", None),
+    ("extract", (TINY_SYNTH + "\n[backends]\ntimeout = 5\n").encode()),
+    ("extract", (TINY_SYNTH + '\n[backends]\ntimeout = "soon"\n').encode()),
+    ("extract", ('backends = "engine"\n' + TINY_SYNTH).encode()),
+], ids=["config-not-utf8", "date-window-not-dates", "backends-without-engine",
+        "backends-timeout-string", "backends-not-a-table"])
+def test_bad_input_is_config_error(tmp_path, capsys, command, config_bytes):
+    config = tmp_path / "run.toml"
+    if config_bytes is not None:
+        config.write_bytes(config_bytes)
+    dataset = tmp_path / "data.jsonl"
+    dataset.write_text("")
+    argv = {
+        "pipeline": ["pipeline", "--config", str(config), "--out", str(tmp_path / "out")],
+        "ingest": ["ingest", "--game", "go", "--records-dir", str(tmp_path),
+                   "--out", str(tmp_path / "out.jsonl"), "--date-window", "foo", "bar"],
+        "extract": ["extract", "--config", str(config), "--dataset", str(dataset),
+                    "--out", str(tmp_path / "store.jsonl")],
+    }[command]
+    assert main(argv) == 1
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_cut_feature_store_exits_two_naming_the_line(tmp_path, capsys, command):
+    config = tmp_path / "run.toml"
+    config.write_text(TINY_SYNTH)
+    dataset = tmp_path / "d.jsonl"
+    store = tmp_path / "s.jsonl"
+    model = tmp_path / "m.json"
+    main(["synth", "--config", str(config), "--matches", "6", "--out", str(dataset)])
+    main(["extract", "--config", str(config), "--dataset", str(dataset),
+          "--out", str(store)])
+    main(["train", "--features", str(store), "--n", "1", "--repetitions", "20",
+          "--out", str(model)])
+    store.write_bytes(store.read_bytes()[:300])
+    argv = {
+        "train": ["train", "--features", str(store), "--n", "1", "--out", str(model)],
+        "eval": ["eval", "--n", "1", "--model", str(model), "--features", str(store),
+                 "--out", str(tmp_path / "rep")],
+    }[command]
+    assert main(argv) == 2
+    assert f"{store}:1:" in capsys.readouterr().err
+
+
+@pytest.fixture
+def engine_extract(tmp_path, monkeypatch, mock_backend_cmd):
+    """`extract` with every backend role on the mock engine, behind the
+    response cache.  Returns (run, cache path); run(out) is the exit code."""
+    engine = mock_backend_cmd("inorder")
+    config = tmp_path / "engine.toml"
+    config.write_text(TINY_SYNTH + "\n[backends]\n" + "".join(
+        f"{role} = '{engine}'\n" for role in ("strength", "policy", "value")))
+    dataset = tmp_path / "data.jsonl"
+    assert main(["synth", "--config", str(config), "--matches", "2",
+                 "--out", str(dataset)]) == 0
+    cache = tmp_path / "cache.jsonl"
+    monkeypatch.setenv("RANKFORGE_CACHE", str(cache))
+
+    def run(out):
+        return main(["extract", "--config", str(config), "--dataset", str(dataset),
+                     "--out", str(out)])
+
+    return run, cache
+
+
+def test_extract_through_engines_warm_rerun_reads_the_cache(tmp_path, engine_extract):
+    run, cache = engine_extract
+    assert run(tmp_path / "cold.jsonl") == 0
+    size = cache.stat().st_size
+    assert size > 0
+    assert run(tmp_path / "warm.jsonl") == 0
+    assert (tmp_path / "warm.jsonl").read_bytes() == (tmp_path / "cold.jsonl").read_bytes()
+    assert cache.stat().st_size == size
+
+
+def test_extract_survives_a_torn_cache_tail(tmp_path, engine_extract):
+    run, cache = engine_extract
+    assert run(tmp_path / "full.jsonl") == 0
+    whole = cache.read_bytes()
+    cache.write_bytes(whole[:-40])  # inside the last record
+    assert run(tmp_path / "again.jsonl") == 0
+    assert (tmp_path / "again.jsonl").read_bytes() == (tmp_path / "full.jsonl").read_bytes()
+    size = cache.stat().st_size
+    assert run(tmp_path / "third.jsonl") == 0
+    assert (tmp_path / "third.jsonl").read_bytes() == (tmp_path / "full.jsonl").read_bytes()
+    assert cache.stat().st_size == size

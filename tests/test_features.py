@@ -11,6 +11,7 @@ from rankforge.features import (
     FeatureConfig,
     FeatureVector,
     LossSpec,
+    StoredFeature,
     average_features,
     chess_default_config,
     extract_features,
@@ -147,9 +148,7 @@ def test_move_losses_synthetic_semantics():
 def test_move_losses_value_table_blunder():
     # constructed table: position worth +1 before; after the move the
     # opponent stands +2, so the mover deteriorated by 3
-    cfg = tiny_config()
     table = {"s0": 1.0, "after": 2.0}
-    backend = SyntheticBackend(cfg, value_table=table)
 
     class _TableBackend:
         def evaluate_state_many(self, states, moves=None):
@@ -340,4 +339,19 @@ def test_feature_store_rejects_foreign_schema(tmp_path):
     text = path.read_text().replace('"schema_id": "', '"schema_id": "zz', 1)
     path.write_text(text)
     with pytest.raises(SchemaMismatchError):
+        read_feature_store(path)
+
+
+@pytest.mark.parametrize("damage, line", [
+    (lambda lines: [lines[0][:40]], 1),
+    (lambda lines: [lines[0], lines[1].replace('"features"', '"feature"'), lines[2]], 2),
+    (lambda lines: [lines[0], lines[1], lines[2][:30]], 3),
+], ids=["cut-header", "row-missing-field", "cut-row"])
+def test_feature_store_bad_line_is_data_error_with_position(tmp_path, damage, line):
+    fconfig = FeatureConfig(game="synthetic", include_priors=False, include_loss=False)
+    row = StoredFeature("m", "p", "black", 0, FeatureVector((1.0,), fconfig.schema_id()))
+    path = tmp_path / "store.jsonl"
+    write_feature_store(path, [row, row], fconfig)
+    path.write_text("\n".join(damage(path.read_text().splitlines())) + "\n")
+    with pytest.raises(DataError, match=f"store.jsonl:{line}:"):
         read_feature_store(path)

@@ -101,7 +101,8 @@ def test_priors_sum_to_one_per_state_and_level():
     match = synthlab.gen_match(cfg, 1, "sum1")
     for ply in match.plies[:10]:
         for level in cfg.level_labels():
-            dist = backend.policy_distribution(ply.state, level)
+            moves = [str(m) for m in range(cfg.moves_per_state)]
+            dist = backend.policy_prior_many([ply.state] * len(moves), moves, level)
             assert abs(dist.sum() - 1.0) < 1e-9
 
 
