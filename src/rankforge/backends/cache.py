@@ -1,8 +1,8 @@
 """Persistent response cache for external backends.
 
-JSONL, one line per cached response, keyed by the backend identity plus
-the full request.  Reruns against the same engines become cheap and
-bit-deterministic.
+JSONL (read through ``rankforge.artifacts``), one line per cached
+response, keyed by the backend identity plus the full request.  Reruns
+against the same engines become cheap and bit-deterministic.
 """
 
 import json
@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..artifacts import at_line, read_lines
 from ..errors import DataError
 from .base import Backend
 
@@ -32,23 +33,16 @@ class ResponseCache:
         self._data: dict[tuple, float] = {}
         self._fh = None
         if self.path.exists():
-            with self.path.open() as fh:
-                bad = None
-                for lineno, line in enumerate(fh, start=1):
-                    if bad is not None:
-                        raise DataError(bad)
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
+            lines = read_lines(self.path)
+            for lineno, line in lines:
+                try:
+                    with at_line(self.path, lineno, "cache line"):
                         rec = json.loads(line)
-                        self._data[self._key_of(rec)] = float(rec["v"])
-                    except (KeyError, TypeError, ValueError) as exc:
-                        bad = f"{self.path}:{lineno}: bad cache line ({exc})"
-
-    @staticmethod
-    def _key_of(rec: dict) -> tuple:
-        return (rec["b"], rec["k"], rec["s"], rec.get("m"), rec.get("l"))
+                        key = (rec["b"], rec["k"], rec["s"], rec.get("m"), rec.get("l"))
+                        self._data[key] = float(rec["v"])
+                except DataError:
+                    if next(lines, None) is not None:
+                        raise
 
     def get(self, key: tuple) -> float | None:
         return self._data.get(key)

@@ -37,7 +37,6 @@ class SubprocessBackend(Backend):
         )
         self._next_id = 0
         self._messages: queue.Queue = queue.Queue()
-        self._stray: dict[int, dict] = {}
         self._reader = threading.Thread(target=self._read_loop, daemon=True)
         self._reader.start()
 
@@ -54,7 +53,8 @@ class SubprocessBackend(Backend):
         self._messages.put(None)
 
     def _call_batch(self, requests: list[dict]) -> list[float]:
-        """Send all requests, then collect the matching responses."""
+        """Send all requests, then collect the matching responses.  Ids are never
+        reused, so a response the batch does not want, left by a failed batch, is dropped."""
         if self._proc.poll() is not None:
             raise BackendError(f"backend process exited with code {self._proc.returncode}")
         ids = []
@@ -68,10 +68,6 @@ class SubprocessBackend(Backend):
 
         wanted = set(ids)
         results: dict[int, float] = {}
-        for rid in list(wanted):
-            if rid in self._stray:
-                results[rid] = self._take(self._stray.pop(rid))
-                wanted.discard(rid)
         deadline = time.monotonic() + self.timeout
         while wanted:
             remaining = deadline - time.monotonic()
@@ -91,8 +87,6 @@ class SubprocessBackend(Backend):
             if rid in wanted:
                 results[rid] = self._take(msg)
                 wanted.discard(rid)
-            elif isinstance(rid, int):
-                self._stray[rid] = msg
         return [results[rid] for rid in ids]
 
     @staticmethod

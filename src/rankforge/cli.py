@@ -7,11 +7,11 @@ runs can be reproduced exactly.
 """
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from . import __version__, synthlab
+from .artifacts import write_json
 from .backends import (
     BackendBank,
     BackendDescriptor,
@@ -110,8 +110,7 @@ def cmd_ingest(args) -> int:
         _log(f"warning: no accepted matches under {args.records_dir}")
     write_datapoints(args.out, datapoints)
     if args.drops:
-        Path(args.drops).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.drops).write_text(json.dumps(drops, indent=2, sort_keys=True) + "\n")
+        write_json(args.drops, drops)
     _log(f"ingest: {len(datapoints)} data points, {len(drops)} drops -> {args.out}")
     return 0
 
@@ -131,6 +130,7 @@ def _build_bank(run: RunConfig) -> BackendBank:
     except (AttributeError, TypeError, ValueError):
         raise ConfigError("[backends] must be a table whose timeout is in seconds") from None
     cache_path = default_cache_path()
+    cache = ResponseCache(cache_path) if cache_path else None
 
     def external(kind: str):
         launch = backends_cfg.get(kind)
@@ -147,9 +147,9 @@ def _build_bank(run: RunConfig) -> BackendBank:
                 raise ConfigError("builtin:synthetic backend needs a synthetic config")
             return SyntheticBackend(run.synth, descriptor=descriptor)
         backend = SubprocessBackend(descriptor, timeout=timeout)
-        if cache_path is None:
+        if cache is None:
             return backend
-        return CachedBackend(backend, ResponseCache(cache_path))
+        return CachedBackend(backend, cache)
 
     return BackendBank(
         strength=external("strength") if features.include_strength else None,
@@ -158,20 +158,31 @@ def _build_bank(run: RunConfig) -> BackendBank:
     )
 
 
+def _extract(datapoints, bank: BackendBank, features, out, drops=None):
+    """Extract, write the feature store to ``out`` and, when ``drops`` is a
+    path, the drop report there.  Returns (rows, report)."""
+    rows, report = extract_many(datapoints, bank, features)
+    write_feature_store(out, rows, features)
+    if drops:
+        write_json(drops, report.to_dict())
+    return rows, report
+
+
+def _loss_traces(datapoints, bank: BackendBank, features) -> list:
+    """Every data point's (ply, loss) pairs, in order."""
+    bank.require(need_strength=False, need_policy=False, need_value=True)
+    transform = features.value_transform()
+    return [loss for dp in datapoints for loss in move_losses(dp, bank.value, transform)[0]]
+
+
 def cmd_extract(args) -> int:
     run = run_config_from(read_config_file(args.config))
     datapoints = read_datapoints(args.dataset)
     bank = _build_bank(run)
     try:
-        rows, report = extract_many(datapoints, bank, run.features)
+        rows, report = _extract(datapoints, bank, run.features, args.out, args.drops)
     finally:
         bank.close()
-    write_feature_store(args.out, rows, run.features)
-    if args.drops:
-        Path(args.drops).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.drops).write_text(
-            json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
-        )
     _log(f"extract: {len(rows)} rows -> {args.out} "
          f"({len(report.dropped)} dropped)")
     return 0
@@ -301,12 +312,10 @@ def cmd_report(args) -> int:
               ["group", "subject", "statistic", "value"])
     if args.dataset and args.config:
         run = run_config_from(read_config_file(args.config))
+        datapoints = read_datapoints(args.dataset)
         bank = _build_bank(run)
         try:
-            traces = []
-            for dp in read_datapoints(args.dataset):
-                losses, _ = move_losses(dp, bank.value, run.features.value_transform())
-                traces.extend(losses)
+            traces = _loss_traces(datapoints, bank, run.features)
         finally:
             bank.close()
         write_csv(outdir / "loss_by_ply.csv", loss_by_ply_rows(traces),
@@ -327,25 +336,20 @@ def run_pipeline(run: RunConfig, outdir) -> dict:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     synth = run.synth
-    train_dps = synthlab.pool_to_datapoints(
-        synthlab.gen_group_pool(synth, "train", run.train_matches_per_group))
-    test_dps = synthlab.pool_to_datapoints(
-        synthlab.gen_group_pool(synth, "test", run.test_matches_per_group))
-    write_datapoints(outdir / "train_dataset.jsonl",
-                     [dp for g in sorted(train_dps) for dp in train_dps[g]])
-    write_datapoints(outdir / "test_dataset.jsonl",
-                     [dp for g in sorted(test_dps) for dp in test_dps[g]])
+    datasets = {}
+    for name, matches in (("train", run.train_matches_per_group),
+                          ("test", run.test_matches_per_group)):
+        pool = synthlab.pool_to_datapoints(synthlab.gen_group_pool(synth, name, matches))
+        datasets[name] = [dp for g in sorted(pool) for dp in pool[g]]
+        write_datapoints(outdir / f"{name}_dataset.jsonl", datasets[name])
 
     bank = _build_bank(run)
     stage = "extract"
     try:
         pools, stores = {}, {}
-        for name, dps in (("train", train_dps), ("test", test_dps)):
-            flat = [dp for g in sorted(dps) for dp in dps[g]]
-            rows, drop_report = extract_many(flat, bank, run.features)
-            write_feature_store(outdir / f"{name}_features.jsonl", rows, run.features)
-            (outdir / f"{name}_drops.json").write_text(
-                json.dumps(drop_report.to_dict(), indent=2, sort_keys=True) + "\n")
+        for name, dps in datasets.items():
+            rows, _ = _extract(dps, bank, run.features, outdir / f"{name}_features.jsonl",
+                               outdir / f"{name}_drops.json")
             pools[name] = _pool_from_store(rows)
             stores[name] = rows
 
@@ -383,11 +387,7 @@ def run_pipeline(run: RunConfig, outdir) -> dict:
             write_csv(plotdir / "prior_curves.csv",
                       prior_curve_rows(stores["test"], run.features),
                       ["group", "level", "gm_mean", "ci_low", "ci_high", "count"])
-        traces = []
-        for g in sorted(test_dps):
-            for dp in test_dps[g]:
-                losses, _ = move_losses(dp, bank.value, run.features.value_transform())
-                traces.extend(losses)
+        traces = _loss_traces(datasets["test"], bank, run.features)
         write_csv(plotdir / "loss_by_ply.csv", loss_by_ply_rows(traces),
                   ["ply", "mean_loss", "std_loss", "count"])
     except RankforgeError as exc:
@@ -404,8 +404,8 @@ def run_pipeline(run: RunConfig, outdir) -> dict:
         "train_ns": run.train_ns,
         "metrics": metrics,
     }
-    (outdir / "metrics.json").write_text(json.dumps(metrics, indent=2, sort_keys=True) + "\n")
-    (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_json(outdir / "metrics.json", metrics)
+    write_json(outdir / "manifest.json", manifest)
     return manifest
 
 

@@ -6,13 +6,12 @@ Both tally exact-group accuracy, within-one-group accuracy, and a
 confusion matrix with rows = actual group, columns = predicted group.
 """
 
-import csv
-import json
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
+from .artifacts import write_json, write_table
 from .errors import ConfigError
 from .estimator import estimate_rank_rows
 from .features import FeatureConfig, FeatureVector, StoredFeature, stack_vectors
@@ -226,41 +225,29 @@ def single_level_masks(full_config: FeatureConfig):
 
 
 def write_ablation_csv(results: dict, path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     mask_names = list(dict.fromkeys(name for name, _ in results))
     ns = sorted({n for _, n in results})
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["n"]
+    header = ["n"] + [f"{name}_{metric}" for name in mask_names
+                      for metric in ("accuracy", "accuracy_pm1")]
+    rows = []
+    for n in ns:
+        row = [n]
         for name in mask_names:
-            header += [f"{name}_accuracy", f"{name}_accuracy_pm1"]
-        writer.writerow(header)
-        for n in ns:
-            row = [n]
-            for name in mask_names:
-                report = results[(name, n)]
-                row += [f"{report.accuracy:.4f}", f"{report.accuracy_pm1:.4f}"]
-            writer.writerow(row)
+            report = results[(name, n)]
+            row += [f"{report.accuracy:.4f}", f"{report.accuracy_pm1:.4f}"]
+        rows.append(row)
+    write_table(path, header, rows)
 
 
 def write_per_group_csv(results: dict, n: int, path) -> None:
     """Appendix-style table: per-group accuracy per mask at one n."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     rows = [(name, report) for (name, rn), report in results.items() if rn == n]
     if not rows:
         raise ConfigError(f"no ablation results at n={n}")
     r_groups = rows[0][1].confusion.shape[0]
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["mask"] + [f"g{j}" for j in range(r_groups)] + ["overall"])
-        for name, report in rows:
-            writer.writerow(
-                [name]
-                + [f"{acc:.4f}" for acc in report.per_group_accuracy]
-                + [f"{report.accuracy:.4f}"]
-            )
+    write_table(path, ["mask"] + [f"g{j}" for j in range(r_groups)] + ["overall"],
+                ([name] + [f"{acc:.4f}" for acc in report.per_group_accuracy]
+                 + [f"{report.accuracy:.4f}"] for name, report in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -361,24 +348,12 @@ def boxplot_rows(rows, config: FeatureConfig, column: str, mode: str = "player",
 
 
 def write_csv(path, rows, columns) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=columns)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: row[k] for k in columns})
+    write_table(path, columns, ([row[k] for k in columns] for row in rows))
 
 
 def write_report(report: EvaluationReport, outdir) -> None:
     outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "metrics.json").write_text(
-        json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
-    )
-    with (outdir / "confusion.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        r = report.confusion.shape[0]
-        writer.writerow(["actual\\predicted"] + [f"g{j}" for j in range(r)])
-        for j in range(r):
-            writer.writerow([f"g{j}"] + report.confusion[j].tolist())
+    write_json(outdir / "metrics.json", report.to_dict())
+    r = report.confusion.shape[0]
+    write_table(outdir / "confusion.csv", ["actual\\predicted"] + [f"g{j}" for j in range(r)],
+                ([f"g{j}"] + report.confusion[j].tolist() for j in range(r)))

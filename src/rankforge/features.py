@@ -9,16 +9,20 @@ are positive.  Chess values go through the logit transform first.
 The ply cutoff for loss statistics is match-global: a move survives when
 its original ply index in the match is <= the cutoff, counting both
 players' plies.
+
+The feature store is a JSONL artifact (see ``rankforge.artifacts``): a
+schema header line, then one row per data point.
 """
 
 import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
+from itertools import chain
 
 import numpy as np
 
+from .artifacts import at_line, read_jsonl, write_jsonl
 from .backends.base import WINRATE_EPS, BackendBank, logit
 from .errors import ConfigError, DataError, SchemaMismatchError
 
@@ -318,66 +322,49 @@ def average_features(vectors) -> FeatureVector:
 
 
 def write_feature_store(path, rows, config: FeatureConfig) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     header = {
         "schema_id": config.schema_id(),
         "names": config.feature_names(),
         "loss_sign": LOSS_SIGN,
         "config": config.to_dict(),
     }
-    with path.open("w") as fh:
-        fh.write(json.dumps({"schema": header}, sort_keys=True) + "\n")
-        for row in rows:
-            fh.write(
-                json.dumps(
-                    {
-                        "match_id": row.match_id,
-                        "player_id": row.player_id,
-                        "side": row.side,
-                        "group_index": row.group_index,
-                        "schema_id": row.vector.schema_id,
-                        "features": list(row.vector.values),
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    write_jsonl(path, chain([{"schema": header}], (
+        {
+            "match_id": row.match_id,
+            "player_id": row.player_id,
+            "side": row.side,
+            "group_index": row.group_index,
+            "schema_id": row.vector.schema_id,
+            "features": list(row.vector.values),
+        }
+        for row in rows
+    )))
 
 
 def read_feature_store(path):
-    """(config, rows) of a feature store.  A line that is not JSON or lacks
-    a field raises DataError naming ``path:line``."""
-    path = Path(path)
+    """(config, rows) of a feature store.  A line that cannot be read raises
+    DataError naming ``path:line``."""
+    records = read_jsonl(path)
+    lineno, rec = next(records, (0, None))
+    if not lineno:
+        raise DataError(f"feature store {path} is empty")
+    with at_line(path, lineno, "feature store header"):
+        header = rec["schema"]
+        config = FeatureConfig.from_dict(header["config"])
+        schema_id = header["schema_id"]
+    if config.schema_id() != schema_id:
+        raise SchemaMismatchError("feature store header hash does not match its config")
     rows = []
-    with path.open() as fh:
-        first = fh.readline()
-        if not first.strip():
-            raise DataError(f"feature store {path} is empty")
-        try:
-            header = json.loads(first)["schema"]
-            config = FeatureConfig.from_dict(header["config"])
-            schema_id = header["schema_id"]
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"{path}:1: bad feature store header ({exc})") from None
-        if config.schema_id() != schema_id:
-            raise SchemaMismatchError("feature store header hash does not match its config")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                row = StoredFeature(
-                    match_id=rec["match_id"],
-                    player_id=rec["player_id"],
-                    side=rec["side"],
-                    group_index=int(rec["group_index"]),
-                    vector=FeatureVector(tuple(rec["features"]), rec["schema_id"]),
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise DataError(f"{path}:{lineno}: bad feature row ({exc})") from None
-            if row.vector.schema_id != schema_id:
-                raise SchemaMismatchError("feature store row with foreign schema id")
-            rows.append(row)
+    for lineno, rec in records:
+        with at_line(path, lineno, "feature row"):
+            row = StoredFeature(
+                match_id=rec["match_id"],
+                player_id=rec["player_id"],
+                side=rec["side"],
+                group_index=int(rec["group_index"]),
+                vector=FeatureVector(tuple(rec["features"]), rec["schema_id"]),
+            )
+        if row.vector.schema_id != schema_id:
+            raise SchemaMismatchError("feature store row with foreign schema id")
+        rows.append(row)
     return config, rows

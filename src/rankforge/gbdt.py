@@ -11,10 +11,10 @@ ensemble with zero trees.
 
 import json
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 
 import numpy as np
 
+from .artifacts import at_line, read_jsonl, write_jsonl
 from .errors import ConfigError, DataError, SchemaMismatchError
 from .rng import substream
 
@@ -250,13 +250,14 @@ class TreeEnsemble:
         )
 
     def save(self, path) -> None:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(self.to_json() + "\n")
+        write_jsonl(path, [self.to_dict()])
 
     @classmethod
     def load(cls, path) -> "TreeEnsemble":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        for lineno, data in read_jsonl(path):
+            with at_line(path, lineno, "model"):
+                return cls.from_dict(data)
+        raise DataError(f"model file {path} is empty")
 
 
 def fit(X, y, params: GbdtParams, schema_id: str = "", meta: dict | None = None) -> TreeEnsemble:

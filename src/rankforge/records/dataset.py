@@ -1,9 +1,7 @@
-"""Data point JSONL: one player's side of one match per line."""
+"""Data point JSONL: one player's side of one match per line, in the
+format of ``rankforge.artifacts``."""
 
-import json
-from pathlib import Path
-
-from ..errors import DataError
+from ..artifacts import at_line, read_jsonl, write_jsonl
 from .ranks import chess_group_label, go_group_label
 from .types import DataPoint, RankGroup
 
@@ -17,53 +15,35 @@ def _group_label(game: str, index: int) -> str:
 
 
 def write_datapoints(path, datapoints) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    rows = sorted(datapoints, key=lambda dp: (dp.match_id, dp.side))
-    with path.open("w") as fh:
-        for dp in rows:
-            fh.write(
-                json.dumps(
-                    {
-                        "match_id": dp.match_id,
-                        "player_id": dp.player_id,
-                        "side": dp.side,
-                        "game": dp.group.game,
-                        "group_index": dp.group.index,
-                        "moves": [
-                            {"ply": p, "state": s, "move": m} for p, s, m in dp.moves
-                        ],
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    write_jsonl(path, (
+        {
+            "match_id": dp.match_id,
+            "player_id": dp.player_id,
+            "side": dp.side,
+            "game": dp.group.game,
+            "group_index": dp.group.index,
+            "moves": [{"ply": p, "state": s, "move": m} for p, s, m in dp.moves],
+        }
+        for dp in sorted(datapoints, key=lambda dp: (dp.match_id, dp.side))
+    ))
 
 
 def read_datapoints(path) -> list[DataPoint]:
-    path = Path(path)
     out = []
-    with path.open() as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                game = rec["game"]
-                index = int(rec["group_index"])
-                out.append(
-                    DataPoint(
-                        match_id=rec["match_id"],
-                        player_id=rec["player_id"],
-                        side=rec["side"],
-                        group=RankGroup(game=game, index=index,
-                                        label=_group_label(game, index)),
-                        moves=tuple(
-                            (int(m["ply"]), m["state"], m["move"]) for m in rec["moves"]
-                        ),
-                    )
+    for lineno, rec in read_jsonl(path):
+        with at_line(path, lineno, "data point"):
+            game = rec["game"]
+            index = int(rec["group_index"])
+            out.append(
+                DataPoint(
+                    match_id=rec["match_id"],
+                    player_id=rec["player_id"],
+                    side=rec["side"],
+                    group=RankGroup(game=game, index=index,
+                                    label=_group_label(game, index)),
+                    moves=tuple(
+                        (int(m["ply"]), m["state"], m["move"]) for m in rec["moves"]
+                    ),
                 )
-            except (KeyError, ValueError, json.JSONDecodeError) as exc:
-                raise DataError(f"{path}:{lineno}: bad data point ({exc})") from None
+            )
     return out

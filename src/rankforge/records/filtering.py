@@ -14,6 +14,8 @@ from ..errors import RankRangeError
 from .ranks import rank_group_of
 from .types import MatchRecord, RankGroup, Termination
 
+GO_MIN_PLIES = 50
+CHESS_MIN_PLIES = 20
 # Lichess estimates game duration as base + 40 * increment; blitz spans
 # [180s, 480s) on that estimate.
 BLITZ_MIN_SECONDS = 180
@@ -22,11 +24,6 @@ BLITZ_MAX_SECONDS = 480
 
 @dataclass(frozen=True)
 class FilterConfig:
-    go_min_plies: int = 50
-    chess_min_plies: int = 20
-    require_blitz: bool = True
-    blitz_min_seconds: int = BLITZ_MIN_SECONDS
-    blitz_max_seconds: int = BLITZ_MAX_SECONDS
     date_window: tuple[datetime.date, datetime.date] | None = None
 
 
@@ -75,20 +72,17 @@ def filter_match(record: MatchRecord, config: FilterConfig = FilterConfig()) -> 
     if record.setup:
         return FilterDecision.reject("handicap")
     if record.game == "go":
-        if len(record.plies) < config.go_min_plies:
+        if len(record.plies) < GO_MIN_PLIES:
             return FilterDecision.reject("min_plies")
         if record.termination not in (Termination.PASS_PASS, Termination.RESIGN):
             return FilterDecision.reject("termination")
         return _same_group(record)
     if record.game == "chess":
-        if len(record.plies) < config.chess_min_plies:
+        if len(record.plies) < CHESS_MIN_PLIES:
             return FilterDecision.reject("min_plies")
-        if config.require_blitz:
-            duration = estimated_duration_seconds(record.time_control)
-            if duration is None or not (
-                config.blitz_min_seconds <= duration < config.blitz_max_seconds
-            ):
-                return FilterDecision.reject("time_control")
+        duration = estimated_duration_seconds(record.time_control)
+        if duration is None or not BLITZ_MIN_SECONDS <= duration < BLITZ_MAX_SECONDS:
+            return FilterDecision.reject("time_control")
         if config.date_window is not None:
             start, end = config.date_window
             if record.date is None or not start <= record.date <= end:

@@ -194,12 +194,21 @@ def test_timeout_raises_backend_timeout(mock_backend_cmd):
 
 def test_error_response_carries_request_id(mock_backend_cmd):
     backend = SubprocessBackend(_descriptor(mock_backend_cmd("error")), timeout=10)
+    reference = SubprocessBackend(_descriptor(mock_backend_cmd("inorder")), timeout=10)
     try:
         with pytest.raises(BackendError) as exc_info:
             backend.evaluate_state_many(["fine", "BAD-state"])
         assert exc_info.value.request_id is not None
+        # The answers after the error are left unread; the next batch must
+        # still get its own values.
+        with pytest.raises(BackendError):
+            backend.evaluate_state_many(["BAD-first", "left", "over"])
+        states = ["next", "batch"]
+        assert np.array_equal(backend.evaluate_state_many(states),
+                              reference.evaluate_state_many(states))
     finally:
         backend.close()
+        reference.close()
 
 
 def test_dead_process_is_backend_error():

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from rankforge import cli
 from rankforge.cli import main, run_pipeline
 from rankforge.config import (
     read_config_text,
@@ -413,3 +414,78 @@ def test_extract_survives_a_torn_cache_tail(tmp_path, engine_extract):
     assert run(tmp_path / "third.jsonl") == 0
     assert (tmp_path / "third.jsonl").read_bytes() == (tmp_path / "full.jsonl").read_bytes()
     assert cache.stat().st_size == size
+
+
+def test_extract_through_engines_opens_one_response_cache(tmp_path, monkeypatch,
+                                                          engine_extract):
+    run, _ = engine_extract
+    opened = []
+
+    class CountingCache(cli.ResponseCache):
+        def __init__(self, path):
+            opened.append(path)
+            super().__init__(path)
+
+    monkeypatch.setattr(cli, "ResponseCache", CountingCache)
+    assert run(tmp_path / "store.jsonl") == 0
+    assert len(opened) == 1
+
+
+def test_report_loss_traces_without_value_backend_is_config_error(tmp_path, capsys):
+    config = tmp_path / "run.toml"
+    config.write_text(
+        TINY_SYNTH.replace('loss_selected = [["mean", 10], ["std", "all"]]',
+                           "include_loss = false")
+        + "\n[backends]\nstrength = 'builtin:synthetic'\npolicy = 'builtin:synthetic'\n")
+    dataset = tmp_path / "data.jsonl"
+    store = tmp_path / "store.jsonl"
+    assert main(["synth", "--config", str(config), "--matches", "4", "--out", str(dataset)]) == 0
+    assert main(["extract", "--config", str(config), "--dataset", str(dataset),
+                 "--out", str(store)]) == 0
+    capsys.readouterr()
+    assert main(["report", "--features", str(store), "--out", str(tmp_path / "plots"),
+                 "--dataset", str(dataset), "--config", str(config)]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
+GO_POINT = {"match_id": "m", "player_id": "p", "side": "black", "game": "go",
+            "group_index": 0, "moves": [{"ply": 1, "state": ".", "move": "aa"}]}
+
+
+@pytest.mark.parametrize("command, name, content", [
+    ("extract", "data.jsonl", b"[1,2]\n"),
+    ("extract", "data.jsonl", json.dumps({**GO_POINT, "moves": 5}).encode()),
+    ("extract", "data.jsonl", json.dumps({**GO_POINT, "group_index": 99}).encode()),
+    ("extract", "data.jsonl", b"\xff\xfe"),
+    ("train", "store.jsonl", b"\xff\xfe"),
+    ("eval", "model.json", b'{"format": "rankforge-gbdt/1"'),
+    ("eval", "model.json", b'{"format": "rankforge-gbdt/1"}'),
+    ("extract", "cache.jsonl", b"\xff\xfe"),
+], ids=["datapoint-not-object", "datapoint-moves-not-list", "datapoint-group-out-of-range",
+        "dataset-not-utf8", "store-not-utf8", "model-cut", "model-without-fields",
+        "cache-not-utf8"])
+def test_bad_artifact_exits_two_naming_the_line(tmp_path, capsys, monkeypatch,
+                                                mock_backend_cmd, command, name, content):
+    bad = tmp_path / name
+    bad.write_bytes(content)
+    config = tmp_path / "run.toml"
+    config.write_text(TINY_SYNTH)
+    if name == "cache.jsonl":
+        engine = mock_backend_cmd("inorder")
+        config.write_text(TINY_SYNTH + "\n[backends]\n" + "".join(
+            f"{role} = '{engine}'\n" for role in ("strength", "policy", "value")))
+        monkeypatch.setenv("RANKFORGE_CACHE", str(bad))
+    dataset = tmp_path / "data.jsonl"
+    if not dataset.exists():
+        dataset.write_text("")
+    argv = {
+        "extract": ["extract", "--config", str(config), "--dataset", str(dataset),
+                    "--out", str(tmp_path / "out.jsonl")],
+        "train": ["train", "--features", str(bad), "--n", "1",
+                  "--out", str(tmp_path / "m.json")],
+        "eval": ["eval", "--n", "1", "--model", str(bad),
+                 "--features", str(tmp_path / "store.jsonl"), "--out", str(tmp_path / "rep")],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and f"{bad}:1:" in err

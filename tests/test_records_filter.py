@@ -194,13 +194,6 @@ def test_blitz_boundaries():
     assert not filter_match(_chess_record(time_control="480+0")).accepted  # < 480
 
 
-def test_blitz_override_config():
-    config = FilterConfig(require_blitz=False)
-    assert filter_match(_chess_record(time_control="600+5"), config).accepted
-    wide = FilterConfig(blitz_min_seconds=60, blitz_max_seconds=1000)
-    assert filter_match(_chess_record(time_control="600+5"), wide).accepted
-
-
 # ---------------------------------------------------------------------------
 # split_sides
 
