@@ -25,13 +25,14 @@ def default_cache_path() -> Path | None:
 
 class ResponseCache:
     """An unparseable last line is the torn tail of an interrupted write: it
-    is skipped on load and cut off before the next record is appended.  A
-    bad line anywhere else raises DataError."""
+    is skipped on load and cut off, from its first byte, before the next
+    record is appended.  A bad line anywhere else raises DataError."""
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._data: dict[tuple, float] = {}
         self._fh = None
+        self._torn_at = None  # byte offset of the skipped torn tail
         if self.path.exists():
             lines = read_lines(self.path)
             for lineno, line in lines:
@@ -43,6 +44,8 @@ class ResponseCache:
                 except DataError:
                     if next(lines, None) is not None:
                         raise
+                    with self.path.open("rb") as fh:
+                        self._torn_at = sum(len(fh.readline()) for _ in range(lineno - 1))
 
     def get(self, key: tuple) -> float | None:
         return self._data.get(key)
@@ -60,11 +63,14 @@ class ResponseCache:
         )
 
     def _cut_torn_tail(self) -> None:
-        """Truncate the file after its last newline, so the next record
-        starts on a fresh line."""
+        """Truncate the torn tail skipped on load, or else anything after the
+        file's last newline, so the next record starts on a fresh line."""
         size = self.path.stat().st_size if self.path.exists() else 0
         if size:
             with self.path.open("rb+") as fh:
+                if self._torn_at is not None:
+                    fh.truncate(self._torn_at)
+                    return
                 fh.seek(size - 1)
                 if fh.read(1) != b"\n":
                     fh.seek(0)
@@ -81,7 +87,8 @@ class ResponseCache:
 
 
 class CachedBackend(Backend):
-    """Wraps a backend with a read-through response cache."""
+    """Wraps a backend with a read-through response cache.  A request that
+    repeats within one call is fetched and stored once."""
 
     def __init__(self, inner: Backend, cache: ResponseCache):
         self.inner = inner
@@ -92,23 +99,21 @@ class CachedBackend(Backend):
     def _through(self, kind, states, moves, level, fetch) -> np.ndarray:
         if moves is None:
             moves = [None] * len(states)
-        keys = [(self._identity, kind, s, m, level) for s, m in zip(states, moves)]
         out = np.empty(len(states))
-        missing = []
-        for i, key in enumerate(keys):
+        missing: dict[tuple, list[int]] = {}  # key -> positions, fetched once
+        for i, (s, m) in enumerate(zip(states, moves)):
+            key = (self._identity, kind, s, m, level)
             hit = self.cache.get(key)
             if hit is None:
-                missing.append(i)
+                missing.setdefault(key, []).append(i)
             else:
                 out[i] = hit
         if missing:
-            fetched = fetch(
-                [states[i] for i in missing],
-                [moves[i] for i in missing],
-            )
-            for j, i in enumerate(missing):
-                out[i] = fetched[j]
-                self.cache.put(keys[i], float(fetched[j]))
+            first = [where[0] for where in missing.values()]
+            fetched = fetch([states[i] for i in first], [moves[i] for i in first])
+            for (key, where), value in zip(missing.items(), fetched):
+                out[where] = value
+                self.cache.put(key, float(value))
             self.cache.flush()
         return out
 

@@ -7,7 +7,10 @@ Wire format, one UTF-8 JSON object per line:
 
 Requests may be answered out of order; responses are matched by id.  A
 reader thread feeds a queue so batch calls can keep several requests in
-flight and still enforce a per-request deadline.
+flight and still enforce a per-request deadline: a batch call times out
+when ``timeout`` seconds pass without an answer to any of its requests,
+counted from its last answer, so a large batch that an engine answers
+steadily never times out, and a hung request still does.
 """
 
 import json
@@ -57,14 +60,17 @@ class SubprocessBackend(Backend):
         reused, so a response the batch does not want, left by a failed batch, is dropped."""
         if self._proc.poll() is not None:
             raise BackendError(f"backend process exited with code {self._proc.returncode}")
-        ids = []
-        assert self._proc.stdin is not None
+        ids, lines = [], []
         for req in requests:
             self._next_id += 1
-            req = {"id": self._next_id, **req}
             ids.append(self._next_id)
-            self._proc.stdin.write(json.dumps(req) + "\n")
-        self._proc.stdin.flush()
+            lines.append(json.dumps({"id": self._next_id, **req}) + "\n")
+        assert self._proc.stdin is not None
+        try:
+            self._proc.stdin.write("".join(lines))
+            self._proc.stdin.flush()
+        except OSError as exc:  # the engine exited while the batch was written
+            raise BackendError(f"backend stopped reading requests ({exc})") from None
 
         wanted = set(ids)
         results: dict[int, float] = {}
@@ -87,6 +93,7 @@ class SubprocessBackend(Backend):
             if rid in wanted:
                 results[rid] = self._take(msg)
                 wanted.discard(rid)
+                deadline = time.monotonic() + self.timeout
         return [results[rid] for rid in ids]
 
     @staticmethod
@@ -118,14 +125,21 @@ class SubprocessBackend(Backend):
         return np.array(self._call_batch(self._requests("value", states, moves)))
 
     def close(self) -> None:
+        try:
+            if self._proc.stdin is not None:
+                self._proc.stdin.close()
+        except OSError:
+            pass
         if self._proc.poll() is None:
-            try:
-                if self._proc.stdin is not None:
-                    self._proc.stdin.close()
-            except OSError:
-                pass
             self._proc.terminate()
             try:
                 self._proc.wait(timeout=3)
             except subprocess.TimeoutExpired:
                 self._proc.kill()
+                self._proc.wait()
+        # The reader sees end of file once the engine is gone.  One still
+        # reading (a child of the engine holds the pipe open) holds the
+        # stream's lock, and closing the stream would wait for it.
+        self._reader.join(timeout=3)
+        if not self._reader.is_alive() and self._proc.stdout is not None:
+            self._proc.stdout.close()

@@ -9,9 +9,17 @@ Semantics, all derived from one seeded table:
 so the deterioration computed downstream is exactly best - chosen quality.
 States are self-describing ids; the quality block for a match is derived
 on first use and kept in a small LRU.
+
+The ids of the last ``states`` sequence are parsed once and their runs
+kept, so the strength, policy and value calls of one extraction batch,
+which all pass the same states, parse each id once.  A malformed id, a
+ply outside the match or a move that is not an in-range integer raises
+DataError.
 """
 
 from functools import lru_cache, partial
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
@@ -35,32 +43,47 @@ class SyntheticBackend(Backend):
         )
         self._qualities = lru_cache(maxsize=1024)(partial(quality_block, config))
         self._noise = lru_cache(maxsize=1024)(partial(strength_noise_block, config))
+        self._last_states = None
+        self._last_runs = None
 
-    def _move_index(self, move, width: int) -> int:
-        idx = int(move)
-        if not 0 <= idx < width:
-            raise DataError(f"move {move!r} out of range for {width} moves per state")
-        return idx
+    def _runs(self, states):
+        """(uid, vector slice, ply rows) per run of consecutive states sharing
+        a match uid; kept for the last ``states`` sequence."""
+        states = tuple(states)
+        if states != self._last_states:
+            rows = [parse_state_id(s) for s in states]
+            plies = np.array([ply for _, ply in rows], dtype=np.int64) - 1
+            outside = (plies < 0) | (plies >= self.config.plies_per_match)
+            if outside.any():
+                raise DataError(f"state {states[int(outside.argmax())]!r} is outside plies "
+                                f"1-{self.config.plies_per_match} of a match")
+            runs = []
+            start = 0
+            for uid, run in groupby(rows, key=itemgetter(0)):
+                stop = start + sum(1 for _ in run)
+                runs.append((uid, slice(start, stop), plies[start:stop]))
+                start = stop
+            self._last_states, self._last_runs = states, runs
+        return self._last_runs
 
     def _grouped(self, states, moves):
-        """Runs of consecutive states sharing a match uid, as vector indices."""
+        """The runs of ``states``, each with its move indices (None without moves)."""
+        runs = self._runs(states)
+        cols = None if moves is None else self._move_indices(moves)
+        for uid, where, plies in runs:
+            yield uid, where, plies, None if cols is None else cols[where]
+
+    def _move_indices(self, moves) -> np.ndarray:
         width = self.config.moves_per_state
-        rows = [parse_state_id(s) for s in states]
-        start = 0
-        while start < len(rows):
-            uid = rows[start][0]
-            stop = start
-            while stop < len(rows) and rows[stop][0] == uid:
-                stop += 1
-            plies = np.array([rows[i][1] for i in range(start, stop)]) - 1
-            if moves is None:
-                cols = None
-            else:
-                cols = np.array(
-                    [self._move_index(moves[i], width) for i in range(start, stop)]
-                )
-            yield uid, slice(start, stop), plies, cols
-            start = stop
+        try:
+            cols = np.fromiter(map(int, moves), dtype=np.int64, count=len(moves))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DataError(f"synthetic move is not an integer ({exc})") from None
+        outside = (cols < 0) | (cols >= width)
+        if outside.any():
+            move = moves[int(outside.argmax())]
+            raise DataError(f"move {move!r} out of range for {width} moves per state")
+        return cols
 
     def score_strength_many(self, states, moves) -> np.ndarray:
         out = np.empty(len(states))

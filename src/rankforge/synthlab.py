@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .rng import substream
 
 STATE_PREFIX = "syn"
@@ -152,10 +152,10 @@ def state_id(uid: str, ply: int) -> str:
 
 
 def parse_state_id(state: str) -> tuple[str, int]:
-    prefix, _, rest = state.partition(":")
+    prefix, _, rest = str(state).partition(":")
     uid, _, ply = rest.rpartition(":")
-    if prefix != STATE_PREFIX or not uid or not ply.isdigit():
-        raise ConfigError(f"not a synthetic state id: {state!r}")
+    if prefix != STATE_PREFIX or not uid or not ply.isdecimal():
+        raise DataError(f"not a synthetic state id: {state!r}")
     return uid, int(ply)
 
 

@@ -6,6 +6,9 @@ Modes:
   hang               never answer requests whose state contains "HANG";
                      keep serving everything else
   error              answer states containing "BAD" with an error object
+  slow               answer each request after SLOW_DELAY seconds, so a
+                     batch's answers come steadily but the whole batch
+                     takes longer than a short timeout
 
 Values are a deterministic hash of (kind, state, move, level), so two
 modes produce identical values and only ordering/completeness differ.
@@ -15,6 +18,9 @@ Policy values are squashed into [0, 1].
 import hashlib
 import json
 import sys
+import time
+
+SLOW_DELAY = 0.05
 
 
 def value_of(req):
@@ -85,4 +91,6 @@ else:
         req = json.loads(line)
         if mode == "hang" and "HANG" in str(req.get("state", "")):
             continue
+        if mode == "slow":
+            time.sleep(SLOW_DELAY)
         emit(respond(req))

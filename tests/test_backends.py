@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -192,6 +193,29 @@ def test_timeout_raises_backend_timeout(mock_backend_cmd):
         backend.close()
 
 
+def test_steady_answers_outlast_a_timeout_shorter_than_the_batch(mock_backend_cmd):
+    # 40 answers at 0.05 s each take 2 s; no single wait comes near 1 s.
+    states = [f"s{i}" for i in range(40)]
+    backend = SubprocessBackend(_descriptor(mock_backend_cmd("slow")), timeout=1.0)
+    reference = SubprocessBackend(_descriptor(mock_backend_cmd("inorder")), timeout=10)
+    try:
+        assert np.array_equal(backend.evaluate_state_many(states),
+                              reference.evaluate_state_many(states))
+    finally:
+        backend.close()
+        reference.close()
+
+
+def test_close_closes_both_pipes_of_a_live_and_an_exited_engine(mock_backend_cmd):
+    live = SubprocessBackend(_descriptor(mock_backend_cmd("inorder")), timeout=10)
+    exited = SubprocessBackend(_descriptor("true"), timeout=2)
+    exited._proc.wait(timeout=5)
+    for backend in (live, exited):
+        backend.close()
+        assert backend._proc.stdin.closed and backend._proc.stdout.closed
+        assert backend._proc.returncode is not None
+
+
 def test_error_response_carries_request_id(mock_backend_cmd):
     backend = SubprocessBackend(_descriptor(mock_backend_cmd("error")), timeout=10)
     reference = SubprocessBackend(_descriptor(mock_backend_cmd("inorder")), timeout=10)
@@ -217,6 +241,17 @@ def test_dead_process_is_backend_error():
         backend._proc.wait(timeout=5)
         with pytest.raises(BackendError):
             backend.evaluate_state_many(["s"])
+    finally:
+        backend.close()
+
+
+def test_engine_exiting_while_a_batch_is_written_is_backend_error():
+    # it reads one request and exits; the batch is larger than a pipe buffer
+    backend = SubprocessBackend(
+        _descriptor(f"{sys.executable} -c 'import sys; sys.stdin.readline()'"), timeout=5)
+    try:
+        with pytest.raises(BackendError):
+            backend.evaluate_state_many([f"state-{i:06d}" * 8 for i in range(2000)])
     finally:
         backend.close()
 
@@ -273,6 +308,34 @@ def test_cache_skips_torn_tail_and_appends_on_a_fresh_line(tmp_path):
     cache = ResponseCache(path)
     assert [cache.get(k) for k in keys] == [0.25, None, 0.75]
     assert path.read_text().count("\n") == 2
+
+
+def test_cache_cuts_a_bad_last_line_that_ends_in_a_newline(tmp_path):
+    path = tmp_path / "c.jsonl"
+    good, later = ("b", "value", "s0", None, None), ("b", "value", "s1", None, None)
+    cache = ResponseCache(path)
+    cache.put(good, 0.25)
+    cache.close()
+    path.write_bytes(path.read_bytes() + b'{"b": "b", "k"\n')
+    cache = ResponseCache(path)
+    cache.put(later, 0.5)
+    cache.close()
+    cache = ResponseCache(path)
+    assert [cache.get(k) for k in (good, later)] == [0.25, 0.5]
+    assert path.read_text().count("\n") == 2
+
+
+def test_cached_backend_fetches_a_repeated_request_once(tmp_path):
+    cfg = tiny_config()
+    states = [p.state for p in gen_match(cfg, 0, "rep").plies[:3]]
+    inner = _CountingBackend(cfg)
+    path = tmp_path / "cache.jsonl"
+    cached = CachedBackend(inner, ResponseCache(path))
+    values = cached.evaluate_state_many(states + states)
+    cached.close()
+    assert inner.calls == 3
+    assert np.array_equal(values, np.tile(SyntheticBackend(cfg).evaluate_state_many(states), 2))
+    assert path.read_text().count("\n") == 3
 
 
 def test_cache_bad_line_before_the_end_is_data_error(tmp_path):

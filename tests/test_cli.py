@@ -489,3 +489,29 @@ def test_bad_artifact_exits_two_naming_the_line(tmp_path, capsys, monkeypatch,
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "data error" in err and f"{bad}:1:" in err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("move", "x"),
+    ("move", None),
+    ("state", "bogus"),
+    ("state", 7),
+    ("state", "syn:{uid}:99"),
+], ids=["move-not-integer", "move-null", "state-not-synthetic", "state-not-string",
+        "state-past-the-match"])
+def test_bad_synthetic_move_or_state_exits_two(tmp_path, capsys, field, value):
+    config = tmp_path / "run.toml"
+    config.write_text(TINY_SYNTH)
+    dataset = tmp_path / "data.jsonl"
+    assert main(["synth", "--config", str(config), "--matches", "2", "--out", str(dataset)]) == 0
+    lines = dataset.read_text().splitlines()
+    point = json.loads(lines[1])
+    if isinstance(value, str):
+        value = value.format(uid=point["match_id"])
+    point["moves"][3][field] = value
+    lines[1] = json.dumps(point)
+    dataset.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["extract", "--config", str(config), "--dataset", str(dataset),
+                 "--out", str(tmp_path / "store.jsonl")]) == 2
+    assert "data error" in capsys.readouterr().err

@@ -1,13 +1,17 @@
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rankforge.backends import BackendBank, SyntheticBackend
+from rankforge.backends import BackendBank, BackendDescriptor, SubprocessBackend, SyntheticBackend
+from rankforge.backends import synthetic
 from rankforge.errors import BackendError, ConfigError, DataError, SchemaMismatchError
 from rankforge.features import (
+    EXTRACT_BATCH,
+    DropReport,
     FeatureConfig,
     FeatureVector,
     LossSpec,
@@ -314,6 +318,73 @@ def test_extract_many_drops_on_backend_error():
     assert len(rows) == 2
     assert len(report.dropped) == 1
     assert report.dropped[0]["match_id"] == "drop-1"
+
+
+def test_extract_many_over_several_batches_equals_one_point_extraction():
+    cfg = tiny_config()
+    dps = []
+    for i in range(2 * EXTRACT_BATCH + 5):
+        dp = to_datapoint(gen_match(cfg, i % 3, f"batch-{i}"))
+        if i % 2:  # starts at ply 4, so its cut-3 loss is empty and flagged
+            dp = replace(dp, side="white", moves=dp.moves[3:])
+        dps.append(dp)
+    backend = SyntheticBackend(cfg)
+    bank = BackendBank(strength=backend, policy=backend, value=backend)
+    # chess values go through the logit, which clamps the synthetic values
+    fconfig = FeatureConfig(game="chess", policy_levels=cfg.level_labels(),
+                            loss_selected=(LossSpec("mean", 3), LossSpec("median", None)))
+    rows, report = extract_many(dps, bank, fconfig)
+    alone = DropReport()
+    vectors = [extract_features(dp, bank, fconfig, alone) for dp in dps]
+    assert rows == sorted(
+        (StoredFeature(dp.match_id, dp.player_id, dp.side, dp.group.index, vector)
+         for dp, vector in zip(dps, vectors)),
+        key=lambda r: (r.match_id, r.side))
+    assert report.flagged == alone.flagged and len(report.flagged) == EXTRACT_BATCH + 2
+    assert report.winrate_clamps == alone.winrate_clamps > 0
+    assert not report.dropped
+
+
+def _engine_bank(cmd, mode):
+    backend = SubprocessBackend(BackendDescriptor(kind="policy", game="synthetic",
+                                                  launch=cmd(mode), levels=("lv1", "lv2")),
+                                timeout=10)
+    return BackendBank(strength=backend, policy=backend, value=backend)
+
+
+def test_backend_error_drops_exactly_the_failing_point_of_a_batch(mock_backend_cmd):
+    cfg = tiny_config()
+    uids = [f"mid-{i}" for i in range(EXTRACT_BATCH)]
+    uids[7] = "mid-BAD-7"
+    dps = [to_datapoint(gen_match(cfg, 0, uid)) for uid in uids]
+    fconfig = FeatureConfig(game="synthetic", policy_levels=("lv1", "lv2"),
+                            loss_selected=(LossSpec("mean", None),))
+    failing = _engine_bank(mock_backend_cmd, "error")
+    clean = _engine_bank(mock_backend_cmd, "inorder")
+    try:
+        rows, report = extract_many(dps, failing, fconfig)
+        expected, _ = extract_many(dps[:7] + dps[8:], clean, fconfig)
+    finally:
+        failing.close()
+        clean.close()
+    assert rows == expected
+    assert [(d["match_id"], d["side"]) for d in report.dropped] == [("mid-BAD-7", "black")]
+    assert report.dropped[0]["reason"].startswith("backend_error:scripted failure")
+
+
+def test_synthetic_backend_parses_each_state_once_per_batch(monkeypatch):
+    parsed = []
+    parse = synthetic.parse_state_id
+    monkeypatch.setattr(synthetic, "parse_state_id", lambda s: parsed.append(s) or parse(s))
+    cfg = tiny_config()
+    dps = [to_datapoint(gen_match(cfg, g, f"parse-{g}-{i}")) for g in range(3) for i in range(4)]
+    backend = SyntheticBackend(cfg)
+    bank = BackendBank(strength=backend, policy=backend, value=backend)
+    fconfig = FeatureConfig(game="synthetic", policy_levels=cfg.level_labels(),
+                            loss_selected=(LossSpec("mean", None),))
+    rows, _ = extract_many(dps, bank, fconfig)
+    assert len(rows) == len(dps) <= EXTRACT_BATCH
+    assert len(parsed) == sum(dp.k for dp in dps)
 
 
 def test_feature_store_round_trip(tmp_path):
