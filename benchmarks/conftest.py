@@ -1,0 +1,5 @@
+import sys
+from pathlib import Path
+
+# benchmark the checkout's own package
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))

@@ -11,10 +11,11 @@ States are self-describing ids; the quality block for a match is derived
 on first use and kept in a small LRU.
 
 The ids of the last ``states`` sequence are parsed once and their runs
-kept, so the strength, policy and value calls of one extraction batch,
-which all pass the same states, parse each id once.  A malformed id, a
-ply outside the match or a move that is not an in-range integer raises
-DataError.
+kept, and so are the indices of the last ``moves`` sequence, so the
+strength, policy and value calls of one extraction batch, which all pass
+the same states and moves, parse each id and each move once.  A malformed
+id, a ply outside the match or a move that is not an in-range integer
+raises DataError.
 """
 
 from functools import lru_cache, partial
@@ -35,6 +36,19 @@ from ..synthlab import (
 from .base import Backend, BackendDescriptor, floor_priors
 
 
+def parse_moves(moves, width: int) -> np.ndarray:
+    """Parse moves into column indices in [0, width)."""
+    try:
+        cols = np.fromiter(map(int, moves), dtype=np.int64, count=len(moves))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DataError(f"synthetic move is not an integer ({exc})") from None
+    outside = (cols < 0) | (cols >= width)
+    if outside.any():
+        move = moves[int(outside.argmax())]
+        raise DataError(f"move {move!r} out of range for {width} moves per state")
+    return cols
+
+
 class SyntheticBackend(Backend):
     def __init__(self, config: SynthConfig, descriptor: BackendDescriptor | None = None):
         self.config = config
@@ -45,6 +59,8 @@ class SyntheticBackend(Backend):
         self._noise = lru_cache(maxsize=1024)(partial(strength_noise_block, config))
         self._last_states = None
         self._last_runs = None
+        self._last_moves = None
+        self._last_cols = None
 
     def _runs(self, states):
         """(uid, vector slice, ply rows) per run of consecutive states sharing
@@ -74,16 +90,12 @@ class SyntheticBackend(Backend):
             yield uid, where, plies, None if cols is None else cols[where]
 
     def _move_indices(self, moves) -> np.ndarray:
-        width = self.config.moves_per_state
-        try:
-            cols = np.fromiter(map(int, moves), dtype=np.int64, count=len(moves))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise DataError(f"synthetic move is not an integer ({exc})") from None
-        outside = (cols < 0) | (cols >= width)
-        if outside.any():
-            move = moves[int(outside.argmax())]
-            raise DataError(f"move {move!r} out of range for {width} moves per state")
-        return cols
+        """The moves as column indices; kept for the last ``moves`` sequence."""
+        moves = tuple(moves)
+        if moves != self._last_moves:
+            self._last_cols = parse_moves(moves, self.config.moves_per_state)
+            self._last_moves = moves
+        return self._last_cols
 
     def score_strength_many(self, states, moves) -> np.ndarray:
         out = np.empty(len(states))

@@ -85,12 +85,19 @@ def accuracy_metrics(pairs, r_groups: int):
 
 def _evaluate(subjects, model, protocol: EvalProtocol, r_groups: int) -> EvaluationReport:
     """Score `repetitions` draws of n vectors per subject, one prediction per
-    draw; a subject is (actual group, substream path, vectors)."""
-    pairs = []
+    draw; a subject is (actual group, substream path, vectors).
+
+    Every subject's draws are made first, on its own substream path; the
+    rows of all subjects then go through one prediction call, and the
+    answers are paired back with the subjects' groups in subject order,
+    `repetitions` answers per subject."""
+    groups, rows = [], []
     for g, path, vectors in subjects:
-        rows = draw_means(stack_vectors(vectors, model.schema_id), protocol.n,
-                          protocol.repetitions, protocol.seed, *path)
-        pairs.extend((g, p) for p in estimate_rank_rows(model, rows, r_groups))
+        groups.append(g)
+        rows.append(draw_means(stack_vectors(vectors, model.schema_id), protocol.n,
+                               protocol.repetitions, protocol.seed, *path))
+    predicted = estimate_rank_rows(model, np.concatenate(rows), r_groups) if rows else []
+    pairs = np.column_stack([np.repeat(groups, protocol.repetitions), predicted])
     accuracy, accuracy_pm1, confusion = accuracy_metrics(pairs, r_groups)
     return EvaluationReport(accuracy, accuracy_pm1, confusion, config=asdict(protocol))
 

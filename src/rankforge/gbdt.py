@@ -7,6 +7,17 @@ thresholds sit at midpoints of adjacent distinct values; ties break to the
 lower feature index, then the lower threshold.  Boosting stops early when
 no split with positive gain exists, so a constant target yields an
 ensemble with zero trees.
+
+Prediction is compiled: a `TreeEnsemble` concatenates its trees' node
+arrays once, when it is built, with child ids (int32) rebased to the
+concatenated arrays and one root id per tree.  `FlatTree.walk` moves every
+(row, root) pair down together, one depth level at a time; a pair at
+``x <= threshold`` goes left.  `predict_many` walks ``PREDICT_PAIRS``
+(row, tree) pairs at a time, so its scratch memory does not grow with the
+batch, and adds ``learning_rate * leaf`` into ``base_score`` tree by tree,
+in tree order.  Each float addition therefore happens in the same order as
+in a loop over the trees, and every prediction has the same bits.  Fit's
+residual update, `FlatTree.leaf_values`, is the one-root case of the walk.
 """
 
 import json
@@ -107,6 +118,10 @@ def _search_node(node, X, residuals, features, params):
 _FLAT_DTYPES = {"feature": np.int32, "threshold": np.float64, "left": np.int32,
                 "right": np.int32, "value": np.float64}
 
+# (row, tree) pairs per predict_many walk: bounds the walk's scratch memory
+PREDICT_PAIRS = 4096
+_ONE_ROOT = np.zeros(1, dtype=np.int32)
+
 
 @dataclass
 class FlatTree:
@@ -116,15 +131,25 @@ class FlatTree:
     right: np.ndarray
     value: np.ndarray
 
+    def walk(self, X: np.ndarray, roots: np.ndarray) -> np.ndarray:
+        """Leaf value reached by every (row, root) pair, shape
+        (len(X), len(roots)): all pairs descend together, one depth level
+        per step."""
+        width, n_features = len(roots), X.shape[1]
+        node = np.tile(roots, len(X))
+        row_start = np.repeat(np.arange(0, X.size, n_features), width)  # into X.ravel()
+        flat = X.ravel()
+        live = np.flatnonzero(self.feature[node] >= 0)
+        while live.size:
+            cur = node[live]
+            go_left = flat[row_start[live] + self.feature[cur]] <= self.threshold[cur]
+            cur = np.where(go_left, self.left[cur], self.right[cur])
+            node[live] = cur
+            live = live[self.feature[cur] >= 0]
+        return self.value[node].reshape(len(X), width)
+
     def leaf_values(self, X: np.ndarray) -> np.ndarray:
-        idx = np.zeros(len(X), dtype=np.int32)
-        active = self.feature[idx] >= 0
-        while active.any():
-            cur = idx[active]
-            go_left = X[active, self.feature[cur]] <= self.threshold[cur]
-            idx[active] = np.where(go_left, self.left[cur], self.right[cur])
-            active = self.feature[idx] >= 0
-        return self.value[idx]
+        return self.walk(X, _ONE_ROOT)[:, 0]
 
     @property
     def n_leaves(self) -> int:
@@ -198,6 +223,22 @@ def _grow_tree(X, residuals, features, params) -> FlatTree | None:
     return _flatten(root)
 
 
+def _compile(trees) -> tuple[FlatTree, np.ndarray]:
+    """One FlatTree holding every tree's nodes, child ids rebased, and the
+    root id of each tree."""
+    roots = np.cumsum([0] + [len(tree.feature) for tree in trees], dtype=np.int32)[:-1]
+
+    def joined(name):
+        parts = [getattr(tree, name) for tree in trees]
+        if name in ("left", "right"):
+            parts = [np.where(tree.feature >= 0, part + root, -1)
+                     for tree, part, root in zip(trees, parts, roots)]
+        # the empty head keeps a zero-tree ensemble valid
+        return np.concatenate([np.empty(0, dtype=np.int32)] + parts)
+
+    return FlatTree.from_dict({name: joined(name) for name in _FLAT_DTYPES}), roots
+
+
 @dataclass
 class TreeEnsemble:
     base_score: float
@@ -207,16 +248,24 @@ class TreeEnsemble:
     n_features: int = 0
     meta: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        self._nodes, self._roots = _compile(self.trees)
+
     def predict_many(self, X, num_trees: int | None = None) -> np.ndarray:
         X = np.ascontiguousarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise SchemaMismatchError(
                 f"expected {self.n_features} features, got shape {X.shape}"
             )
-        take = self.trees if num_trees is None else self.trees[:num_trees]
+        roots = self._roots[:num_trees]
         out = np.full(len(X), self.base_score, dtype=np.float64)
-        for tree in take:
-            out += self.params.learning_rate * tree.leaf_values(X)
+        if not len(roots):
+            return out
+        step = max(1, PREDICT_PAIRS // len(roots))
+        for start in range(0, len(X), step):
+            part = out[start:start + step]
+            for leaves in self._nodes.walk(X[start:start + step], roots).T:
+                part += self.params.learning_rate * leaves
         return out
 
     def predict(self, x) -> float:

@@ -90,13 +90,23 @@ def _skip_subtree(sc: _Scanner) -> None:
             depth -= 1
 
 
-def _tree_into(sc: _Scanner, nodes: list) -> None:
-    """Consume one game tree (caller consumed its '('), appending the main
-    line: the node sequence, then recursively the first subtree; sibling
-    variations are skipped."""
+def _open_tree(sc: _Scanner) -> None:
+    # caller consumed the tree's '('
     sc.skip_ws()
     if sc.peek() != ";":
         raise sc.error("game tree without a node")
+
+
+def _main_line_nodes(sc: _Scanner) -> list[dict]:
+    """The main line: each game tree's node sequence, then its first
+    subtree's; sibling variations are skipped.  The descent is a loop, so
+    any nesting depth parses."""
+    sc.skip_ws()
+    if sc.next() != "(":
+        raise sc.error("SGF must start with '('")
+    _open_tree(sc)
+    nodes: list[dict] = []
+    depth = 1  # game trees opened on the main line, not yet closed
     while True:
         sc.skip_ws()
         ch = sc.peek()
@@ -105,30 +115,25 @@ def _tree_into(sc: _Scanner, nodes: list) -> None:
             nodes.append(_read_node(sc))
         elif ch == "(":
             sc.next()
-            _tree_into(sc, nodes)
-            sc.skip_ws()
-            while sc.peek() == "(":
-                sc.next()
-                _skip_subtree(sc)
-                sc.skip_ws()
-            if sc.next() != ")":
-                raise sc.error("unbalanced parentheses")
-            return
+            _open_tree(sc)
+            depth += 1
         elif ch == ")":
             sc.next()
-            return
+            break
         elif ch == "":
             raise sc.error("unbalanced parentheses")
         else:
             raise sc.error(f"unexpected character {ch!r}")
-
-
-def _main_line_nodes(sc: _Scanner) -> list[dict]:
-    sc.skip_ws()
-    if sc.next() != "(":
-        raise sc.error("SGF must start with '('")
-    nodes: list[dict] = []
-    _tree_into(sc, nodes)
+    # the innermost tree is closed; each enclosing tree ends after the
+    # variations that follow its first subtree
+    for _ in range(depth - 1):
+        sc.skip_ws()
+        while sc.peek() == "(":
+            sc.next()
+            _skip_subtree(sc)
+            sc.skip_ws()
+        if sc.next() != ")":
+            raise sc.error("unbalanced parentheses")
     return nodes
 
 

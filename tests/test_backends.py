@@ -114,6 +114,19 @@ def test_illegal_move_is_domain_error():
         backend.score_strength(match.plies[0].state, "99")
 
 
+def test_bad_moves_raise_typed_errors_on_every_call():
+    config = tiny_config()
+    backend = SyntheticBackend(config)
+    states = [p.state for p in gen_match(config, 0, "m5").plies[:2]]
+    width = config.moves_per_state
+    for _ in range(2):
+        with pytest.raises(DataError, match=f"move '99' out of range for {width} moves"):
+            backend.score_strength_many(states, ["0", "99"])
+        with pytest.raises(DataError, match="synthetic move is not an integer"):
+            backend.evaluate_state_many(states, ["0", "x"])
+    assert len(backend.score_strength_many(states, ["0", "1"])) == 2
+
+
 def test_prior_floor_applied():
     cfg = SynthConfig(
         groups=3, moves_per_state=6, plies_per_match=4,

@@ -150,6 +150,22 @@ def test_ingest_accept_and_reject(tmp_path):
     assert dropped[0]["file"] == "short.sgf"
 
 
+def test_ingest_drops_deeply_nested_sgf_without_traceback(tmp_path, capsys):
+    records = tmp_path / "records"
+    records.mkdir()
+    (records / "deep.sgf").write_text("(;B[aa]" + "(;W[bb]" * 5000 + ")" * 5000 + ")")
+    out = tmp_path / "data.jsonl"
+    drops = tmp_path / "drops.json"
+    code = main(["ingest", "--game", "go", "--records-dir", str(records),
+                 "--out", str(out), "--drops", str(drops)])
+    assert code == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert out.read_text() == ""
+    (dropped,) = json.loads(drops.read_text())
+    assert dropped["file"] == "deep.sgf"
+    assert dropped["reason"].startswith("parse_error:")
+
+
 def test_ingest_rerun_byte_identical(tmp_path, corpus_dir):
     records = tmp_path / "records"
     records.mkdir()

@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 from rankforge.errors import ConfigError
-from rankforge.estimator import TrainingSetSpec, build_training_set, train_meta_model
+from rankforge.estimator import (
+    TrainingSetSpec,
+    build_training_set,
+    estimate_rank_rows,
+    train_meta_model,
+)
 from rankforge.features import FeatureConfig, FeatureVector, LossSpec
 from rankforge.gbdt import GbdtParams
 from rankforge.evalharness import (
@@ -204,6 +209,12 @@ class _RecordingModel(_FixedModel):
         return super().predict_many(X)
 
 
+def _per_subject(model, repetitions):
+    """The one recorded prediction call, cut into each subject's rows."""
+    (seen,) = model.seen
+    return [seen[start:start + repetitions] for start in range(0, len(seen), repetitions)]
+
+
 def _reference_means(stacked, n, repetitions, seed, *path):
     return np.array([
         stacked[substream(seed, *path, rep).choice(len(stacked), size=n, replace=False)]
@@ -226,7 +237,7 @@ def test_sampler_rows_follow_the_site_substream_path(site):
     elif site == "eval-random":
         model = _RecordingModel(3, config.schema_id())
         run_random_sampling(pool, model, EvalProtocol("random", n, reps, seed))
-        for g, seen in zip(sorted(pool), model.seen, strict=True):
+        for g, seen in zip(sorted(pool), _per_subject(model, reps), strict=True):
             assert np.array_equal(seen, _reference_means(stacked[g], n, reps, seed, site, g))
     elif site == "eval-player":
         by_player = {g: {f"p{k}": vs[k::3] for k in range(3)} for g, vs in pool.items()}
@@ -236,7 +247,7 @@ def test_sampler_rows_follow_the_site_substream_path(site):
             _reference_means(stacked[g][k::3], n, reps, seed, site, g, f"p{k}")
             for g in sorted(pool) for k in range(3)
         ]
-        for seen, want in zip(model.seen, expected, strict=True):
+        for seen, want in zip(_per_subject(model, reps), expected, strict=True):
             assert np.array_equal(seen, want)
     else:
         out = boxplot_rows(_store_rows(config, pool), config, "mean_strength",
@@ -246,6 +257,26 @@ def test_sampler_rows_follow_the_site_substream_path(site):
             # the reference is the one-dimensional mean of the drawn values
             want = _reference_means(stacked[g][:, 0], n, reps, seed, site, g)
             assert got == want.tolist()
+
+
+@pytest.mark.parametrize("mode", ["random", "player"])
+def test_each_protocol_makes_one_prediction_call(mode):
+    config, pool = _stored(per_group=12)
+    model = _RecordingModel(3, config.schema_id())
+    protocol = EvalProtocol(mode, 3, 5, 1)
+    if mode == "random":
+        report = run_random_sampling(pool, model, protocol)
+        groups = sorted(pool)
+    else:
+        by_player = {g: {f"p{k}": vs[k::3] for k in range(3)} for g, vs in pool.items()}
+        report = run_player_specific(by_player, model, protocol)
+        groups = [g for g in sorted(pool) for _ in range(3)]
+    assert [len(seen) for seen in model.seen] == [5 * len(groups)]
+    # the answers pair with their own subject's group
+    subject_rows = _per_subject(model, 5)
+    per_subject = [(g, p) for g, rows in zip(groups, subject_rows, strict=True)
+                   for p in estimate_rank_rows(model, rows, 3)]
+    assert np.array_equal(report.confusion, accuracy_metrics(per_subject, 3)[2])
 
 
 # ---------------------------------------------------------------------------

@@ -373,9 +373,13 @@ def test_backend_error_drops_exactly_the_failing_point_of_a_batch(mock_backend_c
 
 
 def test_synthetic_backend_parses_each_state_once_per_batch(monkeypatch):
-    parsed = []
+    parsed, parsed_moves = [], []
     parse = synthetic.parse_state_id
     monkeypatch.setattr(synthetic, "parse_state_id", lambda s: parsed.append(s) or parse(s))
+    parse_moves = synthetic.parse_moves
+    monkeypatch.setattr(synthetic, "parse_moves",
+                        lambda moves, width: parsed_moves.extend(moves)
+                        or parse_moves(moves, width))
     cfg = tiny_config()
     dps = [to_datapoint(gen_match(cfg, g, f"parse-{g}-{i}")) for g in range(3) for i in range(4)]
     backend = SyntheticBackend(cfg)
@@ -385,6 +389,7 @@ def test_synthetic_backend_parses_each_state_once_per_batch(monkeypatch):
     rows, _ = extract_many(dps, bank, fconfig)
     assert len(rows) == len(dps) <= EXTRACT_BATCH
     assert len(parsed) == sum(dp.k for dp in dps)
+    assert len(parsed_moves) == sum(dp.k for dp in dps)
 
 
 def test_feature_store_round_trip(tmp_path):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from rankforge.errors import DataError, SchemaMismatchError
-from rankforge.gbdt import GbdtParams, TreeEnsemble, fit
+from rankforge.gbdt import PREDICT_PAIRS, GbdtParams, TreeEnsemble, fit
 
 SMALL = GbdtParams(num_trees=10, learning_rate=1.0, max_leaves=4,
                    min_samples_leaf=1, seed=0)
@@ -198,3 +198,90 @@ def test_model_file_round_trip(tmp_path):
     assert loaded.meta["trained_n"] == 5
     data = json.loads(path.read_text())
     assert data["format"] == "rankforge-gbdt/1"
+
+
+# ---------------------------------------------------------------------------
+# the compiled walk against a per-tree loop
+
+
+def _per_tree_reference(model, X, num_trees=None):
+    """base + sum of learning_rate * tree.leaf_values(X), in tree order."""
+    X = np.asarray(X, dtype=np.float64)
+    out = np.full(len(X), model.base_score)
+    for tree in model.trees[:num_trees]:
+        out += model.params.learning_rate * tree.leaf_values(X)
+    return out
+
+
+def _assert_same_bits(model, X, num_trees=None):
+    got = model.predict_many(X, num_trees=num_trees)
+    assert got.tobytes() == _per_tree_reference(model, X, num_trees).tobytes()
+
+
+def _fitted(rounded, max_leaves=31, seed=0):
+    rng = np.random.default_rng(47 + seed)
+    X = rng.normal(size=(400, 5))
+    if rounded:
+        X = np.round(X, 1)
+    y = X[:, 0] * 2 + np.sin(3 * X[:, 1]) + rng.normal(scale=0.3, size=len(X))
+    params = GbdtParams(num_trees=60, max_leaves=max_leaves, min_samples_leaf=5, seed=seed)
+    return fit(X, y, params), X, rng
+
+
+def test_leaf_values_follow_each_tree_by_hand():
+    model, X, _ = _fitted(rounded=False)
+    tree = model.trees[3]
+    for x, got in zip(X[:50], tree.leaf_values(X[:50])):
+        node = 0
+        while tree.feature[node] >= 0:
+            go_left = x[tree.feature[node]] <= tree.threshold[node]
+            node = tree.left[node] if go_left else tree.right[node]
+        assert got == tree.value[node]
+
+
+@pytest.mark.parametrize("rounded", [False, True])
+def test_compiled_walk_matches_per_tree_loop(rounded):
+    model, X, rng = _fitted(rounded)
+    assert len(model.trees) == 60
+    many = rng.normal(size=(2 * PREDICT_PAIRS // len(model.trees) + 7, 5))
+    if rounded:
+        many = np.round(many, 1)
+    for num_trees in (None, 0, 1, 17, 60, 100):
+        _assert_same_bits(model, many, num_trees)
+        _assert_same_bits(model, X, num_trees)
+        _assert_same_bits(model, many[:1], num_trees)
+    one_by_one = np.array([model.predict(row) for row in many])
+    assert one_by_one.tobytes() == model.predict_many(many).tobytes()
+
+
+def test_compiled_walk_sends_a_row_on_a_threshold_left():
+    model, X, _ = _fitted(rounded=False)
+    tree = model.trees[0]
+    on_threshold = X[:4].copy()
+    on_threshold[:, tree.feature[0]] = tree.threshold[0]
+    _assert_same_bits(model, on_threshold)
+    left_only = TreeEnsemble(model.base_score, [tree], model.params, n_features=5)
+    nudged = on_threshold.copy()
+    nudged[:, tree.feature[0]] = np.nextafter(tree.threshold[0], -np.inf)
+    assert np.array_equal(left_only.predict_many(on_threshold), left_only.predict_many(nudged))
+
+
+def test_compiled_walk_on_stumps_and_on_zero_trees():
+    stumps, X, _ = _fitted(rounded=False, max_leaves=2)
+    assert all(tree.n_leaves == 2 for tree in stumps.trees)
+    _assert_same_bits(stumps, X)
+    _assert_same_bits(stumps, X, 1)
+    flat = fit(X, np.full(len(X), 0.75), GbdtParams(num_trees=10))
+    assert flat.trees == []
+    _assert_same_bits(flat, X)
+    assert flat.predict_many(X[:0]).shape == (0,)
+
+
+def test_compiled_walk_after_a_save_load_round_trip(tmp_path):
+    model, X, _ = _fitted(rounded=True, seed=3)
+    model.save(tmp_path / "model.json")
+    loaded = TreeEnsemble.load(tmp_path / "model.json")
+    for num_trees in (None, 1, 30):
+        _assert_same_bits(loaded, X, num_trees)
+        assert (loaded.predict_many(X, num_trees=num_trees).tobytes()
+                == model.predict_many(X, num_trees=num_trees).tobytes())

@@ -55,6 +55,19 @@ def test_variations_ignored_not_errors():
     assert [p.move for p in record.plies] == ["pd", "dp", "pp"]
 
 
+def test_deep_main_line_parses_without_recursion():
+    depth = 5000
+    opens = "".join(f"(;{'BW'[i % 2]}[]" for i in range(depth))
+    # every seventh tree on the way out has a sibling variation to skip
+    closes = "".join(")" + ("(;W[cc])" if i % 7 == 0 else "") for i in range(depth))
+    text = "(;GM[1]SZ[19]BR[1d]WR[1d]" + opens + closes + ")"
+    record = parse_sgf(text)
+    assert len(record.plies) == depth
+    assert {p.move for p in record.plies} == {"pass"}
+    with pytest.raises(ParseError, match="unbalanced parentheses"):
+        parse_sgf(text[:-1])
+
+
 def test_unbalanced_parentheses_error_with_offset():
     with pytest.raises(ParseError) as exc_info:
         parse_sgf("(;GM[1]SZ[19]BR[1d]WR[1d];B[pd]")
