@@ -130,6 +130,9 @@ def run_player_specific(testpool_by_player: dict, model, protocol: EvalProtocol)
                                  "reason": "fewer_datapoints_than_n"})
             else:
                 subjects.append((g, ("eval-player", g, player_id), vectors))
+    if not subjects:
+        raise ConfigError(f"no predictions to score: all {len(excluded)} players "
+                          f"have fewer than n={protocol.n} data points")
     r_groups = model.meta.get("r_groups") or (max(testpool_by_player) + 1)
     report = _evaluate(subjects, model, protocol, r_groups)
     if excluded:

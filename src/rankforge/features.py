@@ -411,6 +411,8 @@ def read_feature_store(path):
                 group_index=int(rec["group_index"]),
                 vector=FeatureVector(tuple(rec["features"]), rec["schema_id"]),
             )
+            if not all(map(math.isfinite, row.vector.values)):
+                raise ValueError("feature value not finite")
         if row.vector.schema_id != schema_id:
             raise SchemaMismatchError("feature store row with foreign schema id")
         rows.append(row)

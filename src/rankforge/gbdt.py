@@ -8,6 +8,15 @@ lower feature index, then the lower threshold.  Boosting stops early when
 no split with positive gain exists, so a constant target yields an
 ensemble with zero trees.
 
+The search is presorted, as in XGBoost's exact greedy algorithm: `fit`
+stably argsorts every column once.  A node keeps its rows in increasing
+row order and a (features x rows) matrix whose row k is those rows sorted
+by searched feature k.  A split gathers a row-indexed "goes left" boolean
+through that matrix and cuts each row by it, which gives both children's
+matrices, still sorted.  Restricted to a node, the stable global order is
+the stable argsort of the node's rows, so every sum adds in the order a
+per-node sort would, and every gain, threshold and model byte is unchanged.
+
 Prediction is compiled: a `TreeEnsemble` concatenates its trees' node
 arrays once, when it is built, with child ids (int32) rebased to the
 concatenated arrays and one root id per tree.  `FlatTree.walk` moves every
@@ -51,47 +60,20 @@ class GbdtParams:
             raise ConfigError("min_samples_leaf must be >= 1")
         if not 0 < self.feature_fraction <= 1:
             raise ConfigError("feature_fraction must be in (0, 1]")
+        if np.isnan(self.min_gain):
+            raise ConfigError("min_gain must be a number")
 
     def to_dict(self) -> dict:
         return asdict(self)
 
 
-def best_split_for_feature(x: np.ndarray, residuals: np.ndarray, min_samples_leaf: int):
-    """Best (gain, threshold) splitting one feature column, or None.
-
-    Gain is the exact SSE reduction: S_l^2/n_l + S_r^2/n_r - S^2/n.
-    """
-    n = len(x)
-    if n < 2 * min_samples_leaf:
-        return None
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
-    rs = residuals[order]
-    csum = np.cumsum(rs)
-    total = csum[-1]
-    n_left = np.arange(1, n)
-    n_right = n - n_left
-    valid = (
-        (xs[:-1] < xs[1:])
-        & (n_left >= min_samples_leaf)
-        & (n_right >= min_samples_leaf)
-    )
-    if not valid.any():
-        return None
-    s_left = csum[:-1]
-    gain = s_left * s_left / n_left + (total - s_left) ** 2 / n_right - total * total / n
-    gain = np.where(valid, gain, -np.inf)
-    best = int(np.argmax(gain))  # first max = lowest threshold
-    threshold = (xs[best] + xs[best + 1]) / 2.0
-    return float(gain[best]), float(threshold)
-
-
 class _Node:
-    __slots__ = ("indices", "value", "best", "feature", "threshold", "left", "right")
+    __slots__ = ("indices", "order", "value", "best", "feature", "threshold", "left", "right")
 
-    def __init__(self, indices, value):
-        self.indices = indices
-        self.value = value
+    def __init__(self, indices, order, residuals):
+        self.indices = indices  # the node's rows, in increasing row order
+        self.order = order  # (features x rows): the rows sorted by each feature
+        self.value = float(residuals[indices].mean())
         self.best = None  # (gain, feature, threshold)
         self.feature = None
         self.threshold = None
@@ -99,20 +81,32 @@ class _Node:
         self.right = None
 
 
-def _search_node(node, X, residuals, features, params):
-    best = None
-    for f in features:
-        found = best_split_for_feature(
-            X[node.indices, f], residuals[node.indices], params.min_samples_leaf
-        )
-        if found is None:
-            continue
-        gain, threshold = found
-        if gain <= params.min_gain:
-            continue
-        if best is None or gain > best[0]:
-            best = (gain, f, threshold)
-    node.best = best
+def _search_node(node, columns, residuals, features, params):
+    """Set ``node.best`` to the best split above ``min_gain``, searching all
+    features (``columns``, one row each) in one pass; the first flat maximum
+    of the SSE gain is the lower feature, then the lower threshold.  Each
+    row of ``node.order`` is a stable argsort of the node's rows, so each
+    row-wise cumsum adds in the order a per-feature sort would."""
+    n = node.order.shape[1]
+    if n < 2 * params.min_samples_leaf:
+        return
+    xs = np.take_along_axis(columns, node.order, axis=1)
+    csum = np.cumsum(residuals[node.order], axis=1)
+    total = csum[:, -1:]
+    n_left = np.arange(1, n)
+    n_right = n - n_left
+    valid = (
+        (xs[:, :-1] < xs[:, 1:])
+        & (n_left >= params.min_samples_leaf)
+        & (n_right >= params.min_samples_leaf)
+    )
+    s_left = csum[:, :-1]
+    gain = s_left * s_left / n_left + (total - s_left) ** 2 / n_right - total * total / n
+    gain = np.where(valid, gain, -np.inf)
+    k, i = np.unravel_index(np.argmax(gain), gain.shape)
+    if gain[k, i] > params.min_gain:
+        threshold = (xs[k, i] + xs[k, i + 1]) / 2.0
+        node.best = (float(gain[k, i]), int(features[k]), float(threshold))
 
 
 _FLAT_DTYPES = {"feature": np.int32, "threshold": np.float64, "left": np.int32,
@@ -188,34 +182,33 @@ def _flatten(root) -> FlatTree:
                                "right": right, "value": value})
 
 
-def _grow_tree(X, residuals, features, params) -> FlatTree | None:
-    root = _Node(np.arange(len(X)), float(residuals.mean()))
-    _search_node(root, X, residuals, features, params)
+def _grow_tree(X, order, residuals, features, params) -> FlatTree | None:
+    columns = X.T[features]
+    root = _Node(np.arange(len(X)), order[features], residuals)
+    _search_node(root, columns, residuals, features, params)
+    goes_left = np.empty(len(X), dtype=bool)  # read only at the split node's rows
     leaves = [root]
     while len(leaves) < params.max_leaves:
-        # pick the splittable leaf with the strictly largest gain;
-        # creation order breaks exact ties
-        chosen = None
-        for leaf in leaves:
-            if leaf.best is None:
-                continue
-            if chosen is None or leaf.best[0] > chosen.best[0]:
-                chosen = leaf
-        if chosen is None:
+        # the splittable leaf with the largest gain; creation order breaks ties
+        splittable = [leaf for leaf in leaves if leaf.best is not None]
+        if not splittable:
             break
+        chosen = max(splittable, key=lambda leaf: leaf.best[0])
         gain, f, threshold = chosen.best
         idx = chosen.indices
         mask = X[idx, f] <= threshold
-        left = _Node(idx[mask], float(residuals[idx[mask]].mean()))
-        right = _Node(idx[~mask], float(residuals[idx[~mask]].mean()))
+        goes_left[idx] = mask
+        in_left = goes_left[chosen.order]
+        left = _Node(idx[mask], chosen.order[in_left].reshape(len(features), -1), residuals)
+        right = _Node(idx[~mask], chosen.order[~in_left].reshape(len(features), -1), residuals)
         chosen.feature = f
         chosen.threshold = threshold
         chosen.left = left
         chosen.right = right
-        chosen.indices = None
+        chosen.indices = chosen.order = None
         chosen.best = None
-        _search_node(left, X, residuals, features, params)
-        _search_node(right, X, residuals, features, params)
+        _search_node(left, columns, residuals, features, params)
+        _search_node(right, columns, residuals, features, params)
         leaves[leaves.index(chosen)] = left
         leaves.append(right)
     if root.feature is None:
@@ -318,23 +311,22 @@ def fit(X, y, params: GbdtParams, schema_id: str = "", meta: dict | None = None)
         raise DataError("X and y length mismatch")
     if len(X) < 2:
         raise DataError("need at least 2 training rows")
-    if np.isnan(X).any() or np.isnan(y).any():
-        raise DataError("NaN in training data")
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        raise DataError("NaN or infinity in training data")
 
     n_features = X.shape[1]
-    all_features = np.arange(n_features)
+    order = np.argsort(X, axis=0, kind="stable").T
     base_score = float(y.mean())
     pred = np.full(len(y), base_score, dtype=np.float64)
     trees = []
     for t in range(params.num_trees):
+        features = np.arange(n_features)
         if params.feature_fraction < 1.0:
             count = max(1, int(round(params.feature_fraction * n_features)))
             gen = substream(params.seed, "gbdt-feature-subset", t)
             features = np.sort(gen.choice(n_features, size=count, replace=False))
-        else:
-            features = all_features
         residuals = y - pred
-        tree = _grow_tree(X, residuals, features, params)
+        tree = _grow_tree(X, order, residuals, features, params)
         if tree is None:
             break
         pred += params.learning_rate * tree.leaf_values(X)

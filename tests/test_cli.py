@@ -388,6 +388,51 @@ def test_cut_feature_store_exits_two_naming_the_line(tmp_path, capsys, command):
     assert f"{store}:1:" in capsys.readouterr().err
 
 
+def _tiny_store(tmp_path):
+    """(store, model) from `synth`, `extract` and `train` on TINY_SYNTH;
+    `synth` gives every player id one data point."""
+    config = tmp_path / "run.toml"
+    config.write_text(TINY_SYNTH)
+    dataset = tmp_path / "d.jsonl"
+    store = tmp_path / "s.jsonl"
+    model = tmp_path / "m.json"
+    assert main(["synth", "--config", str(config), "--matches", "6",
+                 "--out", str(dataset)]) == 0
+    assert main(["extract", "--config", str(config), "--dataset", str(dataset),
+                 "--out", str(store)]) == 0
+    assert main(["train", "--features", str(store), "--n", "1", "--repetitions", "20",
+                 "--out", str(model)]) == 0
+    return store, model
+
+
+@pytest.mark.parametrize("command, value", [("train", math.inf), ("train", -math.inf),
+                                            ("train", math.nan), ("eval", math.inf)])
+def test_non_finite_feature_value_exits_two_naming_the_line(tmp_path, capsys,
+                                                            command, value):
+    store, model = _tiny_store(tmp_path)
+    lines = store.read_text().splitlines()
+    row = json.loads(lines[1])
+    row["features"][0] = value
+    lines[1] = json.dumps(row, sort_keys=True)
+    store.write_text("\n".join(lines) + "\n")
+    argv = {
+        "train": ["train", "--features", str(store), "--n", "1", "--out", str(model)],
+        "eval": ["eval", "--n", "1", "--model", str(model), "--features", str(store),
+                 "--out", str(tmp_path / "rep")],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert f"{store}:2: bad feature row (feature value not finite)" in capsys.readouterr().err
+
+
+def test_player_eval_with_every_player_excluded_names_the_count_and_n(tmp_path, capsys):
+    store, model = _tiny_store(tmp_path)
+    capsys.readouterr()
+    assert main(["eval", "--mode", "player", "--n", "3", "--model", str(model),
+                 "--features", str(store), "--out", str(tmp_path / "rep")]) == 1
+    assert "all 18 players have fewer than n=3 data points" in capsys.readouterr().err
+
+
 @pytest.fixture
 def engine_extract(tmp_path, monkeypatch, mock_backend_cmd):
     """`extract` with every backend role on the mock engine, behind the

@@ -1,10 +1,13 @@
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
 
-from rankforge.errors import DataError, SchemaMismatchError
+from helpers.oracles import reference_search_node
+from rankforge import gbdt
+from rankforge.errors import ConfigError, DataError, SchemaMismatchError
 from rankforge.gbdt import PREDICT_PAIRS, GbdtParams, TreeEnsemble, fit
 
 SMALL = GbdtParams(num_trees=10, learning_rate=1.0, max_leaves=4,
@@ -185,6 +188,24 @@ def test_nan_rejected():
         fit(np.array([[np.nan], [1.0]]), np.array([1.0, 2.0]), SMALL)
 
 
+@pytest.mark.parametrize("where", ["X", "y"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_training_data_rejected(where, bad):
+    X = np.array([[0.0], [1.0], [2.0]])
+    y = np.array([1.0, 2.0, 3.0])
+    if where == "X":
+        X[1, 0] = bad
+    else:
+        y[1] = bad
+    with pytest.raises(DataError, match="NaN or infinity"):
+        fit(X, y, SMALL)
+
+
+def test_nan_min_gain_is_config_error():
+    with pytest.raises(ConfigError):
+        GbdtParams(min_gain=math.nan)
+
+
 def test_model_file_round_trip(tmp_path):
     rng = np.random.default_rng(43)
     X = rng.normal(size=(50, 2))
@@ -285,3 +306,73 @@ def test_compiled_walk_after_a_save_load_round_trip(tmp_path):
         _assert_same_bits(loaded, X, num_trees)
         assert (loaded.predict_many(X, num_trees=num_trees).tobytes()
                 == model.predict_many(X, num_trees=num_trees).tobytes())
+
+
+# ---------------------------------------------------------------------------
+# the presorted search against a per-feature sort at every node
+
+
+def _split_fixture(name):
+    rng = np.random.default_rng(53)
+    X = rng.normal(size=(240, 5))
+    y = X[:, 0] * 2 + np.sin(3 * X[:, 1]) + rng.normal(scale=0.3, size=len(X))
+    params = {"num_trees": 20, "min_samples_leaf": 3, "seed": 2}
+    if name == "rounded":
+        X = np.round(X, 1)
+    elif name == "constant-column":
+        X[:, 2] = 1.5
+    elif name == "feature-fraction":
+        params["feature_fraction"] = 0.6
+    elif name == "min-gain":
+        params["min_gain"] = 0.5
+    elif name == "leaf-of-half":
+        params.update(num_trees=8, min_samples_leaf=len(X) // 2)
+    elif name == "leaf-near-half":
+        params.update(num_trees=8, min_samples_leaf=len(X) // 2 - 3)
+    elif name == "one-row-per-group":
+        y = np.arange(8, dtype=np.float64)
+        X = rng.normal(size=(8, 7)) + y[:, None]
+        params["min_samples_leaf"] = 1
+    return X, y, GbdtParams(**params)
+
+
+@pytest.mark.parametrize("name", ["continuous", "rounded", "constant-column",
+                                  "feature-fraction", "min-gain", "leaf-of-half",
+                                  "leaf-near-half", "one-row-per-group"])
+def test_presorted_fit_equals_a_per_node_sort_byte_for_byte(name, monkeypatch):
+    X, y, params = _split_fixture(name)
+    got = fit(X, y, params)
+    assert got.trees
+    monkeypatch.setattr(gbdt, "_search_node", reference_search_node)
+    assert got.to_json() == fit(X, y, params).to_json()
+
+
+def test_pinned_model_bytes():
+    """A fit change that moves any bit of a model fails here."""
+    rng = np.random.default_rng(61)
+    X = np.round(rng.normal(size=(500, 6)), 2)
+    y = X[:, 0] - 2 * X[:, 3] ** 2 + rng.normal(scale=0.5, size=500)
+    model = fit(X, y, GbdtParams(num_trees=40, min_samples_leaf=5, feature_fraction=0.8, seed=4))
+    digest = hashlib.sha256(model.to_json().encode()).hexdigest()
+    assert digest == "f3d6ae3430a9fa0846ba5e8d6d7429d584f2fa0c4927ace384240327263d64a7"
+
+
+def test_every_node_search_has_the_bits_of_a_per_node_sort(monkeypatch):
+    """Each node's best (gain, feature, threshold), gain bits included, as a
+    stable sort of the node's own rows gives it; residuals spanning 16
+    orders of magnitude make a sum's bits depend on its order."""
+    presorted, searched = gbdt._search_node, []
+
+    def both(node, columns, residuals, features, params):
+        reference_search_node(node, columns, residuals, features, params)
+        expected, node.best = node.best, None
+        presorted(node, columns, residuals, features, params)
+        assert node.best == expected
+        searched.append(expected)
+
+    monkeypatch.setattr(gbdt, "_search_node", both)
+    rng = np.random.default_rng(59)
+    X = np.round(rng.normal(size=(300, 4)), 1)
+    y = rng.normal(size=300) * 10.0 ** rng.integers(-8, 9, size=300)
+    fit(X, y, GbdtParams(num_trees=10, min_samples_leaf=2, feature_fraction=0.75, seed=5))
+    assert sum(best is not None for best in searched) >= 100
