@@ -46,7 +46,8 @@ from .evalharness import (
     write_per_group_csv,
     write_report,
 )
-from .features import extract_many, move_losses, read_feature_store, write_feature_store
+from .features import (EXTRACT_BATCH, extract_many, move_losses, read_feature_store,
+                       write_feature_store)
 from .gbdt import GbdtParams, TreeEnsemble
 from .records import (
     FilterConfig,
@@ -169,10 +170,14 @@ def _extract(datapoints, bank: BackendBank, features, out, drops=None):
 
 
 def _loss_traces(datapoints, bank: BackendBank, features) -> list:
-    """Every data point's (ply, loss) pairs, in order."""
+    """Every data point's (ply, loss) pairs, in order, from one pair of value
+    calls per ``EXTRACT_BATCH`` data points."""
     bank.require(need_strength=False, need_policy=False, need_value=True)
     transform = features.value_transform()
-    return [loss for dp in datapoints for loss in move_losses(dp, bank.value, transform)[0]]
+    return [loss for start in range(0, len(datapoints), EXTRACT_BATCH)
+            for losses, _ in move_losses(datapoints[start:start + EXTRACT_BATCH],
+                                         bank.value, transform)
+            for loss in losses]
 
 
 def cmd_extract(args) -> int:

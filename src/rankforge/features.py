@@ -14,7 +14,9 @@ Extraction runs in batches of ``EXTRACT_BATCH`` data points.  A batch makes
 one backend call per strength, policy level, value before and value after,
 over the concatenated moves of its data points; each data point's features
 are then computed on its own slice of those answers, so a vector does not
-depend on the batch it was in.  When a backend call of a batch raises
+depend on the batch it was in.  The two value calls and the per-move
+losses come from ``move_losses``, which the CLI's per-ply loss traces call
+on batches of the same size.  When a backend call of a batch raises
 BackendError, each of its data points is retried alone, and exactly the
 ones that still fail are dropped.
 
@@ -171,36 +173,36 @@ def prior_geomean(priors) -> float:
     return float(np.exp(np.log(priors).mean()))
 
 
-def move_losses(datapoint, value_backend, transform: str = "identity"):
-    """Per-move deterioration for one data point.
+def move_losses(datapoints, value_backend, transform: str = "identity") -> list:
+    """Per-move deterioration of each data point, from one value call before
+    and one after the moves, over the data points' concatenated moves.
 
-    Returns (losses, clamp_count) where losses is a list of
-    (ply_index, deterioration) and clamp_count is how many raw win rates
-    needed clamping before the logit transform.
+    Returns one (losses, clamp_count) per data point, where losses is a list
+    of (ply_index, deterioration) and clamp_count is how many of its raw win
+    rates needed clamping before the logit transform.
     """
-    states = [m[1] for m in datapoint.moves]
-    moves = [m[2] for m in datapoint.moves]
+    states = [m[1] for dp in datapoints for m in dp.moves]
+    moves = [m[2] for dp in datapoints for m in dp.moves]
     before = value_backend.evaluate_state_many(states)
     after = value_backend.evaluate_state_many(states, moves)
-    return _deterioration(datapoint, before, after, transform)
-
-
-def _deterioration(datapoint, before, after, transform: str):
-    """``move_losses`` from the data point's values before and after its moves."""
-    plies = [m[0] for m in datapoint.moves]
-    clamps = 0
+    clamped = np.zeros(len(states), dtype=np.int64)
     if transform == "logit":
-        clamps = int(
-            ((before < WINRATE_EPS) | (before > 1 - WINRATE_EPS)).sum()
-            + ((after < WINRATE_EPS) | (after > 1 - WINRATE_EPS)).sum()
-        )
+        for values in (before, after):
+            clamped += (values < WINRATE_EPS) | (values > 1 - WINRATE_EPS)
         before = np.array([logit(v) for v in before])
         after = np.array([logit(v) for v in after])
     elif transform != "identity":
         raise ConfigError(f"unknown value transform {transform!r}")
     # after is in the new mover's perspective; negate it back
-    deterioration = before - (-after)
-    return list(zip(plies, (float(d) for d in deterioration))), clamps
+    deterioration = (before - (-after)).tolist()
+    out = []
+    stop = 0
+    for dp in datapoints:
+        own = slice(stop, stop + dp.k)
+        stop = own.stop
+        out.append((list(zip((m[0] for m in dp.moves), deterioration[own])),
+                    int(clamped[own].sum())))
+    return out
 
 
 def loss_stats(losses, stat: str, n_cut: int | None) -> tuple[float, bool]:
@@ -272,18 +274,16 @@ def _extract_batch(datapoints, bank: BackendBank, config: FeatureConfig,
         columns.extend((prior_geomean, bank.policy.policy_prior_many(states, moves, level))
                        for level in config.policy_levels)
     if config.include_loss:
-        before = bank.value.evaluate_state_many(states)
-        after = bank.value.evaluate_state_many(states, moves)
-    transform = config.value_transform()
+        dp_losses = move_losses(datapoints, bank.value, config.value_transform())
     schema_id = config.schema_id()
     vectors = []
     stop = 0
-    for dp in datapoints:
+    for index, dp in enumerate(datapoints):
         own = slice(stop, stop + dp.k)
         stop = own.stop
         values = [aggregate(answers[own]) for aggregate, answers in columns]
         if config.include_loss:
-            losses, clamps = _deterioration(dp, before[own], after[own], transform)
+            losses, clamps = dp_losses[index]
             report.winrate_clamps += clamps
             for spec in config.loss_selected:
                 value, empty = loss_stats(losses, spec.stat, spec.n_cut)

@@ -313,6 +313,8 @@ def fit(X, y, params: GbdtParams, schema_id: str = "", meta: dict | None = None)
         raise DataError("need at least 2 training rows")
     if not (np.isfinite(X).all() and np.isfinite(y).all()):
         raise DataError("NaN or infinity in training data")
+    if np.abs(y).max() > 1e150 / len(y):
+        raise DataError("training targets so large that split gains would overflow")
 
     n_features = X.shape[1]
     order = np.argsort(X, axis=0, kind="stable").T

@@ -3,11 +3,13 @@
 Every ply of a synthetic match is a fresh state with ``M`` move qualities
 drawn from a seeded table.  A player of skill ``s`` samples moves from
 ``softmax(q / T(s))`` where the temperature map ``T`` is strictly
-decreasing in skill.  The same quality table gives the synthetic backends
-their ground truth: strength of a move is its quality (plus optional
-deterministic noise), the prior of a move at a policy level is the softmax
-at that level's temperature, and the value of a state is its best quality,
-so the deterioration caused by a move is exactly (best - chosen) quality.
+decreasing in skill.  A match keeps only its chosen move indices; the
+state id and the qualities of each ply derive from the match uid.  The
+same quality table gives the synthetic backends their ground truth:
+strength of a move is its quality (plus optional deterministic noise), the
+prior of a move at a policy level is the softmax at that level's
+temperature, and the value of a state is its best quality, so the
+deterioration caused by a move is exactly (best - chosen) quality.
 
 Plateau configs give a policy level a perception window: qualities are
 clipped into ``[q_lo, q_hi]`` before its softmax, which flattens that
@@ -110,18 +112,13 @@ class SynthConfig:
 
 
 @dataclass(frozen=True)
-class SynthPly:
-    state: str
-    move: int
-    quality: float
-
-
-@dataclass(frozen=True)
 class SynthMatch:
     uid: str
     true_group: int
     player_skill: float
-    plies: tuple[SynthPly, ...]
+    # moves[i] is the move chosen at ply i + 1, in state state_id(uid, i + 1),
+    # of quality quality_block(config, uid)[i, moves[i]]; a tuple, so == works
+    moves: tuple[int, ...]
 
 
 def softmax(values: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -184,11 +181,8 @@ def gen_match(
     draws = substream(config.seed, "moves", uid).random(config.plies_per_match)
     chosen = (draws[:, None] > cdf).sum(axis=1)
     chosen = np.minimum(chosen, config.moves_per_state - 1)
-    plies = tuple(
-        SynthPly(state_id(uid, p + 1), int(chosen[p]), float(qualities[p, chosen[p]]))
-        for p in range(config.plies_per_match)
-    )
-    return SynthMatch(uid=uid, true_group=group, player_skill=skill, plies=plies)
+    return SynthMatch(uid=uid, true_group=group, player_skill=skill,
+                      moves=tuple(chosen.tolist()))
 
 
 def gen_group_pool(
@@ -239,9 +233,8 @@ def to_datapoint(match: SynthMatch, player_id: str | None = None):
         side="black",
         group=RankGroup(game="synthetic", index=match.true_group,
                         label=f"g{match.true_group}"),
-        moves=tuple(
-            (i + 1, ply.state, str(ply.move)) for i, ply in enumerate(match.plies)
-        ),
+        moves=tuple((ply, state_id(match.uid, ply), str(move))
+                    for ply, move in enumerate(match.moves, 1)),
     )
 
 
@@ -279,9 +272,8 @@ def bayes_oracle_accuracy(
         loglik = np.zeros(config.groups)
         for i in range(n):
             uid = f"{seed_tag}-t{t:05d}-m{i:02d}"
-            match = gen_match(config, true_group, uid)
+            chosen = np.array(gen_match(config, true_group, uid).moves)
             qualities = quality_block(config, uid)
-            chosen = np.array([ply.move for ply in match.plies])
             # (R, plies, M) scaled qualities; exact per-group log-softmax
             scaled = qualities[None, :, :] / temps[:, None, None]
             logp = log_softmax(scaled, axis=2)

@@ -22,7 +22,7 @@ from rankforge.errors import (
     ConfigError,
     DataError,
 )
-from rankforge.synthlab import SynthConfig, SynthLevel, gen_match
+from rankforge.synthlab import SynthConfig, SynthLevel, gen_match, quality_block, to_datapoint
 
 
 def tiny_config() -> SynthConfig:
@@ -82,42 +82,41 @@ def test_logit_strictly_increasing(wr):
 def test_strength_is_quality_without_noise():
     cfg = tiny_config()
     backend = SyntheticBackend(cfg)
-    match = gen_match(cfg, 1, "m1")
-    for i, ply in enumerate(match.plies):
-        assert backend.score_strength(ply.state, str(ply.move)) == ply.quality
+    q = quality_block(cfg, "m1")
+    for i, (_, state, move) in enumerate(to_datapoint(gen_match(cfg, 1, "m1")).moves):
+        assert backend.score_strength(state, move) == q[i, int(move)]
 
 
 def test_repeat_queries_bit_identical():
     cfg = tiny_config()
     backend = SyntheticBackend(cfg)
-    match = gen_match(cfg, 1, "m2")
-    ply = match.plies[3]
-    first = backend.score_strength(ply.state, str(ply.move))
-    second = backend.score_strength(ply.state, str(ply.move))
+    _, state, move = to_datapoint(gen_match(cfg, 1, "m2")).moves[3]
+    first = backend.score_strength(state, move)
+    second = backend.score_strength(state, move)
     assert first == second
-    p1 = backend.policy_prior(ply.state, str(ply.move), "lo")
-    p2 = backend.policy_prior(ply.state, str(ply.move), "lo")
+    p1 = backend.policy_prior(state, move, "lo")
+    p2 = backend.policy_prior(state, move, "lo")
     assert p1 == p2
 
 
 def test_unknown_level_is_config_error():
     backend = SyntheticBackend(tiny_config())
-    match = gen_match(tiny_config(), 0, "m3")
+    state = to_datapoint(gen_match(tiny_config(), 0, "m3")).moves[0][1]
     with pytest.raises(ConfigError):
-        backend.policy_prior(match.plies[0].state, "0", "nope")
+        backend.policy_prior(state, "0", "nope")
 
 
 def test_illegal_move_is_domain_error():
     backend = SyntheticBackend(tiny_config())
-    match = gen_match(tiny_config(), 0, "m4")
+    state = to_datapoint(gen_match(tiny_config(), 0, "m4")).moves[0][1]
     with pytest.raises(DataError):
-        backend.score_strength(match.plies[0].state, "99")
+        backend.score_strength(state, "99")
 
 
 def test_bad_moves_raise_typed_errors_on_every_call():
     config = tiny_config()
     backend = SyntheticBackend(config)
-    states = [p.state for p in gen_match(config, 0, "m5").plies[:2]]
+    states = [state for _, state, _ in to_datapoint(gen_match(config, 0, "m5")).moves[:2]]
     width = config.moves_per_state
     for _ in range(2):
         with pytest.raises(DataError, match=f"move '99' out of range for {width} moves"):
@@ -136,8 +135,8 @@ def test_prior_floor_applied():
     backend = SyntheticBackend(cfg)
     match = gen_match(cfg, 0, "floor", player_skill=-10.0)
     q = None
-    for ply in match.plies:
-        priors = backend.policy_prior_many([ply.state] * cfg.moves_per_state,
+    for _, state, _ in to_datapoint(match).moves:
+        priors = backend.policy_prior_many([state] * cfg.moves_per_state,
                                            [str(m) for m in range(cfg.moves_per_state)],
                                            "sharp")
         assert (priors >= PRIOR_FLOOR).all()
@@ -148,14 +147,12 @@ def test_deterioration_semantics():
     cfg = tiny_config()
     backend = SyntheticBackend(cfg)
     match = gen_match(cfg, 2, "m5")
-    from rankforge.synthlab import quality_block
-
     q = quality_block(cfg, "m5")
-    for i, ply in enumerate(match.plies):
-        before = backend.evaluate_state(ply.state)
-        after = backend.evaluate_state(ply.state, str(ply.move))
+    for i, (_, state, move) in enumerate(to_datapoint(match).moves):
+        before = backend.evaluate_state(state)
+        after = backend.evaluate_state(state, move)
         assert before == q[i].max()
-        assert before + after == pytest.approx(q[i].max() - ply.quality, abs=1e-12)
+        assert before + after == pytest.approx(q[i].max() - q[i, int(move)], abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +283,7 @@ class _CountingBackend(SyntheticBackend):
 def test_cache_round_trip_and_reuse(tmp_path):
     cfg = tiny_config()
     match = gen_match(cfg, 0, "c1")
-    states = [p.state for p in match.plies]
+    states = [state for _, state, _ in to_datapoint(match).moves]
     path = tmp_path / "cache.jsonl"
 
     inner = _CountingBackend(cfg)
@@ -340,7 +337,7 @@ def test_cache_cuts_a_bad_last_line_that_ends_in_a_newline(tmp_path):
 
 def test_cached_backend_fetches_a_repeated_request_once(tmp_path):
     cfg = tiny_config()
-    states = [p.state for p in gen_match(cfg, 0, "rep").plies[:3]]
+    states = [state for _, state, _ in to_datapoint(gen_match(cfg, 0, "rep")).moves[:3]]
     inner = _CountingBackend(cfg)
     path = tmp_path / "cache.jsonl"
     cached = CachedBackend(inner, ResponseCache(path))

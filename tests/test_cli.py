@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -244,6 +245,22 @@ def test_report_command(tmp_path):
     assert (outdir / "loss_by_ply.csv").exists()
     header = (outdir / "prior_curves.csv").read_text().splitlines()[0]
     assert header == "group,level,gm_mean,ci_low,ci_high,count"
+
+
+def test_report_loss_by_ply_bytes_are_pinned(tmp_path):
+    # 24 data points: the loss traces span two extraction batches
+    config = tmp_path / "run.toml"
+    config.write_text(TINY_SYNTH)
+    dataset = tmp_path / "data.jsonl"
+    store = tmp_path / "store.jsonl"
+    outdir = tmp_path / "plots"
+    assert main(["synth", "--config", str(config), "--matches", "8", "--out", str(dataset)]) == 0
+    assert main(["extract", "--config", str(config), "--dataset", str(dataset),
+                 "--out", str(store)]) == 0
+    assert main(["report", "--features", str(store), "--out", str(outdir),
+                 "--dataset", str(dataset), "--config", str(config)]) == 0
+    digest = hashlib.sha256((outdir / "loss_by_ply.csv").read_bytes()).hexdigest()
+    assert digest == "45224ef0770f74cca49629e04de04042e8d3a09ccf4cebf38b868dec671b09a3"
 
 
 def test_pipeline_end_to_end_and_rerun_identical(tmp_path):

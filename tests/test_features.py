@@ -1,4 +1,5 @@
 import math
+import zlib
 from dataclasses import replace
 
 import mpmath
@@ -138,7 +139,7 @@ def test_loss_stats_empty_after_cut_sentinel():
 def test_move_losses_synthetic_semantics():
     cfg, dp = _dp()
     backend = SyntheticBackend(cfg)
-    losses, clamps = move_losses(dp, backend)
+    losses, clamps = move_losses([dp], backend)[0]
     assert clamps == 0
     from rankforge.synthlab import quality_block
 
@@ -162,7 +163,7 @@ def test_move_losses_value_table_blunder():
 
     dp = DataPoint("m", "p", "black", RankGroup("synthetic", 0, "g0"),
                    ((1, "s0", "0"),))
-    losses, _ = move_losses(dp, _TableBackend())
+    losses, _ = move_losses([dp], _TableBackend())[0]
     assert losses == [(1, 3.0)]
 
 
@@ -170,14 +171,14 @@ def test_move_losses_best_move_zero():
     cfg = tiny_config()
     match = gen_match(cfg, 2, "best", player_skill=50.0)  # near-argmax play
     dp = to_datapoint(match)
-    losses, _ = move_losses(dp, SyntheticBackend(cfg))
+    losses, _ = move_losses([dp], SyntheticBackend(cfg))[0]
     assert all(abs(loss) < 1e-9 for _, loss in losses)
 
 
 def test_move_losses_ten_move_replay_oracle():
     cfg, dp = _dp(gen_match(tiny_config(), 0, "replay10"))
     backend = SyntheticBackend(cfg)
-    losses, _ = move_losses(dp, backend)
+    losses, _ = move_losses([dp], backend)[0]
     from rankforge.synthlab import quality_block
 
     q = quality_block(cfg, "replay10")
@@ -194,11 +195,38 @@ def test_move_losses_logit_transform_counts_clamps():
 
     dp = DataPoint("m", "p", "black", RankGroup("chess", 0, "R1000-R1199"),
                    ((1, "s", "e2e4"),))
-    losses, clamps = move_losses(dp, _WinrateBackend(), transform="logit")
+    losses, clamps = move_losses([dp], _WinrateBackend(), transform="logit")[0]
     assert clamps == 1
     # opponent now winning outright: a maximal positive deterioration
     assert losses[0][1] == pytest.approx(math.log((1 - 1e-6) / 1e-6), rel=1e-6)
     assert losses[0][1] > 0
+
+
+class _CrcWinrates:
+    """Win rates in [0, 1] from a checksum of the state (and move), so some
+    are exactly 0 or 1 and get clamped; records each call's kind."""
+
+    def __init__(self):
+        self.calls = []
+
+    def evaluate_state_many(self, states, moves=None):
+        self.calls.append("before" if moves is None else "after")
+        keys = states if moves is None else [s + "/" + m for s, m in zip(states, moves)]
+        return np.array([zlib.crc32(k.encode()) % 23 / 22 for k in keys])
+
+
+@pytest.mark.parametrize("transform", ["identity", "logit"])
+def test_batched_move_losses_equal_one_point_calls(transform):
+    cfg = tiny_config()
+    dps = [to_datapoint(gen_match(cfg, i % 3, f"mixed-{i}")) for i in range(5)]
+    dps = [replace(dp, moves=dp.moves[start:]) for dp, start in zip(dps, (0, 7, 9, 3, 5))]
+    backend = SyntheticBackend(cfg) if transform == "identity" else _CrcWinrates()
+    batched = move_losses(dps, backend, transform)
+    assert batched == [move_losses([dp], backend, transform)[0] for dp in dps]
+    assert [len(losses) for losses, _ in batched] == [10, 3, 1, 7, 5]
+    if transform == "logit":  # one pair of calls for the batch, one per point after it
+        assert backend.calls == ["before", "after"] * (1 + len(dps))
+        assert [clamps for _, clamps in batched] == [2, 0, 0, 1, 1]
 
 
 # ---------------------------------------------------------------------------

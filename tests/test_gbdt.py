@@ -201,6 +201,15 @@ def test_non_finite_training_data_rejected(where, bad):
         fit(X, y, SMALL)
 
 
+def test_targets_whose_split_gains_would_overflow_are_rejected():
+    # the squared residual sums overflow float64 near 1.3e154
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(50, 3))
+    with pytest.raises(DataError, match="overflow"):
+        fit(X, rng.normal(size=50) * 1e160, SMALL)
+    fit(X, rng.normal(size=50) * 1e140, SMALL)
+
+
 def test_nan_min_gain_is_config_error():
     with pytest.raises(ConfigError):
         GbdtParams(min_gain=math.nan)

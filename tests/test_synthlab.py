@@ -1,3 +1,4 @@
+import hashlib
 import json
 from dataclasses import replace
 
@@ -50,10 +51,10 @@ def test_zero_temperature_limit_picks_argmax():
     # a huge skill sends the temperature to ~0: argmax play, no deterioration
     cfg = small_config()
     match = synthlab.gen_match(cfg, 3, "cold", player_skill=200.0)
-    for i, ply in enumerate(match.plies):
+    for i, move in enumerate(match.moves):
         q = synthlab.quality_block(cfg, "cold")[i]
-        assert ply.move == int(np.argmax(q))
-        assert q.max() - ply.quality == 0.0
+        assert move == int(np.argmax(q))
+        assert q.max() - q[move] == 0.0
 
 
 def test_infinite_temperature_limit_uniform_choice():
@@ -61,8 +62,9 @@ def test_infinite_temperature_limit_uniform_choice():
     cfg = small_config(plies_per_match=4000)
     match = synthlab.gen_match(cfg, 0, "hot", player_skill=-200.0)
     backend = SyntheticBackend(cfg)
-    states = [p.state for p in match.plies]
-    moves = [str(p.move) for p in match.plies]
+    dp = synthlab.to_datapoint(match)
+    states = [state for _, state, _ in dp.moves]
+    moves = [move for _, _, move in dp.moves]
     priors = backend.policy_prior_many(states, moves, "a")
     m = cfg.moves_per_state
     # sd of the mean of priors is below (1/m)/sqrt(plies); allow 4 sigma
@@ -77,7 +79,7 @@ def test_mean_deterioration_monotone_in_skill():
         for i in range(40):
             match = synthlab.gen_match(cfg, 0, f"det-{tag}-{i}", player_skill=skill)
             q = synthlab.quality_block(cfg, f"det-{tag}-{i}")
-            dets.extend(q[j].max() - p.quality for j, p in enumerate(match.plies))
+            dets.extend(q[j].max() - q[j, move] for j, move in enumerate(match.moves))
         means.append(np.mean(dets))
     assert means[0] > means[1] > means[2]
 
@@ -89,7 +91,8 @@ def test_monotone_separability_mean_quality():
         qs = []
         for i in range(50):
             match = synthlab.gen_match(cfg, 0, f"sep-{tag}-{i}", player_skill=skill)
-            qs.extend(p.quality for p in match.plies)
+            q = synthlab.quality_block(cfg, f"sep-{tag}-{i}")
+            qs.extend(q[j, move] for j, move in enumerate(match.moves))
         per_skill.append((np.mean(qs), np.std(qs) / np.sqrt(len(qs))))
     (lo_mean, lo_sem), (hi_mean, hi_sem) = per_skill
     assert hi_mean - lo_mean > 3 * (lo_sem + hi_sem)
@@ -99,10 +102,10 @@ def test_priors_sum_to_one_per_state_and_level():
     cfg = small_config()
     backend = SyntheticBackend(cfg)
     match = synthlab.gen_match(cfg, 1, "sum1")
-    for ply in match.plies[:10]:
+    for _, state, _ in synthlab.to_datapoint(match).moves[:10]:
         for level in cfg.level_labels():
             moves = [str(m) for m in range(cfg.moves_per_state)]
-            dist = backend.policy_prior_many([ply.state] * len(moves), moves, level)
+            dist = backend.policy_prior_many([state] * len(moves), moves, level)
             assert abs(dist.sum() - 1.0) < 1e-9
 
 
@@ -115,8 +118,9 @@ def test_own_level_prior_geomean_beats_far_level():
     own_logs, far_logs = [], []
     for i in range(30):
         match = synthlab.gen_match(cfg, 0, f"gibbs-{i}", player_skill=0.5)
-        states = [p.state for p in match.plies]
-        moves = [str(p.move) for p in match.plies]
+        dp = synthlab.to_datapoint(match)
+        states = [state for _, state, _ in dp.moves]
+        moves = [move for _, _, move in dp.moves]
         own_logs.append(np.log(backend.policy_prior_many(states, moves, "own")).mean())
         far_logs.append(np.log(backend.policy_prior_many(states, moves, "far")).mean())
     assert np.mean(own_logs) > np.mean(far_logs)
@@ -164,4 +168,24 @@ def test_datapoint_conversion_round_trip_fields():
     assert dp.group.index == 2
     assert dp.moves[0][0] == 1
     assert dp.moves[-1][0] == cfg.plies_per_match
-    assert dp.moves[5][1] == match.plies[5].state
+    assert dp.moves[5][1] == synthlab.state_id("dpconv", 6)
+
+
+
+def _triples_sha256(datapoints) -> str:
+    return hashlib.sha256(json.dumps([dp.moves for dp in datapoints]).encode()).hexdigest()
+
+
+def test_generated_datapoints_are_byte_pinned():
+    # Digests of the (ply, state, move) triples: any change to how the
+    # generator samples moves or formats data points changes them.
+    groups = synthlab.pool_to_datapoints(
+        synthlab.gen_group_pool(synthlab.desk_config(), "pin", 3))
+    players = synthlab.player_pool_to_datapoints(
+        synthlab.gen_player_pool(small_config(player_offset_sd=0.5), "pin", 2, 2))
+    group_points = [dp for dps in groups.values() for dp in dps]
+    player_points = [dp for pool in players.values() for dps in pool.values() for dp in dps]
+    assert (_triples_sha256(group_points)
+            == "a2176b94530656c7f85a204cc1599944adf4ff92899f6f9c0afc9c2ca8469119")
+    assert (_triples_sha256(player_points)
+            == "3715484a41374a20877490f18185faa61a72b12c273cdd02ca3637ce6999b6d2")
