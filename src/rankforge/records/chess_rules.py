@@ -4,6 +4,24 @@ Positions are FEN-equivalent and immutable from the caller's view (making
 a move returns a new position).  Moves use from-square, to-square, and an
 optional promotion piece; their text form is UCI-style ("e2e4", "e7e8q"),
 with castling encoded as the king's two-square move.
+
+``legal_moves`` runs the full legality test (make the move, then ask
+whether the own king is attacked) only on moves that could fail it.  A
+pseudo-move is accepted without that test when the side to move is not in
+check, the moving piece is not the king, the move does not land on the
+en-passant square, and its from-square shares no rank, file or diagonal
+with the own king.  Such a move is legal.  The king stays where it stood,
+unattacked, and no enemy piece moves.  Emptying the from-square opens no
+line to the king, since the square lies on none.  Filling the to-square
+can only block a line; a captured piece's square is filled by the mover,
+so no line through it opens either.  En passant empties a third square
+and a king move moves the king, so both take the full test.  This is the
+usual pin-and-check precondition of legal move generators; the moves kept
+and their order are those of filtering every pseudo-move through
+``is_legal``.
+
+``from_fen`` accepts only positions the generators can work on: one king
+per side and no pawn on rank 1 or 8.
 """
 
 import re
@@ -95,9 +113,17 @@ class Position:
                     raise DataError(f"bad FEN piece {ch!r}")
             if file != 8:
                 raise DataError(f"FEN rank underflow: {row!r}")
+        if board.count("K") != 1 or board.count("k") != 1:
+            raise DataError(f"FEN needs one king per side: {fen!r}")
+        if any(board[sq] in "Pp" for sq in (*range(8), *range(56, 64))):
+            raise DataError(f"FEN has a pawn on rank 1 or 8: {fen!r}")
         castling = "" if parts[2] == "-" else parts[2]
         ep = None if parts[3] == "-" else parse_square(parts[3])
-        return cls(board, parts[1] == "w", castling, ep, int(parts[4]), int(parts[5]))
+        try:
+            halfmove, fullmove = int(parts[4]), int(parts[5])
+        except ValueError:
+            raise DataError(f"bad FEN move counters: {fen!r}") from None
+        return cls(board, parts[1] == "w", castling, ep, halfmove, fullmove)
 
     def to_fen(self) -> str:
         rows = []
@@ -134,8 +160,10 @@ class Position:
         return piece != "." and (piece.isupper() != self.white_to_move)
 
     def king_square(self, white: bool) -> int:
-        king = "K" if white else "k"
-        return self.board.index(king)
+        try:
+            return self.board.index("K" if white else "k")
+        except ValueError:  # captured, from a FEN whose side not to move was in check
+            raise DataError(f"no {'white' if white else 'black'} king on the board") from None
 
     def is_attacked(self, sq: int, by_white: bool) -> bool:
         file, rank = sq % 8, sq // 8
@@ -173,18 +201,23 @@ class Position:
     def in_check(self) -> bool:
         return self.is_attacked(self.king_square(self.white_to_move), not self.white_to_move)
 
-    def pseudo_moves(self):
+    def pseudo_moves(self, kind: str | None = None):
+        """Moves of the side to move, own king's safety unchecked; only the
+        moves of one piece kind ("PNBRQK") when ``kind`` is given."""
         moves = []
         up = 1 if self.white_to_move else -1
         start_rank = 1 if self.white_to_move else 6
         last_rank = 7 if self.white_to_move else 0
+        pieces = WHITE_PIECES if kind is None else kind
+        if not self.white_to_move:
+            pieces = pieces.lower()
         for sq in range(64):
             piece = self.board[sq]
-            if not self._own(piece):
+            if piece not in pieces:
                 continue
             file, rank = sq % 8, sq // 8
-            kind = piece.upper()
-            if kind == "P":
+            piece_kind = piece.upper()
+            if piece_kind == "P":
                 one = square(file, rank + up)
                 if self.board[one] == ".":
                     if rank + up == last_rank:
@@ -207,19 +240,20 @@ class Position:
                             moves.append(Move(sq, target))
                     elif self.ep is not None and target == self.ep:
                         moves.append(Move(sq, target))
-            elif kind == "N":
+            elif piece_kind == "N":
                 for df, dr in _KNIGHT:
                     f, r = file + df, rank + dr
                     if 0 <= f < 8 and 0 <= r < 8 and not self._own(self.board[square(f, r)]):
                         moves.append(Move(sq, square(f, r)))
-            elif kind == "K":
+            elif piece_kind == "K":
                 for df, dr in _KING:
                     f, r = file + df, rank + dr
                     if 0 <= f < 8 and 0 <= r < 8 and not self._own(self.board[square(f, r)]):
                         moves.append(Move(sq, square(f, r)))
                 moves.extend(self._castling_moves(sq))
             else:
-                dirs = _BISHOP if kind == "B" else _ROOK if kind == "R" else _BISHOP + _ROOK
+                dirs = (_BISHOP if piece_kind == "B" else _ROOK if piece_kind == "R"
+                        else _BISHOP + _ROOK)
                 for df, dr in dirs:
                     f, r = file + df, rank + dr
                     while 0 <= f < 8 and 0 <= r < 8:
@@ -315,7 +349,18 @@ class Position:
         return not after.is_attacked(after.king_square(self.white_to_move), after.white_to_move)
 
     def legal_moves(self):
-        return [m for m in self.pseudo_moves() if self.is_legal(m)]
+        """The legal pseudo-moves, in their order; the module docstring says
+        which of them skip ``is_legal`` and why."""
+        king = self.king_square(self.white_to_move)
+        if self.is_attacked(king, not self.white_to_move):
+            return [m for m in self.pseudo_moves() if self.is_legal(m)]
+        king_file, king_rank = king % 8, king // 8
+        legal = []
+        for m in self.pseudo_moves():
+            df, dr = m.from_sq % 8 - king_file, m.from_sq // 8 - king_rank
+            if (df and dr and df != dr and df != -dr and m.to_sq != self.ep) or self.is_legal(m):
+                legal.append(m)
+        return legal
 
     def is_checkmate(self) -> bool:
         return self.in_check() and not self.legal_moves()
@@ -340,41 +385,35 @@ _SAN_RE = re.compile(
 
 
 def parse_san(pos: Position, text: str) -> Move:
-    """Resolve a SAN token against the position's legal moves."""
+    """Resolve a SAN token to the one legal move it names.
+
+    Only the token's piece kind is generated, and its pseudo-moves are
+    filtered by target, promotion and disambiguation first; legality is
+    tested last, on the candidates left.  The move, or the error, is that
+    of filtering the full legal-move list.
+    """
     clean = text.strip().rstrip("+#!?")
     if clean.endswith("e.p."):
         clean = clean[:-4].strip()
-    if clean in ("O-O", "0-0"):
-        candidates = [
-            m for m in pos.legal_moves()
-            if pos.board[m.from_sq].upper() == "K" and m.to_sq - m.from_sq == 2
-        ]
-    elif clean in ("O-O-O", "0-0-0"):
-        candidates = [
-            m for m in pos.legal_moves()
-            if pos.board[m.from_sq].upper() == "K" and m.from_sq - m.to_sq == 2
-        ]
+    if clean in ("O-O", "0-0", "O-O-O", "0-0-0"):
+        step = 2 if len(clean) == 3 else -2
+        candidates = [m for m in pos.pseudo_moves("K") if m.to_sq - m.from_sq == step]
     else:
         match = _SAN_RE.match(clean)
         if not match:
             raise ParseError(f"unreadable move {text!r}")
-        piece = match.group("piece") or "P"
         target = parse_square(match.group("target"))
         promo = match.group("promo")
         promo = promo.lower() if promo else None
         from_file = FILES.index(match.group("file")) if match.group("file") else None
         from_rank = int(match.group("rank")) - 1 if match.group("rank") else None
-        candidates = []
-        for m in pos.legal_moves():
-            if m.to_sq != target or pos.board[m.from_sq].upper() != piece:
-                continue
-            if m.promo != promo:
-                continue
-            if from_file is not None and m.from_sq % 8 != from_file:
-                continue
-            if from_rank is not None and m.from_sq // 8 != from_rank:
-                continue
-            candidates.append(m)
+        candidates = [
+            m for m in pos.pseudo_moves(match.group("piece") or "P")
+            if m.to_sq == target and m.promo == promo
+            and (from_file is None or m.from_sq % 8 == from_file)
+            and (from_rank is None or m.from_sq // 8 == from_rank)
+        ]
+    candidates = [m for m in candidates if pos.is_legal(m)]
     if len(candidates) == 1:
         return candidates[0]
     if not candidates:
@@ -401,10 +440,8 @@ def to_san(pos: Position, move: Move) -> str:
             core += "=" + move.promo.upper()
     else:
         others = [
-            m for m in pos.legal_moves()
-            if m.to_sq == move.to_sq
-            and m.from_sq != move.from_sq
-            and pos.board[m.from_sq].upper() == kind
+            m for m in pos.pseudo_moves(kind)
+            if m.to_sq == move.to_sq and m.from_sq != move.from_sq and pos.is_legal(m)
         ]
         disambig = ""
         if others:

@@ -131,6 +131,8 @@ def _record_from_game(tags: dict, tokens: list, result: str | None) -> MatchReco
     setup = False
     if tags.get("SetUp") == "1" or "FEN" in tags:
         setup = True
+        if "FEN" not in tags:
+            raise ParseError("SetUp tag without a FEN tag")
         position = Position.from_fen(tags["FEN"])
     else:
         position = Position.initial()

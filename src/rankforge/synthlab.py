@@ -175,14 +175,20 @@ def gen_match(
     if not 0 <= group < config.groups:
         raise ConfigError(f"group {group} outside [0, {config.groups})")
     skill = float(group) if player_skill is None else float(player_skill)
-    qualities = quality_block(config, uid)
+    chosen = sample_moves(config, uid, quality_block(config, uid), skill)
+    return SynthMatch(uid=uid, true_group=group, player_skill=skill,
+                      moves=tuple(chosen.tolist()))
+
+
+def sample_moves(config: SynthConfig, uid: str, qualities: np.ndarray,
+                 skill: float) -> np.ndarray:
+    """The chosen move index per ply of match ``uid``, given its quality
+    block, at the skill's temperature."""
     probs = softmax(qualities / config.temperature(skill), axis=1)
     cdf = np.cumsum(probs, axis=1)
     draws = substream(config.seed, "moves", uid).random(config.plies_per_match)
     chosen = (draws[:, None] > cdf).sum(axis=1)
-    chosen = np.minimum(chosen, config.moves_per_state - 1)
-    return SynthMatch(uid=uid, true_group=group, player_skill=skill,
-                      moves=tuple(chosen.tolist()))
+    return np.minimum(chosen, config.moves_per_state - 1)
 
 
 def gen_group_pool(
@@ -272,8 +278,8 @@ def bayes_oracle_accuracy(
         loglik = np.zeros(config.groups)
         for i in range(n):
             uid = f"{seed_tag}-t{t:05d}-m{i:02d}"
-            chosen = np.array(gen_match(config, true_group, uid).moves)
             qualities = quality_block(config, uid)
+            chosen = sample_moves(config, uid, qualities, float(true_group))
             # (R, plies, M) scaled qualities; exact per-group log-softmax
             scaled = qualities[None, :, :] / temps[:, None, None]
             logp = log_softmax(scaled, axis=2)

@@ -2,6 +2,9 @@
 
 import numpy as np
 
+from rankforge.errors import DataError, ParseError
+from rankforge.records.chess_rules import _SAN_RE, FILES, parse_square, square_name
+
 
 def brute_force_first_split(X, y, min_samples_leaf=1):
     """Exhaustive search over all (feature, midpoint threshold) pairs for the
@@ -78,3 +81,97 @@ def reference_search_node(node, columns, residuals, features, params):
         if best is None or gain > best[0]:
             best = (gain, int(f), threshold)
     node.best = best
+
+
+# ---------------------------------------------------------------------------
+# chess replay references: legality by make-and-check on every pseudo-move
+
+
+def reference_legal_moves(pos):
+    """Every pseudo-move that passes ``is_legal``, in generation order."""
+    return [m for m in pos.pseudo_moves() if pos.is_legal(m)]
+
+
+def reference_parse_san(pos, text):
+    """Resolve a SAN token by filtering the full legal-move list."""
+    clean = text.strip().rstrip("+#!?")
+    if clean.endswith("e.p."):
+        clean = clean[:-4].strip()
+    if clean in ("O-O", "0-0"):
+        candidates = [
+            m for m in reference_legal_moves(pos)
+            if pos.board[m.from_sq].upper() == "K" and m.to_sq - m.from_sq == 2
+        ]
+    elif clean in ("O-O-O", "0-0-0"):
+        candidates = [
+            m for m in reference_legal_moves(pos)
+            if pos.board[m.from_sq].upper() == "K" and m.from_sq - m.to_sq == 2
+        ]
+    else:
+        match = _SAN_RE.match(clean)
+        if not match:
+            raise ParseError(f"unreadable move {text!r}")
+        piece = match.group("piece") or "P"
+        target = parse_square(match.group("target"))
+        promo = match.group("promo")
+        promo = promo.lower() if promo else None
+        from_file = FILES.index(match.group("file")) if match.group("file") else None
+        from_rank = int(match.group("rank")) - 1 if match.group("rank") else None
+        candidates = []
+        for m in reference_legal_moves(pos):
+            if m.to_sq != target or pos.board[m.from_sq].upper() != piece:
+                continue
+            if m.promo != promo:
+                continue
+            if from_file is not None and m.from_sq % 8 != from_file:
+                continue
+            if from_rank is not None and m.from_sq // 8 != from_rank:
+                continue
+            candidates.append(m)
+    if len(candidates) == 1:
+        return candidates[0]
+    if not candidates:
+        raise ParseError(f"illegal move {text!r}")
+    raise ParseError(f"ambiguous move {text!r}")
+
+
+def reference_to_san(pos, move):
+    """Minimal SAN for a legal move, disambiguated against the full
+    legal-move list, with +/# suffix."""
+    piece = pos.board[move.from_sq]
+    if piece == ".":
+        raise DataError(f"no piece on {square_name(move.from_sq)}")
+    kind = piece.upper()
+    target = pos.board[move.to_sq]
+    is_ep = kind == "P" and pos.ep is not None and move.to_sq == pos.ep and target == "."
+    capture = target != "." or is_ep
+    if kind == "K" and abs(move.to_sq - move.from_sq) == 2:
+        core = "O-O" if move.to_sq > move.from_sq else "O-O-O"
+    elif kind == "P":
+        core = square_name(move.to_sq)
+        if capture:
+            core = FILES[move.from_sq % 8] + "x" + core
+        if move.promo:
+            core += "=" + move.promo.upper()
+    else:
+        others = [
+            m for m in reference_legal_moves(pos)
+            if m.to_sq == move.to_sq
+            and m.from_sq != move.from_sq
+            and pos.board[m.from_sq].upper() == kind
+        ]
+        disambig = ""
+        if others:
+            same_file = any(m.from_sq % 8 == move.from_sq % 8 for m in others)
+            same_rank = any(m.from_sq // 8 == move.from_sq // 8 for m in others)
+            if not same_file:
+                disambig = FILES[move.from_sq % 8]
+            elif not same_rank:
+                disambig = str(move.from_sq // 8 + 1)
+            else:
+                disambig = square_name(move.from_sq)
+        core = kind + disambig + ("x" if capture else "") + square_name(move.to_sq)
+    after = pos.make(move)
+    if after.in_check():
+        core += "#" if not reference_legal_moves(after) else "+"
+    return core

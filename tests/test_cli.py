@@ -194,6 +194,31 @@ def test_ingest_chess_collection_and_date_window(tmp_path, corpus_dir):
     assert out.read_text() == ""
 
 
+@pytest.mark.parametrize("fen_tag, movetext", [
+    ('[FEN "4k3/8/8/8/8/8/8/R7 w - - 0 1"]', "1. Ra2"),
+    ('[FEN "P3k3/8/8/8/8/8/8/4K3 w - - 0 1"]', "1. Ke2"),
+    ('[FEN "4k3/8/8/8/8/8/8/4K3 w - - x 1"]', "1. Ke2"),
+    ('[FEN "k6r/8/8/8/R7/8/8/4K3 w - - 0 1"]', "1. Rxa8 Rxa8"),
+    ("", "1. e4"),
+], ids=["no-white-king", "pawn-on-rank-8", "move-counter-not-a-number", "king-captured",
+        "setup-without-fen"])
+def test_ingest_drops_a_pgn_with_a_malformed_fen(tmp_path, capsys, fen_tag, movetext):
+    records = tmp_path / "records"
+    records.mkdir()
+    (records / "bad.pgn").write_text(
+        f'[SetUp "1"]\n{fen_tag}\n[Result "*"]\n\n{movetext} *\n')
+    out = tmp_path / "chess.jsonl"
+    drops = tmp_path / "drops.json"
+    code = main(["ingest", "--game", "chess", "--records-dir", str(records),
+                 "--out", str(out), "--drops", str(drops)])
+    assert code == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert out.read_text() == ""
+    (dropped,) = json.loads(drops.read_text())
+    assert dropped["file"] == "bad.pgn"
+    assert dropped["reason"].startswith("parse_error:")
+
+
 # ---------------------------------------------------------------------------
 # synth / extract / train / eval chain
 

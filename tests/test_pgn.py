@@ -1,6 +1,11 @@
-import pytest
+import importlib.util
+import random
+from pathlib import Path
 
-from rankforge.errors import ParseError
+import pytest
+from helpers.oracles import reference_legal_moves, reference_parse_san, reference_to_san
+
+from rankforge.errors import DataError, ParseError
 from rankforge.records import iter_pgn_games, parse_pgn, serialize_pgn
 from rankforge.records.chess_rules import (
     INITIAL_FEN,
@@ -202,6 +207,19 @@ def test_perft_reference_counts():
     assert perft(promos, 2) == 264
 
 
+@pytest.mark.parametrize("fen", [
+    "4k3/8/8/8/8/8/8/8 w - - 0 1",
+    "4k3/8/8/8/8/8/8/k3K3 w - - 0 1",
+    "4k3/8/8/8/8/8/8/P3K3 w - - 0 1",
+    "3pk3/8/8/8/8/8/8/4K3 b - - 0 1",
+    "4k3/8/8/8/8/8/8/4K3 w - - 0 x",
+], ids=["no-white-king", "two-black-kings", "pawn-on-rank-1", "pawn-on-rank-8",
+        "move-counter-not-a-number"])
+def test_from_fen_rejects_a_position_replay_cannot_work_on(fen):
+    with pytest.raises(DataError):
+        Position.from_fen(fen)
+
+
 def test_fen_round_trip():
     fen = "rnbq1k1r/pp1Pbppp/2p5/8/2B5/8/PPP1NnPP/RNBQK2R w KQ - 1 8"
     assert Position.from_fen(fen).to_fen() == fen
@@ -215,3 +233,104 @@ def test_corpus_round_trip_identity(corpus_dir):
         first = parse_pgn(path.read_text())
         second = parse_pgn(serialize_pgn(first))
         assert second == first, path.name
+
+
+# ---------------------------------------------------------------------------
+# the replay against make-and-check references on every move
+
+MAKE_CORPUS = Path(__file__).resolve().parents[1] / "scripts" / "make_corpus.py"
+
+REFERENCE_FENS = {
+    "kiwipete": "r3k2r/p1ppqpb1/bn2pnp1/3PN3/1p2P3/2N2Q1p/PPPBBPPP/R3K2R w KQkq - 0 1",
+    "endgame": "8/2p5/3p4/KP5r/1R3p1k/8/4P1P1/8 w - - 0 1",
+    "promotions": "r3k2r/Pppp1ppp/1b3nbN/nP6/BBP1P3/q4N2/Pp1P2PP/R2Q1RK1 w kq - 0 1",
+    # dxc6 e.p. would empty c5 and open the e7-a3 diagonal to the king;
+    # d5 itself shares no line with a3
+    "en-passant-pin": "8/4b3/8/2pP4/8/K7/8/7k w - c6 0 2",
+    # both knights reach f3, but d2 is pinned: "Nf3" needs no disambiguation
+    "pinned-knight": "4k3/8/8/6N1/1b6/8/3N4/4K3 w - - 0 1",
+}
+
+# Illegal, ambiguous, castling, promotion, en-passant and unreadable tokens
+SAN_TOKENS = (
+    "O-O", "O-O-O", "0-0", "0-0-0", "O-O+", "Kg1", "Kc1", "Ke2", "Kb4", "Kxe8",
+    "Nf3", "Nc3", "Nd5", "Nxd5", "Ncxd5", "Nexd5", "Ng1f3", "N1f3", "Nbd2",
+    "Bb5+", "Bxf7+!?", "Bd3", "Rxe8", "Rb3", "R1a3", "Ra3", "Rad1", "Rfe1",
+    "Qh5", "Qxf7#", "Qd2", "e4", "e5", "a3", "exd5", "exd6", "dxc6", "dxc6 e.p.",
+    "dxc6e.p.", "bxa8=Q", "bxa8=N+", "b1=Q", "axb1Q", "e8=Q", "e8", "g8=K",
+    "Zz9", "", "e9",
+)
+
+
+def _make_corpus():
+    spec = importlib.util.spec_from_file_location("make_corpus", MAKE_CORPUS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _reference_positions(child_step=1):
+    """The roots above and every ``child_step``-th position one legal move
+    from them."""
+    positions = []
+    for fen in REFERENCE_FENS.values():
+        root = Position.from_fen(fen)
+        positions.append(root)
+        positions.extend(root.make(m) for m in reference_legal_moves(root)[::child_step])
+    return positions
+
+
+@pytest.fixture(scope="module")
+def game_positions():
+    """Every position of four seeded random games, two of them pawn-biased
+    for promotions and en passant."""
+    corpus = _make_corpus()
+    positions = []
+    for seed in range(4):
+        _, plies = corpus.random_chess_record(random.Random(seed), 120,
+                                              pawn_bias=0.75 if seed % 2 else 0.0)
+        positions.extend(Position.from_fen(p.state_before) for p in plies)
+    return positions
+
+
+def _outcome(parse, pos, token):
+    try:
+        return parse(pos, token).uci()
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+
+
+def test_legal_moves_equal_make_and_check_on_every_pseudo_move(game_positions):
+    pinned = checked = en_passant = 0
+    for pos in game_positions + _reference_positions():
+        expected = reference_legal_moves(pos)
+        assert pos.legal_moves() == expected, pos.to_fen()
+        checked += pos.in_check()
+        pinned += not pos.in_check() and any(
+            pos.board[m.from_sq].upper() != "K" and not pos.is_legal(m)
+            for m in pos.pseudo_moves())
+        en_passant += pos.ep is not None
+    # the positions reach every branch of the fast path's precondition
+    assert checked and pinned and en_passant
+
+
+def test_parse_san_equals_the_reference_move_or_error():
+    for pos in _reference_positions(child_step=2):
+        rendered = [reference_to_san(pos, m) for m in reference_legal_moves(pos)]
+        for token in (*SAN_TOKENS, *rendered):
+            assert _outcome(parse_san, pos, token) == _outcome(reference_parse_san, pos, token), \
+                (pos.to_fen(), token)
+
+
+def test_en_passant_that_opens_a_line_to_the_king_is_illegal():
+    pos = Position.from_fen(REFERENCE_FENS["en-passant-pin"])
+    assert "d5c6" in [m.uci() for m in pos.pseudo_moves()]
+    assert "d5c6" not in [m.uci() for m in pos.legal_moves()]
+    with pytest.raises(ParseError, match="illegal move"):
+        parse_san(pos, "dxc6")
+
+
+def test_to_san_equals_the_reference_on_every_move(game_positions):
+    for pos in game_positions[::5] + _reference_positions(child_step=2):
+        for move in reference_legal_moves(pos):
+            assert to_san(pos, move) == reference_to_san(pos, move), (pos.to_fen(), move)
