@@ -9,10 +9,10 @@ import csv
 import json
 from pathlib import Path
 
-from .errors import DataError
+from .errors import DataError, RankRangeError
 
 # What a line that cannot be decoded, parsed or assembled into a record raises.
-BAD_LINE = (ValueError, KeyError, IndexError, TypeError, AttributeError)
+BAD_LINE = (ValueError, KeyError, IndexError, TypeError, AttributeError, RankRangeError)
 
 
 class at_line:

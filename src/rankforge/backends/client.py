@@ -10,7 +10,10 @@ reader thread feeds a queue so batch calls can keep several requests in
 flight and still enforce a per-request deadline: a batch call times out
 when ``timeout`` seconds pass without an answer to any of its requests,
 counted from its last answer, so a large batch that an engine answers
-steadily never times out, and a hung request still does.
+steadily never times out, and a hung request still does.  A batch is
+written from a thread of its own, so the deadline also holds for an engine
+that stops reading its input; while that write is still blocked, a new
+call times out at once rather than interleave its requests with it.
 """
 
 import json
@@ -39,6 +42,8 @@ class SubprocessBackend(Backend):
             bufsize=1,
         )
         self._next_id = 0
+        self._writer: threading.Thread | None = None
+        self._write_error: OSError | None = None
         self._messages: queue.Queue = queue.Queue()
         self._reader = threading.Thread(target=self._read_loop, daemon=True)
         self._reader.start()
@@ -55,23 +60,48 @@ class SubprocessBackend(Backend):
                 self._messages.put({"malformed": line})
         self._messages.put(None)
 
+    def _write(self, payload: str) -> None:
+        assert self._proc.stdin is not None
+        try:
+            self._proc.stdin.write(payload)
+            self._proc.stdin.flush()
+        except OSError as exc:  # the engine exited while the batch was written
+            self._write_error = exc
+
+    def _writing(self) -> bool:
+        return self._writer is not None and self._writer.is_alive()
+
     def _call_batch(self, requests: list[dict]) -> list[float]:
         """Send all requests, then collect the matching responses.  Ids are never
         reused, so a response the batch does not want, left by a failed batch, is dropped."""
         if self._proc.poll() is not None:
             raise BackendError(f"backend process exited with code {self._proc.returncode}")
+        if self._writing():
+            raise BackendTimeoutError("backend is still not reading an earlier batch")
         ids, lines = [], []
         for req in requests:
             self._next_id += 1
             ids.append(self._next_id)
             lines.append(json.dumps({"id": self._next_id, **req}) + "\n")
-        assert self._proc.stdin is not None
+        self._write_error = None
+        self._writer = threading.Thread(target=self._write, args=("".join(lines),),
+                                        daemon=True)
+        self._writer.start()
         try:
-            self._proc.stdin.write("".join(lines))
-            self._proc.stdin.flush()
-        except OSError as exc:  # the engine exited while the batch was written
-            raise BackendError(f"backend stopped reading requests ({exc})") from None
+            results = self._collect(ids)
+        except BackendTimeoutError:
+            raise  # the engine may have stopped reading: its write stays blocked
+        except BackendError:
+            # The engine is still reading: let it take the rest of the batch,
+            # so that the next call (a retry of one point, say) finds the
+            # stream free.
+            self._writer.join(self.timeout)
+            raise
+        self._writer.join(self.timeout)  # the engine read every request: the write is done
+        return [results[rid] for rid in ids]
 
+    def _collect(self, ids: list[int]) -> dict[int, float]:
+        """The answers to ``ids``, each deadline counted from the last answer."""
         wanted = set(ids)
         results: dict[int, float] = {}
         deadline = time.monotonic() + self.timeout
@@ -84,6 +114,9 @@ class SubprocessBackend(Backend):
             try:
                 msg = self._messages.get(timeout=min(remaining, 0.2))
             except queue.Empty:
+                if self._write_error is not None:
+                    raise BackendError(
+                        f"backend stopped reading requests ({self._write_error})") from None
                 continue
             if msg is None:
                 raise BackendError("backend closed its output stream", min(wanted))
@@ -94,7 +127,7 @@ class SubprocessBackend(Backend):
                 results[rid] = self._take(msg)
                 wanted.discard(rid)
                 deadline = time.monotonic() + self.timeout
-        return [results[rid] for rid in ids]
+        return results
 
     @staticmethod
     def _take(msg: dict) -> float:
@@ -125,8 +158,13 @@ class SubprocessBackend(Backend):
         return np.array(self._call_batch(self._requests("value", states, moves)))
 
     def close(self) -> None:
+        if self._writing():
+            # A blocked write holds the input stream's lock until the engine
+            # is gone, and closing the stream would wait for it.
+            self._proc.kill()
+            self._writer.join(timeout=3)
         try:
-            if self._proc.stdin is not None:
+            if self._proc.stdin is not None and not self._writing():
                 self._proc.stdin.close()
         except OSError:
             pass

@@ -50,6 +50,7 @@ from .features import (EXTRACT_BATCH, extract_many, move_losses, read_feature_st
                        write_feature_store)
 from .gbdt import GbdtParams, TreeEnsemble
 from .records import (
+    GROUP_COUNTS,
     FilterConfig,
     filter_match,
     parse_sgf,
@@ -211,14 +212,24 @@ def _player_pool_from_store(rows):
     return pool
 
 
+def _group_count(game: str, pool: dict, run: RunConfig | None) -> int:
+    """The game's group count, else ``[synth] groups``, else (no config) one
+    more than the pool's top group; a pool group beyond it is a DataError."""
+    top = max(pool, default=-1)
+    count = GROUP_COUNTS.get(game) or (run.synth.groups if run and run.synth else top + 1)
+    if top >= count:
+        raise DataError(f"feature store holds group {top}, but {game} has {count} groups")
+    return count
+
+
 def cmd_train(args) -> int:
     run = run_config_from(read_config_file(args.config)) if args.config else None
     config, rows = read_feature_store(args.features)
     pool = _pool_from_store(rows)
-    r_groups = max(pool) + 1
     params = run.gbdt if run else GbdtParams()
     spec = TrainingSetSpec(n=args.n, repetitions_per_group=args.repetitions, seed=args.seed)
-    model = train_meta_model(pool, spec, params, config.schema_id(), r_groups)
+    model = train_meta_model(pool, spec, params, config.schema_id(),
+                             _group_count(config.game, pool, run))
     model.save(args.out)
     _log(f"train: n={args.n} trees={len(model.trees)} -> {args.out}")
     return 0
@@ -245,13 +256,17 @@ def cmd_eval(args) -> int:
 # synth
 
 
+def _synth_datapoints(synth, tag: str, matches: int) -> list:
+    """The data points of ``matches`` synthetic matches per group, in group order."""
+    pool = synthlab.pool_to_datapoints(synthlab.gen_group_pool(synth, tag, matches))
+    return [dp for g in sorted(pool) for dp in pool[g]]
+
+
 def cmd_synth(args) -> int:
     run = run_config_from(read_config_file(args.config))
     if run.synth is None:
         raise ConfigError("config has no [synth] section")
-    pool = synthlab.gen_group_pool(run.synth, args.tag, args.matches)
-    datapoints = [dp for g in sorted(pool) for dp in
-                  (synthlab.to_datapoint(m) for m in pool[g])]
+    datapoints = _synth_datapoints(run.synth, args.tag, args.matches)
     write_datapoints(args.out, datapoints)
     _log(f"synth: {len(datapoints)} data points -> {args.out}")
     return 0
@@ -261,7 +276,7 @@ def cmd_synth(args) -> int:
 # ablate
 
 
-def _ablate(run: RunConfig, full_config, train_pool, test_pool, r_groups, ns, outdir):
+def _ablate(run: RunConfig, full_config, train_pool, test_pool, ns, outdir):
     """Retrain and re-evaluate per ablation mask and n; writes the summary
     and per-group tables into ``outdir`` and returns the reports."""
     ctx = AblationContext(
@@ -272,7 +287,7 @@ def _ablate(run: RunConfig, full_config, train_pool, test_pool, r_groups, ns, ou
         train_repetitions=run.train_repetitions,
         train_seed=run.seed,
         protocol_template=EvalProtocol("random", ns[0], run.eval_repetitions, run.seed),
-        r_groups=r_groups,
+        r_groups=_group_count(full_config.game, {**test_pool, **train_pool}, run),
     )
     masks = single_level_masks(full_config) if run.ablation_levels else family_masks(full_config)
     results = run_ablation(masks, ns, ctx)
@@ -287,10 +302,9 @@ def cmd_ablate(args) -> int:
     test_config, test_rows = read_feature_store(args.test_features)
     if train_config.schema_id() != test_config.schema_id():
         raise DataError("train and test stores have different schemas")
-    test_pool = _pool_from_store(test_rows)
     outdir = Path(args.out)
-    results = _ablate(run, train_config, _pool_from_store(train_rows), test_pool,
-                      max(test_pool) + 1, run.ablation_ns or [10], outdir)
+    results = _ablate(run, train_config, _pool_from_store(train_rows),
+                      _pool_from_store(test_rows), run.ablation_ns or [10], outdir)
     for (name, n), report in results.items():
         write_report(report, outdir / f"{name}_n{n}")
     _log(f"ablate: {len(results)} runs -> {outdir}")
@@ -301,20 +315,22 @@ def cmd_ablate(args) -> int:
 # report (plot data)
 
 
+def _write_plot_tables(outdir, rows, config, traces) -> None:
+    """prior_curves.csv from feature store rows, when ``config`` has priors,
+    and loss_by_ply.csv from loss traces, unless ``traces`` is None."""
+    if config.include_priors:
+        write_csv(outdir / "prior_curves.csv", prior_curve_rows(rows, config),
+                  ["group", "level", "gm_mean", "ci_low", "ci_high", "count"])
+    if traces is not None:
+        write_csv(outdir / "loss_by_ply.csv", loss_by_ply_rows(traces),
+                  ["ply", "mean_loss", "std_loss", "count"])
+
+
 def cmd_report(args) -> int:
     config, rows = read_feature_store(args.features)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    if config.include_priors:
-        write_csv(outdir / "prior_curves.csv", prior_curve_rows(rows, config),
-                  ["group", "level", "gm_mean", "ci_low", "ci_high", "count"])
-    first = config.feature_names()[0]
-    write_csv(outdir / "boxplot_player.csv",
-              boxplot_rows(rows, config, first, mode="player"),
-              ["group", "subject", "statistic", "value"])
-    write_csv(outdir / "boxplot_random.csv",
-              boxplot_rows(rows, config, first, mode="random", seed=args.seed),
-              ["group", "subject", "statistic", "value"])
+    traces = None
     if args.dataset and args.config:
         run = run_config_from(read_config_file(args.config))
         datapoints = read_datapoints(args.dataset)
@@ -323,8 +339,14 @@ def cmd_report(args) -> int:
             traces = _loss_traces(datapoints, bank, run.features)
         finally:
             bank.close()
-        write_csv(outdir / "loss_by_ply.csv", loss_by_ply_rows(traces),
-                  ["ply", "mean_loss", "std_loss", "count"])
+    _write_plot_tables(outdir, rows, config, traces)
+    first = config.feature_names()[0]
+    write_csv(outdir / "boxplot_player.csv",
+              boxplot_rows(rows, config, first, mode="player"),
+              ["group", "subject", "statistic", "value"])
+    write_csv(outdir / "boxplot_random.csv",
+              boxplot_rows(rows, config, first, mode="random", seed=args.seed),
+              ["group", "subject", "statistic", "value"])
     _log(f"report: -> {outdir}")
     return 0
 
@@ -344,8 +366,7 @@ def run_pipeline(run: RunConfig, outdir) -> dict:
     datasets = {}
     for name, matches in (("train", run.train_matches_per_group),
                           ("test", run.test_matches_per_group)):
-        pool = synthlab.pool_to_datapoints(synthlab.gen_group_pool(synth, name, matches))
-        datasets[name] = [dp for g in sorted(pool) for dp in pool[g]]
+        datasets[name] = _synth_datapoints(synth, name, matches)
         write_datapoints(outdir / f"{name}_dataset.jsonl", datasets[name])
 
     bank = _build_bank(run)
@@ -361,11 +382,12 @@ def run_pipeline(run: RunConfig, outdir) -> dict:
         stage = "train"
         metrics = {}
         models = {}
+        r_groups = _group_count(run.features.game, pools["train"], run)
         for n in run.train_ns:
             spec = TrainingSetSpec(n=n, repetitions_per_group=run.train_repetitions,
                                    seed=run.seed)
             model = train_meta_model(pools["train"], spec, run.gbdt,
-                                     run.features.schema_id(), synth.groups)
+                                     run.features.schema_id(), r_groups)
             model.save(outdir / f"model_n{n}.json")
             models[n] = model
 
@@ -381,20 +403,14 @@ def run_pipeline(run: RunConfig, outdir) -> dict:
         stage = "ablate"
         if run.ablation_ns:
             results = _ablate(run, run.features, pools["train"], pools["test"],
-                              synth.groups, run.ablation_ns, outdir / "ablation")
+                              run.ablation_ns, outdir / "ablation")
             metrics["ablation"] = {
                 f"{name}_n{n}": report.accuracy for (name, n), report in results.items()
             }
 
         stage = "report"
-        plotdir = outdir / "plotdata"
-        if run.features.include_priors:
-            write_csv(plotdir / "prior_curves.csv",
-                      prior_curve_rows(stores["test"], run.features),
-                      ["group", "level", "gm_mean", "ci_low", "ci_high", "count"])
-        traces = _loss_traces(datasets["test"], bank, run.features)
-        write_csv(plotdir / "loss_by_ply.csv", loss_by_ply_rows(traces),
-                  ["ply", "mean_loss", "std_loss", "count"])
+        _write_plot_tables(outdir / "plotdata", stores["test"], run.features,
+                           _loss_traces(datasets["test"], bank, run.features))
     except RankforgeError as exc:
         raise type(exc)(f"pipeline stage {stage!r} failed: {exc}") from exc
     finally:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigError
-from .features import FeatureConfig, LossSpec
+from .features import FeatureConfig
 from .gbdt import GbdtParams
 from .synthlab import SynthConfig, SynthLevel
 
@@ -69,24 +69,6 @@ def synth_config_from(data: dict, seed: int) -> SynthConfig:
     )
     cfg.validate()
     return cfg
-
-
-def feature_config_from(data: dict) -> FeatureConfig:
-    loss = []
-    for entry in data.get("loss_selected", []):
-        if not isinstance(entry, list) or len(entry) != 2:
-            raise ConfigError("features.loss_selected entries must be [stat, n_cut]")
-        stat, cut = entry
-        n_cut = None if cut in ("all", "inf", None) else int(cut)
-        loss.append(LossSpec(str(stat), n_cut))
-    return FeatureConfig(
-        game=str(data.get("game", "synthetic")),
-        policy_levels=tuple(str(x) for x in data.get("policy_levels", ())),
-        loss_selected=tuple(loss),
-        include_strength=bool(data.get("include_strength", True)),
-        include_priors=bool(data.get("include_priors", True)),
-        include_loss=bool(data.get("include_loss", True)),
-    )
 
 
 def gbdt_params_from(data: dict) -> GbdtParams:
@@ -146,7 +128,7 @@ def _assemble_run_config(data: dict) -> RunConfig:
     synth = synth_config_from(data["synth"], seed) if "synth" in data else None
     if "features" not in data:
         raise ConfigError("config needs a [features] section")
-    features = feature_config_from(data["features"])
+    features = FeatureConfig.from_dict(data["features"])
     training = data.get("training", {})
     evaluation = data.get("eval", {})
     ablation = data.get("ablation", {})

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, SchemaMismatchError
+from .errors import ConfigError, DataError, SchemaMismatchError
 from .features import average_features, stack_vectors
 from .gbdt import GbdtParams, TreeEnsemble, fit
 from .rng import draw_means
@@ -86,7 +86,15 @@ def _group_of(raw, r_groups: int):
     return np.clip(round_half_away(raw), 0, r_groups - 1).astype(int)
 
 
-def estimate_rank(model: TreeEnsemble, vectors, r_groups: int | None = None) -> RankPrediction:
+def group_count(model: TreeEnsemble) -> int:
+    """The number of rank groups ``model`` was trained to predict into."""
+    count = model.meta.get("r_groups")
+    if type(count) is not int or count < 1:
+        raise DataError(f"model records no rank-group count (r_groups={count!r})")
+    return count
+
+
+def estimate_rank(model: TreeEnsemble, vectors) -> RankPrediction:
     """Predict a rank group from n sampled data points' feature vectors."""
     vectors = list(vectors)
     avg = average_features(vectors)
@@ -97,12 +105,8 @@ def estimate_rank(model: TreeEnsemble, vectors, r_groups: int | None = None) -> 
         raise SchemaMismatchError(
             f"model was trained for n={trained_n}, got {len(vectors)} vectors"
         )
-    if r_groups is None:
-        r_groups = model.meta.get("r_groups")
-    if r_groups is None:
-        raise ConfigError("number of rank groups unknown")
     raw = model.predict(np.asarray(avg.values))
-    return RankPrediction(raw=raw, group_index=int(_group_of(raw, r_groups)))
+    return RankPrediction(raw=raw, group_index=int(_group_of(raw, group_count(model))))
 
 
 def estimate_rank_rows(model: TreeEnsemble, rows: np.ndarray, r_groups: int) -> np.ndarray:

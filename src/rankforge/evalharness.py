@@ -13,7 +13,7 @@ import numpy as np
 
 from .artifacts import write_json, write_table
 from .errors import ConfigError
-from .estimator import estimate_rank_rows
+from .estimator import TrainingSetSpec, estimate_rank_rows, group_count, train_meta_model
 from .features import FeatureConfig, FeatureVector, StoredFeature, stack_vectors
 from .rng import draw_means
 
@@ -83,7 +83,7 @@ def accuracy_metrics(pairs, r_groups: int):
     return hits / total, near / total, confusion
 
 
-def _evaluate(subjects, model, protocol: EvalProtocol, r_groups: int) -> EvaluationReport:
+def _evaluate(subjects, model, protocol: EvalProtocol) -> EvaluationReport:
     """Score `repetitions` draws of n vectors per subject, one prediction per
     draw; a subject is (actual group, substream path, vectors).
 
@@ -91,6 +91,7 @@ def _evaluate(subjects, model, protocol: EvalProtocol, r_groups: int) -> Evaluat
     rows of all subjects then go through one prediction call, and the
     answers are paired back with the subjects' groups in subject order,
     `repetitions` answers per subject."""
+    r_groups = group_count(model)
     groups, rows = [], []
     for g, path, vectors in subjects:
         groups.append(g)
@@ -113,8 +114,7 @@ def run_random_sampling(testpool: dict, model, protocol: EvalProtocol) -> Evalua
         if len(vectors) < protocol.n:
             raise ConfigError(f"group {g} pool smaller than n={protocol.n}")
         subjects.append((g, ("eval-random", g), vectors))
-    r_groups = model.meta.get("r_groups") or (max(testpool) + 1)
-    return _evaluate(subjects, model, protocol, r_groups)
+    return _evaluate(subjects, model, protocol)
 
 
 def run_player_specific(testpool_by_player: dict, model, protocol: EvalProtocol) -> EvaluationReport:
@@ -133,8 +133,7 @@ def run_player_specific(testpool_by_player: dict, model, protocol: EvalProtocol)
     if not subjects:
         raise ConfigError(f"no predictions to score: all {len(excluded)} players "
                           f"have fewer than n={protocol.n} data points")
-    r_groups = model.meta.get("r_groups") or (max(testpool_by_player) + 1)
-    report = _evaluate(subjects, model, protocol, r_groups)
+    report = _evaluate(subjects, model, protocol)
     if excluded:
         report.drops["excluded_players"] = excluded
     return report
@@ -190,8 +189,6 @@ def run_ablation(masks, ns, ctx: AblationContext) -> dict:
 
     Returns {(mask_name, n): EvaluationReport}.
     """
-    from .estimator import TrainingSetSpec, train_meta_model
-
     results = {}
     for name, mask in masks:
         train = project_pool(ctx.train_pool, ctx.full_config, mask)

@@ -35,6 +35,7 @@ import numpy as np
 from .artifacts import at_line, read_jsonl, write_jsonl
 from .backends.base import WINRATE_EPS, BackendBank, logit
 from .errors import BackendError, BackendTimeoutError, ConfigError, DataError, SchemaMismatchError
+from .records.ranks import group_label
 
 LOSS_STATS = ("mean", "median", "std")
 LOSS_SIGN = "deterioration"  # positive = mistake
@@ -122,13 +123,20 @@ class FeatureConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FeatureConfig":
+        """From a ``[features]`` table or a store header; a bad entry raises ValueError."""
+        loss = []
+        for entry in data.get("loss_selected", []):
+            if not isinstance(entry, list) or len(entry) != 2:
+                raise ValueError("features.loss_selected entries must be [stat, n_cut]")
+            stat, cut = entry
+            loss.append(LossSpec(str(stat), None if cut in ("all", "inf", None) else int(cut)))
         return cls(
-            game=data["game"],
-            policy_levels=tuple(data.get("policy_levels", ())),
-            loss_selected=tuple(LossSpec(s, c) for s, c in data.get("loss_selected", ())),
-            include_strength=data.get("include_strength", True),
-            include_priors=data.get("include_priors", True),
-            include_loss=data.get("include_loss", True),
+            game=str(data.get("game", "synthetic")),
+            policy_levels=tuple(str(x) for x in data.get("policy_levels", ())),
+            loss_selected=tuple(loss),
+            include_strength=bool(data.get("include_strength", True)),
+            include_priors=bool(data.get("include_priors", True)),
+            include_loss=bool(data.get("include_loss", True)),
         )
 
 
@@ -411,6 +419,7 @@ def read_feature_store(path):
                 group_index=int(rec["group_index"]),
                 vector=FeatureVector(tuple(rec["features"]), rec["schema_id"]),
             )
+            group_label(config.game, row.group_index)
             if not all(map(math.isfinite, row.vector.values)):
                 raise ValueError("feature value not finite")
         if row.vector.schema_id != schema_id:

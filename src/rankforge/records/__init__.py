@@ -3,7 +3,7 @@
 from .dataset import read_datapoints, write_datapoints
 from .filtering import FilterConfig, FilterDecision, filter_match
 from .pgn import iter_pgn_games, parse_pgn, serialize_pgn
-from .ranks import chess_group_label, go_group_label, rank_group_of
+from .ranks import GROUP_COUNTS, group_label, rank_group_of
 from .sgf import parse_sgf, serialize_sgf
 from .types import (
     BLACK,
@@ -18,6 +18,7 @@ from .types import (
 
 __all__ = [
     "BLACK",
+    "GROUP_COUNTS",
     "WHITE",
     "DataPoint",
     "FilterConfig",
@@ -26,9 +27,8 @@ __all__ = [
     "Ply",
     "RankGroup",
     "Termination",
-    "chess_group_label",
     "filter_match",
-    "go_group_label",
+    "group_label",
     "iter_pgn_games",
     "parse_pgn",
     "parse_sgf",

@@ -21,7 +21,8 @@ and their order are those of filtering every pseudo-move through
 ``is_legal``.
 
 ``from_fen`` accepts only positions the generators can work on: one king
-per side and no pawn on rank 1 or 8.
+per side, no pawn on rank 1 or 8, a side to move of ``w`` or ``b``, and a
+castling field of ``-`` or distinct letters of ``KQkq``.
 """
 
 import re
@@ -117,7 +118,11 @@ class Position:
             raise DataError(f"FEN needs one king per side: {fen!r}")
         if any(board[sq] in "Pp" for sq in (*range(8), *range(56, 64))):
             raise DataError(f"FEN has a pawn on rank 1 or 8: {fen!r}")
+        if parts[1] not in ("w", "b"):
+            raise DataError(f"bad FEN side to move: {fen!r}")
         castling = "" if parts[2] == "-" else parts[2]
+        if set(castling) - set("KQkq") or len(set(castling)) != len(castling):
+            raise DataError(f"bad FEN castling field: {fen!r}")
         ep = None if parts[3] == "-" else parse_square(parts[3])
         try:
             halfmove, fullmove = int(parts[4]), int(parts[5])

@@ -2,16 +2,8 @@
 format of ``rankforge.artifacts``."""
 
 from ..artifacts import at_line, read_jsonl, write_jsonl
-from .ranks import chess_group_label, go_group_label
+from .ranks import group_label
 from .types import DataPoint, RankGroup
-
-
-def _group_label(game: str, index: int) -> str:
-    if game == "go":
-        return go_group_label(index)
-    if game == "chess":
-        return chess_group_label(index)
-    return f"g{index}"
 
 
 def write_datapoints(path, datapoints) -> None:
@@ -40,7 +32,7 @@ def read_datapoints(path) -> list[DataPoint]:
                     player_id=rec["player_id"],
                     side=rec["side"],
                     group=RankGroup(game=game, index=index,
-                                    label=_group_label(game, index)),
+                                    label=group_label(game, index)),
                     moves=tuple(
                         (int(m["ply"]), m["state"], m["move"]) for m in rec["moves"]
                     ),

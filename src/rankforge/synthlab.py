@@ -231,6 +231,7 @@ def gen_player_pool(
 
 def to_datapoint(match: SynthMatch, player_id: str | None = None):
     """A synthetic match as a data point, format-identical to parsed records."""
+    from .records.ranks import group_label
     from .records.types import DataPoint, RankGroup
 
     return DataPoint(
@@ -238,7 +239,7 @@ def to_datapoint(match: SynthMatch, player_id: str | None = None):
         player_id=player_id or match.uid,
         side="black",
         group=RankGroup(game="synthetic", index=match.true_group,
-                        label=f"g{match.true_group}"),
+                        label=group_label("synthetic", match.true_group)),
         moves=tuple((ply, state_id(match.uid, ply), str(move))
                     for ply, move in enumerate(match.moves, 1)),
     )

@@ -1,5 +1,7 @@
 import math
 import sys
+import threading
+import time
 
 import mpmath
 import numpy as np
@@ -264,6 +266,63 @@ def test_engine_exiting_while_a_batch_is_written_is_backend_error():
             backend.evaluate_state_many([f"state-{i:06d}" * 8 for i in range(2000)])
     finally:
         backend.close()
+
+
+def _bounded(call, seconds: float):
+    """The exception ``call`` raised, or None; fails the test when ``call``
+    is still running after ``seconds``."""
+    outcome = []
+
+    def run():
+        try:
+            call()
+        except Exception as exc:
+            outcome.append(exc)
+        else:
+            outcome.append(None)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"call still running after {seconds} s"
+    return outcome[0]
+
+
+def test_engine_that_never_reads_a_large_batch_times_out():
+    # about 120 KB of requests: more than a pipe buffer holds
+    backend = SubprocessBackend(
+        _descriptor(f"{sys.executable} -c 'import time; time.sleep(60)'"), timeout=0.5)
+    states = [f"state-{i:06d}" * 4 for i in range(1000)]
+    try:
+        exc = _bounded(lambda: backend.evaluate_state_many(states), 10)
+        assert isinstance(exc, BackendTimeoutError)
+        # the first batch is still blocked in its write: a second one must not
+        # interleave its requests with it
+        start = time.monotonic()
+        exc = _bounded(lambda: backend.evaluate_state_many(["s"]), 10)
+        assert isinstance(exc, BackendTimeoutError)
+        assert time.monotonic() - start < 0.5
+        assert _bounded(backend.close, 10) is None
+    finally:
+        backend._proc.kill()
+
+
+def test_error_in_a_batch_larger_than_a_pipe_buffer_leaves_the_engine_usable(mock_backend_cmd):
+    # about 300 KB of requests with a failing one second: the error comes back
+    # while most of the batch is still being written
+    backend = SubprocessBackend(_descriptor(mock_backend_cmd("error")), timeout=10)
+    reference = SubprocessBackend(_descriptor(mock_backend_cmd("inorder")), timeout=10)
+    states = ["fine", "BAD-state"] + [f"state-{i:06d}" * 6 for i in range(3000)]
+    try:
+        assert isinstance(_bounded(lambda: backend.evaluate_state_many(states), 20),
+                          BackendError)
+        outcome = []
+        assert _bounded(lambda: outcome.append(backend.evaluate_state_many(["retry"])),
+                        20) is None
+        assert np.array_equal(outcome[0], reference.evaluate_state_many(["retry"]))
+    finally:
+        backend.close()
+        reference.close()
 
 
 # ---------------------------------------------------------------------------

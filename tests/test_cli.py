@@ -13,6 +13,7 @@ from rankforge.config import (
     synth_config_from,
 )
 from rankforge.errors import ConfigError
+from rankforge.features import FeatureConfig
 
 TINY_SYNTH = """
 seed = 77
@@ -200,8 +201,10 @@ def test_ingest_chess_collection_and_date_window(tmp_path, corpus_dir):
     ('[FEN "4k3/8/8/8/8/8/8/4K3 w - - x 1"]', "1. Ke2"),
     ('[FEN "k6r/8/8/8/R7/8/8/4K3 w - - 0 1"]', "1. Rxa8 Rxa8"),
     ("", "1. e4"),
+    ('[FEN "4k3/8/8/8/8/8/8/4K3 x - - 0 1"]', "1... Kd7"),
+    ('[FEN "4k3/8/8/8/8/8/8/4K3 w Zq - 0 1"]', "1. Ke2"),
 ], ids=["no-white-king", "pawn-on-rank-8", "move-counter-not-a-number", "king-captured",
-        "setup-without-fen"])
+        "setup-without-fen", "side-to-move-not-w-or-b", "castling-letter-not-kqkq"])
 def test_ingest_drops_a_pgn_with_a_malformed_fen(tmp_path, capsys, fen_tag, movetext):
     records = tmp_path / "records"
     records.mkdir()
@@ -288,6 +291,29 @@ def test_report_loss_by_ply_bytes_are_pinned(tmp_path):
     assert digest == "45224ef0770f74cca49629e04de04042e8d3a09ccf4cebf38b868dec671b09a3"
 
 
+# SHA-256 of every file `pipeline` writes on TINY_SYNTH.
+PIPELINE_SHA256 = {
+    "ablation/ablation_per_group.csv": "2ff5cf14cbae5f3b3a60a8f4ff655961e40c407c2ced9a145e4d1818ebf21ac1",
+    "ablation/ablation_summary.csv": "ad663c875ea774fb086f136284072b30f0aced924f6917a94b9fd09a88a34408",
+    "eval_n1/confusion.csv": "0671a3e2344b53a07e79c3833333d12c1d7965462b404b39e2a832ecc6f0d3fd",
+    "eval_n1/metrics.json": "d33fccac3b92bd4f5f597db52309ba740bc09dd065502dd04736568f02e4b697",
+    "eval_n3/confusion.csv": "02c6481c572826f52c6ead2e8d43eb71c8eb3e26d78d07d0b8ff2040f342a774",
+    "eval_n3/metrics.json": "867f753a1bd28671215d37f078d7c347184804da955dab09e34ef225860c8098",
+    "manifest.json": "60a95c48422b3053a1f5e9b32588bd575b59bbc8b6c2a0bae5d0710ab29063c6",
+    "metrics.json": "854998d7d83029cb2b21d5fd21c9583f6438847562c8b241a2a5a58f0660ee3d",
+    "model_n1.json": "34d71c6233bdc42d34ce471495f5039e8c55a2f5a0721c6b9ed9ac4e8111aa05",
+    "model_n3.json": "fd3417c5e1e3d4f371c015a44a56cdd47e53620a31278425e08ca1fe43a58059",
+    "plotdata/loss_by_ply.csv": "fbf59829f471eb80192a5d37a32f5ca2dcfd504cc66dddbb22fa0c1df2449d24",
+    "plotdata/prior_curves.csv": "3d53842e8ffa7ba66fc77d2b3fde5c47926f5a45ec4819044207a2ab4fbe1098",
+    "test_dataset.jsonl": "f9a6c6514f601e691878ddc442cf20873a8476d7f091ed080e7aa2f9c3957321",
+    "test_drops.json": "c22a880202bd01036ddf1a66215ec16976839f3a920b81382ef589d690f37296",
+    "test_features.jsonl": "895bf99f561243f70e2d2857e95dbcb0fe48e5058e71bfd0ec8dbfef3853a591",
+    "train_dataset.jsonl": "2e1bec2f21b45e382efd95723af1e1f45335ee9c47a4a9e020b49b3d2c58815d",
+    "train_drops.json": "c22a880202bd01036ddf1a66215ec16976839f3a920b81382ef589d690f37296",
+    "train_features.jsonl": "a7932f97ab1e4c3311d3cdf0e29b9cf26677187bfe20356392e7cbc41c4b442f",
+}
+
+
 def test_pipeline_end_to_end_and_rerun_identical(tmp_path):
     config = tmp_path / "run.toml"
     config.write_text(TINY_SYNTH)
@@ -308,6 +334,9 @@ def test_pipeline_end_to_end_and_rerun_identical(tmp_path):
         assert column in summary
     assert (out1 / "plotdata" / "prior_curves.csv").exists()
     assert (out1 / "plotdata" / "loss_by_ply.csv").exists()
+    digests = {str(path.relative_to(out1)): hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in sorted(out1.rglob("*")) if path.is_file()}
+    assert digests == PIPELINE_SHA256
 
 
 def test_exit_codes():
@@ -467,6 +496,75 @@ def test_non_finite_feature_value_exits_two_naming_the_line(tmp_path, capsys,
     assert f"{store}:2: bad feature row (feature value not finite)" in capsys.readouterr().err
 
 
+def _rewrite_store(store, game=None, keep=lambda row: True, group=lambda g: g):
+    """Rewrite a feature store in place: its game, which rows it keeps and
+    their group indexes; the schema ids follow the game."""
+    header, *rows = (json.loads(line) for line in store.read_text().splitlines())
+    schema = header["schema"]
+    schema["config"]["game"] = game or schema["config"]["game"]
+    schema["schema_id"] = FeatureConfig.from_dict(schema["config"]).schema_id()
+    rows = [{**row, "group_index": group(row["group_index"]),
+             "schema_id": schema["schema_id"]} for row in rows if keep(row)]
+    store.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in [header, *rows]))
+
+
+@pytest.mark.parametrize("game, expected", [("go", 11), ("chess", 8)])
+def test_train_takes_the_group_count_from_the_game(tmp_path, game, expected):
+    store, model = _tiny_store(tmp_path)
+    _rewrite_store(store, game=game, group=lambda g: g + 3)  # top group 5
+    assert main(["train", "--features", str(store), "--n", "1", "--repetitions", "20",
+                 "--out", str(model)]) == 0
+    assert json.loads(model.read_text())["meta"]["r_groups"] == expected
+
+
+def test_train_takes_the_group_count_from_the_synth_config(tmp_path):
+    store, model = _tiny_store(tmp_path)
+    _rewrite_store(store, keep=lambda row: row["group_index"] < 2)
+    assert main(["train", "--config", str(tmp_path / "run.toml"), "--features", str(store),
+                 "--n", "1", "--repetitions", "20", "--out", str(model)]) == 0
+    assert json.loads(model.read_text())["meta"]["r_groups"] == 3
+
+
+def test_train_store_group_beyond_the_synth_groups_exits_two(tmp_path, capsys):
+    store, model = _tiny_store(tmp_path)
+    _rewrite_store(store, group=lambda g: 3 if g == 2 else g)
+    capsys.readouterr()
+    assert main(["train", "--config", str(tmp_path / "run.toml"), "--features", str(store),
+                 "--n", "1", "--repetitions", "20", "--out", str(model)]) == 2
+    assert "data error" in capsys.readouterr().err
+
+
+def test_ablate_test_store_group_beyond_the_synth_groups_exits_two(tmp_path, capsys):
+    store, _ = _tiny_store(tmp_path)
+    test_store = tmp_path / "test.jsonl"
+    test_store.write_text(store.read_text())
+    _rewrite_store(test_store, group=lambda g: 3 if g == 2 else g)
+    capsys.readouterr()
+    assert main(["ablate", "--config", str(tmp_path / "run.toml"),
+                 "--train-features", str(store), "--test-features", str(test_store),
+                 "--out", str(tmp_path / "ablate")]) == 2
+    assert "data error" in capsys.readouterr().err
+
+
+def test_train_on_a_store_without_rows_exits_one(tmp_path, capsys):
+    store, model = _tiny_store(tmp_path)
+    _rewrite_store(store, keep=lambda row: False)
+    capsys.readouterr()
+    assert main(["train", "--features", str(store), "--n", "1", "--out", str(model)]) == 1
+    assert "config error: empty training pool" in capsys.readouterr().err
+
+
+def test_eval_with_a_model_without_group_count_exits_two(tmp_path, capsys):
+    store, model = _tiny_store(tmp_path)
+    blob = json.loads(model.read_text())
+    del blob["meta"]["r_groups"]
+    model.write_text(json.dumps(blob))
+    capsys.readouterr()
+    assert main(["eval", "--n", "1", "--model", str(model), "--features", str(store),
+                 "--out", str(tmp_path / "rep")]) == 2
+    assert "data error" in capsys.readouterr().err
+
+
 def test_player_eval_with_every_player_excluded_names_the_count_and_n(tmp_path, capsys):
     store, model = _tiny_store(tmp_path)
     capsys.readouterr()
@@ -559,12 +657,19 @@ GO_POINT = {"match_id": "m", "player_id": "p", "side": "black", "game": "go",
     ("extract", "data.jsonl", b"[1,2]\n"),
     ("extract", "data.jsonl", json.dumps({**GO_POINT, "moves": 5}).encode()),
     ("extract", "data.jsonl", json.dumps({**GO_POINT, "group_index": 99}).encode()),
+    ("extract", "data.jsonl", json.dumps({**GO_POINT, "group_index": -1}).encode()),
+    ("extract", "data.jsonl", json.dumps({**GO_POINT, "group_index": 11}).encode()),
+    ("extract", "data.jsonl", json.dumps({**GO_POINT, "game": "chess", "group_index": 8}).encode()),
+    ("extract", "data.jsonl",
+     json.dumps({**GO_POINT, "game": "synthetic", "group_index": -1}).encode()),
     ("extract", "data.jsonl", b"\xff\xfe"),
     ("train", "store.jsonl", b"\xff\xfe"),
     ("eval", "model.json", b'{"format": "rankforge-gbdt/1"'),
     ("eval", "model.json", b'{"format": "rankforge-gbdt/1"}'),
     ("extract", "cache.jsonl", b"\xff\xfe"),
 ], ids=["datapoint-not-object", "datapoint-moves-not-list", "datapoint-group-out-of-range",
+        "datapoint-go-group-below-0", "datapoint-go-group-11", "datapoint-chess-group-8",
+        "datapoint-synthetic-group-below-0",
         "dataset-not-utf8", "store-not-utf8", "model-cut", "model-without-fields",
         "cache-not-utf8"])
 def test_bad_artifact_exits_two_naming_the_line(tmp_path, capsys, monkeypatch,

@@ -213,8 +213,12 @@ def test_perft_reference_counts():
     "4k3/8/8/8/8/8/8/P3K3 w - - 0 1",
     "3pk3/8/8/8/8/8/8/4K3 b - - 0 1",
     "4k3/8/8/8/8/8/8/4K3 w - - 0 x",
+    "4k3/8/8/8/8/8/8/4K3 x - - 0 1",
+    "4k3/8/8/8/8/8/8/4K3 w Zq - 0 1",
+    "4k3/8/8/8/8/8/8/4K3 w KK - 0 1",
 ], ids=["no-white-king", "two-black-kings", "pawn-on-rank-1", "pawn-on-rank-8",
-        "move-counter-not-a-number"])
+        "move-counter-not-a-number", "side-to-move-not-w-or-b", "castling-letter-not-kqkq",
+        "castling-letter-repeated"])
 def test_from_fen_rejects_a_position_replay_cannot_work_on(fen):
     with pytest.raises(DataError):
         Position.from_fen(fen)
