@@ -55,7 +55,8 @@ class BackendDescriptor:
 
 
 class Backend:
-    """Scalar convenience wrappers over the batch methods subclasses provide."""
+    """One engine role's batch methods, which subclasses provide: each takes
+    parallel sequences of states and moves and answers one float per state."""
 
     descriptor: BackendDescriptor
 
@@ -72,14 +73,9 @@ class Backend:
         raise NotImplementedError
 
     def score_strength(self, state: str, move: str) -> float:
+        """The one-request probe: a single strength score, e.g. to start an
+        engine before timed work."""
         return float(self.score_strength_many([state], [move])[0])
-
-    def policy_prior(self, state: str, move: str, level: str) -> float:
-        return float(self.policy_prior_many([state], [move], level)[0])
-
-    def evaluate_state(self, state: str, move: str | None = None) -> float:
-        moves = None if move is None else [move]
-        return float(self.evaluate_state_many([state], moves)[0])
 
     def close(self) -> None:
         pass

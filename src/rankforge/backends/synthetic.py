@@ -7,18 +7,18 @@ Semantics, all derived from one seeded table:
   value(state after move)   = -quality(move) (new mover's perspective)
 
 so the deterioration computed downstream is exactly best - chosen quality.
-States are self-describing ids; the quality block for a match is derived
-on first use and kept in a small LRU.
+States are self-describing ids.
 
 The ids of the last ``states`` sequence are parsed once and their runs
-kept, and so are the indices of the last ``moves`` sequence, so the
-strength, policy and value calls of one extraction batch, which all pass
-the same states and moves, parse each id and each move once.  A malformed
-id, a ply outside the match or a move that is not an in-range integer
-raises DataError.
+kept, each with its match's quality block, and so are the indices of the
+last ``moves`` sequence.  The strength, policy and value calls of one
+extraction batch all pass the same states and moves, so they parse each id
+and each move once and derive each match's quality block once; the
+strength call derives each match's noise block once.  A malformed id, a
+ply outside the match or a move that is not an in-range integer raises
+DataError.
 """
 
-from functools import lru_cache, partial
 from itertools import groupby
 from operator import itemgetter
 
@@ -55,16 +55,14 @@ class SyntheticBackend(Backend):
         self.descriptor = descriptor or BackendDescriptor(
             kind="value", game="synthetic", levels=config.level_labels()
         )
-        self._qualities = lru_cache(maxsize=1024)(partial(quality_block, config))
-        self._noise = lru_cache(maxsize=1024)(partial(strength_noise_block, config))
         self._last_states = None
         self._last_runs = None
         self._last_moves = None
         self._last_cols = None
 
     def _runs(self, states):
-        """(uid, vector slice, ply rows) per run of consecutive states sharing
-        a match uid; kept for the last ``states`` sequence."""
+        """(uid, vector slice, ply rows, quality block) per run of consecutive
+        states sharing a match uid; kept for the last ``states`` sequence."""
         states = tuple(states)
         if states != self._last_states:
             rows = [parse_state_id(s) for s in states]
@@ -77,7 +75,8 @@ class SyntheticBackend(Backend):
             start = 0
             for uid, run in groupby(rows, key=itemgetter(0)):
                 stop = start + sum(1 for _ in run)
-                runs.append((uid, slice(start, stop), plies[start:stop]))
+                runs.append((uid, slice(start, stop), plies[start:stop],
+                             quality_block(self.config, uid)))
                 start = stop
             self._last_states, self._last_runs = states, runs
         return self._last_runs
@@ -86,8 +85,8 @@ class SyntheticBackend(Backend):
         """The runs of ``states``, each with its move indices (None without moves)."""
         runs = self._runs(states)
         cols = None if moves is None else self._move_indices(moves)
-        for uid, where, plies in runs:
-            yield uid, where, plies, None if cols is None else cols[where]
+        for uid, where, plies, q in runs:
+            yield uid, where, plies, q, None if cols is None else cols[where]
 
     def _move_indices(self, moves) -> np.ndarray:
         """The moves as column indices; kept for the last ``moves`` sequence."""
@@ -100,10 +99,10 @@ class SyntheticBackend(Backend):
     def score_strength_many(self, states, moves) -> np.ndarray:
         out = np.empty(len(states))
         sd = self.config.strength_noise_sd
-        for uid, where, plies, cols in self._grouped(states, moves):
-            beta = self._qualities(uid)[plies, cols]
+        for uid, where, plies, q, cols in self._grouped(states, moves):
+            beta = q[plies, cols]
             if sd > 0:
-                beta = beta + sd * self._noise(uid)[plies, cols]
+                beta = beta + sd * strength_noise_block(self.config, uid)[plies, cols]
             out[where] = beta
         return out
 
@@ -111,16 +110,14 @@ class SyntheticBackend(Backend):
         lv = self.config.level_by_label(level)
         temp = self.config.temperature(lv.skill)
         out = np.empty(len(states))
-        for uid, where, plies, cols in self._grouped(states, moves):
-            q = self._qualities(uid)
+        for _, where, plies, q, cols in self._grouped(states, moves):
             probs = softmax(perceived_qualities(lv, q[plies]) / temp, axis=1)
             out[where] = probs[np.arange(len(plies)), cols]
         return floor_priors(out)
 
     def evaluate_state_many(self, states, moves=None) -> np.ndarray:
         out = np.empty(len(states))
-        for uid, where, plies, cols in self._grouped(states, moves):
-            q = self._qualities(uid)
+        for _, where, plies, q, cols in self._grouped(states, moves):
             if cols is None:
                 out[where] = q[plies].max(axis=1)
             else:

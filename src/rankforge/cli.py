@@ -2,8 +2,8 @@
 report, and the full pipeline.
 
 Exit codes: 0 success, 1 configuration error, 2 data or backend error.
-Every artifact directory gets a manifest with the config hash and seeds so
-runs can be reproduced exactly.
+``pipeline`` writes a manifest with the config hash and seeds so its runs
+can be reproduced exactly; the other commands write none.
 """
 
 import argparse
@@ -276,9 +276,10 @@ def cmd_synth(args) -> int:
 # ablate
 
 
-def _ablate(run: RunConfig, full_config, train_pool, test_pool, ns, outdir):
+def _ablate(run: RunConfig, full_config, train_pool, test_pool, ns, outdir, fitted):
     """Retrain and re-evaluate per ablation mask and n; writes the summary
-    and per-group tables into ``outdir`` and returns the reports."""
+    and per-group tables into ``outdir`` and returns the reports.  ``fitted``
+    holds the models ``run`` already trained on ``train_pool``, keyed by n."""
     ctx = AblationContext(
         full_config=full_config,
         train_pool=train_pool,
@@ -288,6 +289,7 @@ def _ablate(run: RunConfig, full_config, train_pool, test_pool, ns, outdir):
         train_seed=run.seed,
         protocol_template=EvalProtocol("random", ns[0], run.eval_repetitions, run.seed),
         r_groups=_group_count(full_config.game, {**test_pool, **train_pool}, run),
+        fitted=fitted,
     )
     masks = single_level_masks(full_config) if run.ablation_levels else family_masks(full_config)
     results = run_ablation(masks, ns, ctx)
@@ -304,7 +306,7 @@ def cmd_ablate(args) -> int:
         raise DataError("train and test stores have different schemas")
     outdir = Path(args.out)
     results = _ablate(run, train_config, _pool_from_store(train_rows),
-                      _pool_from_store(test_rows), run.ablation_ns or [10], outdir)
+                      _pool_from_store(test_rows), run.ablation_ns or [10], outdir, {})
     for (name, n), report in results.items():
         write_report(report, outdir / f"{name}_n{n}")
     _log(f"ablate: {len(results)} runs -> {outdir}")
@@ -355,38 +357,43 @@ def cmd_report(args) -> int:
 # pipeline
 
 
+def _synth_store(run: RunConfig, bank: BackendBank, name: str, matches: int, outdir):
+    """Generate, write and extract one synthetic dataset into ``outdir``;
+    returns (data points, feature store rows)."""
+    datapoints = _synth_datapoints(run.synth, name, matches)
+    write_datapoints(outdir / f"{name}_dataset.jsonl", datapoints)
+    rows, _ = _extract(datapoints, bank, run.features, outdir / f"{name}_features.jsonl",
+                       outdir / f"{name}_drops.json")
+    return datapoints, rows
+
+
 def run_pipeline(run: RunConfig, outdir) -> dict:
     """Synthetic end-to-end run: generate, extract, train per n, evaluate,
-    optional ablation, plot data, manifest.  Returns the manifest."""
+    optional ablation, plot data, manifest.  Returns the manifest.
+
+    The datasets are made one at a time, and only the train set's pool
+    outlives its extraction."""
     if run.synth is None:
         raise ConfigError("pipeline currently needs a [synth] section")
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    synth = run.synth
-    datasets = {}
-    for name, matches in (("train", run.train_matches_per_group),
-                          ("test", run.test_matches_per_group)):
-        datasets[name] = _synth_datapoints(synth, name, matches)
-        write_datapoints(outdir / f"{name}_dataset.jsonl", datasets[name])
-
     bank = _build_bank(run)
     stage = "extract"
     try:
-        pools, stores = {}, {}
-        for name, dps in datasets.items():
-            rows, _ = _extract(dps, bank, run.features, outdir / f"{name}_features.jsonl",
-                               outdir / f"{name}_drops.json")
-            pools[name] = _pool_from_store(rows)
-            stores[name] = rows
+        train_pool = _pool_from_store(
+            _synth_store(run, bank, "train", run.train_matches_per_group, outdir)[1])
+        test_datapoints, test_rows = _synth_store(run, bank, "test",
+                                                  run.test_matches_per_group, outdir)
+        test_pool = _pool_from_store(test_rows)
 
         stage = "train"
         metrics = {}
         models = {}
-        r_groups = _group_count(run.features.game, pools["train"], run)
+        r_groups = _group_count(run.features.game, train_pool, run)
         for n in run.train_ns:
             spec = TrainingSetSpec(n=n, repetitions_per_group=run.train_repetitions,
                                    seed=run.seed)
-            model = train_meta_model(pools["train"], spec, run.gbdt,
+            model = train_meta_model(train_pool, spec, run.gbdt,
                                      run.features.schema_id(), r_groups)
             model.save(outdir / f"model_n{n}.json")
             models[n] = model
@@ -395,22 +402,22 @@ def run_pipeline(run: RunConfig, outdir) -> dict:
         for n in run.train_ns:
             protocol = EvalProtocol(mode="random", n=n,
                                     repetitions=run.eval_repetitions, seed=run.seed + n)
-            report = run_random_sampling(pools["test"], models[n], protocol)
+            report = run_random_sampling(test_pool, models[n], protocol)
             write_report(report, outdir / f"eval_n{n}")
             metrics[str(n)] = {"accuracy": report.accuracy,
                                "accuracy_pm1": report.accuracy_pm1}
 
         stage = "ablate"
         if run.ablation_ns:
-            results = _ablate(run, run.features, pools["train"], pools["test"],
-                              run.ablation_ns, outdir / "ablation")
+            results = _ablate(run, run.features, train_pool, test_pool,
+                              run.ablation_ns, outdir / "ablation", models)
             metrics["ablation"] = {
                 f"{name}_n{n}": report.accuracy for (name, n), report in results.items()
             }
 
         stage = "report"
-        _write_plot_tables(outdir / "plotdata", stores["test"], run.features,
-                           _loss_traces(datasets["test"], bank, run.features))
+        _write_plot_tables(outdir / "plotdata", test_rows, run.features,
+                           _loss_traces(test_datapoints, bank, run.features))
     except RankforgeError as exc:
         raise type(exc)(f"pipeline stage {stage!r} failed: {exc}") from exc
     finally:
@@ -420,7 +427,7 @@ def run_pipeline(run: RunConfig, outdir) -> dict:
         "version": __version__,
         "config_hash": run.hash(),
         "seed": run.seed,
-        "synth_config_hash": synth.config_hash(),
+        "synth_config_hash": run.synth.config_hash(),
         "feature_schema_id": run.features.schema_id(),
         "train_ns": run.train_ns,
         "metrics": metrics,

@@ -44,7 +44,7 @@ def build_training_set(pool: dict, spec: TrainingSetSpec):
     """
     groups = sorted(pool)
     if not groups:
-        raise ConfigError("empty training pool")
+        raise DataError("empty training pool")
     schema = ""
     rows = []
     for g in groups:

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .artifacts import write_json, write_table
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .estimator import TrainingSetSpec, estimate_rank_rows, group_count, train_meta_model
 from .features import FeatureConfig, FeatureVector, StoredFeature, stack_vectors
 from .rng import draw_means
@@ -72,12 +72,12 @@ def accuracy_metrics(pairs, r_groups: int):
     (actual, predicted) index pairs."""
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     if ((pairs < 0) | (pairs >= r_groups)).any():
-        raise ConfigError("group index outside [0, R)")
+        raise DataError(f"group index outside [0, {r_groups})")
     confusion = np.zeros((r_groups, r_groups), dtype=np.int64)
     np.add.at(confusion, (pairs[:, 0], pairs[:, 1]), 1)
     total = int(confusion.sum())
     if total == 0:
-        raise ConfigError("no predictions to score")
+        raise DataError("no predictions to score")
     hits = int(np.trace(confusion))
     near = hits + int(np.trace(confusion, offset=1)) + int(np.trace(confusion, offset=-1))
     return hits / total, near / total, confusion
@@ -182,22 +182,29 @@ class AblationContext:
     train_seed: int
     protocol_template: EvalProtocol
     r_groups: int
+    # {n: model} already trained with these settings on the whole train pool
+    fitted: dict = field(default_factory=dict)
 
 
 def run_ablation(masks, ns, ctx: AblationContext) -> dict:
-    """Retrain and re-evaluate the meta-model per mask and n.
+    """Retrain and re-evaluate the meta-model per mask and n.  A mask with
+    the store's own schema reads the pools as they are, and reuses a model
+    of ``ctx.fitted`` at its n when that model has ``ctx.r_groups`` groups.
 
     Returns {(mask_name, n): EvaluationReport}.
     """
     results = {}
     for name, mask in masks:
-        train = project_pool(ctx.train_pool, ctx.full_config, mask)
-        test = project_pool(ctx.test_pool, ctx.full_config, mask)
+        schema = mask.schema_id()
+        whole = schema == ctx.full_config.schema_id()
+        train = ctx.train_pool if whole else project_pool(ctx.train_pool, ctx.full_config, mask)
+        test = ctx.test_pool if whole else project_pool(ctx.test_pool, ctx.full_config, mask)
         for n in ns:
-            spec = TrainingSetSpec(n=n, repetitions_per_group=ctx.train_repetitions,
-                                   seed=ctx.train_seed)
-            model = train_meta_model(train, spec, ctx.gbdt_params,
-                                     mask.schema_id(), ctx.r_groups)
+            model = ctx.fitted.get(n) if whole else None
+            if model is None or group_count(model) != ctx.r_groups:
+                spec = TrainingSetSpec(n=n, repetitions_per_group=ctx.train_repetitions,
+                                       seed=ctx.train_seed)
+                model = train_meta_model(train, spec, ctx.gbdt_params, schema, ctx.r_groups)
             protocol = EvalProtocol(mode=RANDOM_MODE, n=n,
                                     repetitions=ctx.protocol_template.repetitions,
                                     seed=ctx.protocol_template.seed)

@@ -257,14 +257,6 @@ class DropReport:
         }
 
 
-def extract_features(datapoint, bank: BackendBank, config: FeatureConfig,
-                     report: DropReport | None = None) -> FeatureVector:
-    """Schema-ordered feature vector for one data point; win-rate clamps and
-    empty loss cutoffs are counted in ``report`` when one is given."""
-    return _extract_batch([datapoint], bank, config,
-                          DropReport() if report is None else report)[0]
-
-
 def _extract_batch(datapoints, bank: BackendBank, config: FeatureConfig,
                    report: DropReport) -> list[FeatureVector]:
     """The data points' feature vectors, in order, from one backend call per

@@ -371,15 +371,6 @@ class Position:
         return self.in_check() and not self.legal_moves()
 
 
-def perft(pos: Position, depth: int) -> int:
-    if depth == 0:
-        return 1
-    total = 0
-    for move in pos.legal_moves():
-        total += perft(pos.make(move), depth - 1)
-    return total
-
-
 # ---------------------------------------------------------------------------
 # SAN
 

@@ -92,6 +92,14 @@ def reference_legal_moves(pos):
     return [m for m in pos.pseudo_moves() if pos.is_legal(m)]
 
 
+def perft(pos, depth: int) -> int:
+    """Leaf count of the legal-move tree ``depth`` plies deep, through the
+    production ``legal_moves``; compared with published reference counts."""
+    if depth == 0:
+        return 1
+    return sum(perft(pos.make(move), depth - 1) for move in pos.legal_moves())
+
+
 def reference_parse_san(pos, text):
     """Resolve a SAN token by filtering the full legal-move list."""
     clean = text.strip().rstrip("+#!?")

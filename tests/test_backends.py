@@ -96,8 +96,8 @@ def test_repeat_queries_bit_identical():
     first = backend.score_strength(state, move)
     second = backend.score_strength(state, move)
     assert first == second
-    p1 = backend.policy_prior(state, move, "lo")
-    p2 = backend.policy_prior(state, move, "lo")
+    p1 = backend.policy_prior_many([state], [move], "lo")
+    p2 = backend.policy_prior_many([state], [move], "lo")
     assert p1 == p2
 
 
@@ -105,7 +105,7 @@ def test_unknown_level_is_config_error():
     backend = SyntheticBackend(tiny_config())
     state = to_datapoint(gen_match(tiny_config(), 0, "m3")).moves[0][1]
     with pytest.raises(ConfigError):
-        backend.policy_prior(state, "0", "nope")
+        backend.policy_prior_many([state], ["0"], "nope")
 
 
 def test_illegal_move_is_domain_error():
@@ -151,8 +151,8 @@ def test_deterioration_semantics():
     match = gen_match(cfg, 2, "m5")
     q = quality_block(cfg, "m5")
     for i, (_, state, move) in enumerate(to_datapoint(match).moves):
-        before = backend.evaluate_state(state)
-        after = backend.evaluate_state(state, move)
+        before = backend.evaluate_state_many([state])[0]
+        after = backend.evaluate_state_many([state], [move])[0]
         assert before == q[i].max()
         assert before + after == pytest.approx(q[i].max() - q[i, int(move)], abs=1e-12)
 

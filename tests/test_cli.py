@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from rankforge import cli
+from rankforge import cli, evalharness
 from rankforge.cli import main, run_pipeline
 from rankforge.config import (
     read_config_text,
@@ -364,7 +364,7 @@ def test_eval_rejects_schema_mismatch(tmp_path):
 
 
 @pytest.mark.parametrize("mode", ["random", "player"])
-def test_eval_group_unknown_to_model_exits_one(tmp_path, mode):
+def test_eval_group_unknown_to_model_exits_one(tmp_path, capsys, mode):
     config = tmp_path / "run.toml"
     config.write_text(TINY_SYNTH)
     dataset = tmp_path / "d.jsonl"
@@ -378,8 +378,10 @@ def test_eval_group_unknown_to_model_exits_one(tmp_path, mode):
     blob = json.loads(model.read_text())
     blob["meta"]["r_groups"] = 2  # the store also holds group 2
     model.write_text(json.dumps(blob))
+    capsys.readouterr()
     assert main(["eval", "--mode", mode, "--n", "1", "--model", str(model),
-                 "--features", str(store), "--out", str(tmp_path / "rep")]) == 1
+                 "--features", str(store), "--out", str(tmp_path / "rep")]) == 2
+    assert "data error: group index outside [0, 2)" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("config_text", [
@@ -410,6 +412,20 @@ def test_ablate_matches_pipeline_ablation(tmp_path):
     for name in ("ablation_summary.csv", "ablation_per_group.csv"):
         assert (out / name).read_bytes() == (run / "ablation" / name).read_bytes()
     assert json.loads((out / "use_all_n3" / "metrics.json").read_text())["config"]["mask"] == "use_all"
+
+
+def test_pipeline_ablation_reuses_the_models_it_trained(tmp_path, monkeypatch):
+    fits = []
+    for module in (cli, evalharness):
+        train = module.train_meta_model
+        monkeypatch.setattr(module, "train_meta_model",
+                            lambda pool, spec, *a, train=train: fits.append(spec.n)
+                            or train(pool, spec, *a))
+    config = tmp_path / "run.toml"
+    config.write_text(TINY_SYNTH)
+    assert main(["pipeline", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
+    # ns [1, 3], then 4 masks at n=3, of which use_all reuses model_n3
+    assert fits == [1, 3, 3, 3, 3]
 
 
 @pytest.mark.parametrize("command, config_bytes", [
@@ -550,8 +566,17 @@ def test_train_on_a_store_without_rows_exits_one(tmp_path, capsys):
     store, model = _tiny_store(tmp_path)
     _rewrite_store(store, keep=lambda row: False)
     capsys.readouterr()
-    assert main(["train", "--features", str(store), "--n", "1", "--out", str(model)]) == 1
-    assert "config error: empty training pool" in capsys.readouterr().err
+    assert main(["train", "--features", str(store), "--n", "1", "--out", str(model)]) == 2
+    assert "data error: empty training pool" in capsys.readouterr().err
+
+
+def test_eval_on_a_store_without_rows_exits_two(tmp_path, capsys):
+    store, model = _tiny_store(tmp_path)
+    _rewrite_store(store, keep=lambda row: False)
+    capsys.readouterr()
+    assert main(["eval", "--n", "1", "--model", str(model), "--features", str(store),
+                 "--out", str(tmp_path / "rep")]) == 2
+    assert "data error: no predictions to score" in capsys.readouterr().err
 
 
 def test_eval_with_a_model_without_group_count_exits_two(tmp_path, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from rankforge.errors import ConfigError, SchemaMismatchError
+from rankforge.errors import ConfigError, DataError, SchemaMismatchError
 from rankforge.estimator import (
     RankPrediction,
     TrainingSetSpec,
@@ -70,6 +70,11 @@ def test_group_smaller_than_n_is_config_error():
     with pytest.raises(ConfigError) as exc_info:
         build_training_set(pool, TrainingSetSpec(n=5, repetitions_per_group=1, seed=0))
     assert "group" in str(exc_info.value)
+
+
+def test_empty_pool_is_data_error():
+    with pytest.raises(DataError, match="empty training pool"):
+        build_training_set({}, TrainingSetSpec(n=1, repetitions_per_group=1, seed=0))
 
 
 def test_round_half_away_examples():

@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from rankforge.errors import ConfigError
+from rankforge import evalharness
+from rankforge.errors import ConfigError, DataError
 from rankforge.estimator import (
     TrainingSetSpec,
     build_training_set,
@@ -182,11 +183,17 @@ def test_heterogeneous_players_hurt_player_specific_mode():
 def test_group_unknown_to_model_is_config_error(mode):
     model = _FixedModel(lambda row: row[0], r_groups=3)
     protocol = EvalProtocol(mode, 3, 5, seed=0)
-    with pytest.raises(ConfigError, match="outside"):
+    with pytest.raises(DataError, match=r"outside \[0, 3\)"):
         if mode == "random":
             run_random_sampling(_pool(groups=4), model, protocol)
         else:
             run_player_specific(_player_pool(groups=4), model, protocol)
+
+
+def test_random_sampling_on_an_empty_pool_is_data_error():
+    model = _FixedModel(lambda row: row[0], r_groups=3)
+    with pytest.raises(DataError, match="no predictions to score"):
+        run_random_sampling({}, model, EvalProtocol("random", 1, 5, seed=0))
 
 
 def test_player_specific_with_every_player_excluded_is_config_error():
@@ -344,6 +351,26 @@ def test_ablation_full_mask_matches_direct_run():
     direct = run_random_sampling(test_pool, model, EvalProtocol("random", 5, 40, seed=9))
     assert np.array_equal(report.confusion, direct.confusion)
     assert report.accuracy == direct.accuracy
+
+
+@pytest.mark.parametrize("fitted_groups, fits", [(3, 1), (4, 2)])
+def test_ablation_reuses_a_fitted_model_of_the_whole_schema_and_group_count(
+        monkeypatch, fitted_groups, fits):
+    config, pool = _stored(per_group=20)
+    trained = []
+    train = evalharness.train_meta_model
+    monkeypatch.setattr(evalharness, "train_meta_model",
+                        lambda pool, spec, *a: trained.append(spec.n) or train(pool, spec, *a))
+    fitted = _FixedModel(lambda row: 0.0, fitted_groups, config.schema_id())
+    ctx = AblationContext(full_config=config, train_pool=pool, test_pool=pool,
+                          gbdt_params=GbdtParams(num_trees=5, min_samples_leaf=5, seed=0),
+                          train_repetitions=20, train_seed=4,
+                          protocol_template=EvalProtocol("random", 5, 10, seed=9),
+                          r_groups=3, fitted={5: fitted})
+    results = run_ablation(family_masks(config)[:2], (5,), ctx)
+    assert trained == [5] * fits
+    reused = results[("use_all", 5)].confusion[:, 0].sum() == 30
+    assert reused == (fits == 1)
 
 
 # ---------------------------------------------------------------------------

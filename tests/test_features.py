@@ -12,14 +12,12 @@ from rankforge.backends import synthetic
 from rankforge.errors import BackendError, ConfigError, DataError, SchemaMismatchError
 from rankforge.features import (
     EXTRACT_BATCH,
-    DropReport,
     FeatureConfig,
     FeatureVector,
     LossSpec,
     StoredFeature,
     average_features,
     chess_default_config,
-    extract_features,
     extract_many,
     go_default_config,
     loss_stats,
@@ -30,7 +28,15 @@ from rankforge.features import (
     write_feature_store,
 )
 from rankforge.records.types import DataPoint, RankGroup
-from rankforge.synthlab import SynthConfig, SynthLevel, gen_match, to_datapoint
+from rankforge.synthlab import (
+    SynthConfig,
+    SynthLevel,
+    desk_config,
+    gen_group_pool,
+    gen_match,
+    pool_to_datapoints,
+    to_datapoint,
+)
 
 
 def tiny_config() -> SynthConfig:
@@ -268,8 +274,9 @@ def test_extract_features_deterministic_and_ordered():
     bank = BackendBank(strength=backend, policy=backend, value=backend)
     fconfig = FeatureConfig(game="synthetic", policy_levels=cfg.level_labels(),
                             loss_selected=(LossSpec("mean", None),))
-    v1 = extract_features(dp, bank, fconfig)
-    v2 = extract_features(dp, bank, fconfig)
+    (row1,), _ = extract_many([dp], bank, fconfig)
+    (row2,), _ = extract_many([dp], bank, fconfig)
+    v1, v2 = row1.vector, row2.vector
     assert v1 == v2
     assert len(v1.values) == 1 + 2 + 1
     betas = backend.score_strength_many([m[1] for m in dp.moves],
@@ -362,14 +369,12 @@ def test_extract_many_over_several_batches_equals_one_point_extraction():
     fconfig = FeatureConfig(game="chess", policy_levels=cfg.level_labels(),
                             loss_selected=(LossSpec("mean", 3), LossSpec("median", None)))
     rows, report = extract_many(dps, bank, fconfig)
-    alone = DropReport()
-    vectors = [extract_features(dp, bank, fconfig, alone) for dp in dps]
-    assert rows == sorted(
-        (StoredFeature(dp.match_id, dp.player_id, dp.side, dp.group.index, vector)
-         for dp, vector in zip(dps, vectors)),
-        key=lambda r: (r.match_id, r.side))
-    assert report.flagged == alone.flagged and len(report.flagged) == EXTRACT_BATCH + 2
-    assert report.winrate_clamps == alone.winrate_clamps > 0
+    alone = [extract_many([dp], bank, fconfig) for dp in dps]
+    assert rows == sorted((row for one, _ in alone for row in one),
+                          key=lambda r: (r.match_id, r.side))
+    assert report.flagged == [flag for _, one in alone for flag in one.flagged]
+    assert len(report.flagged) == EXTRACT_BATCH + 2
+    assert report.winrate_clamps == sum(one.winrate_clamps for _, one in alone) > 0
     assert not report.dropped
 
 
@@ -418,6 +423,27 @@ def test_synthetic_backend_parses_each_state_once_per_batch(monkeypatch):
     assert len(rows) == len(dps) <= EXTRACT_BATCH
     assert len(parsed) == sum(dp.k for dp in dps)
     assert len(parsed_moves) == sum(dp.k for dp in dps)
+
+
+def test_synthetic_backend_derives_each_block_once_per_match_per_batch(monkeypatch):
+    calls = {"quality": [], "noise": []}
+    for name, block in (("quality", "quality_block"), ("noise", "strength_noise_block")):
+        original = getattr(synthetic, block)
+        monkeypatch.setattr(synthetic, block, lambda config, uid, seen=calls[name],
+                            original=original: seen.append(uid) or original(config, uid))
+    cfg = desk_config()
+    assert cfg.strength_noise_sd > 0
+    pool = pool_to_datapoints(gen_group_pool(cfg, "blocks", 3 * EXTRACT_BATCH // cfg.groups))
+    dps = [dp for g in sorted(pool) for dp in pool[g]]
+    assert len(dps) == 3 * EXTRACT_BATCH
+    backend = SyntheticBackend(cfg)
+    bank = BackendBank(strength=backend, policy=backend, value=backend)
+    fconfig = FeatureConfig(game="synthetic", policy_levels=cfg.level_labels(),
+                            loss_selected=(LossSpec("mean", None),))
+    rows, _ = extract_many(dps, bank, fconfig)
+    assert len(rows) == len(dps)
+    for seen in calls.values():
+        assert sorted(seen) == sorted(dp.match_id for dp in dps)
 
 
 def test_feature_store_round_trip(tmp_path):

@@ -3,7 +3,7 @@ import random
 from pathlib import Path
 
 import pytest
-from helpers.oracles import reference_legal_moves, reference_parse_san, reference_to_san
+from helpers.oracles import perft, reference_legal_moves, reference_parse_san, reference_to_san
 
 from rankforge.errors import DataError, ParseError
 from rankforge.records import iter_pgn_games, parse_pgn, serialize_pgn
@@ -12,7 +12,6 @@ from rankforge.records.chess_rules import (
     Move,
     Position,
     parse_san,
-    perft,
     to_san,
 )
 from rankforge.records.pgn import parse_pgn_collection
