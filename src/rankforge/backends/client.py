@@ -5,28 +5,33 @@ Wire format, one UTF-8 JSON object per line:
              "state": <string>, "move": <string|null>, "level": <string|null>}
   response: {"id": <int>, "value": <number>}  or  {"id": <int>, "error": <string>}
 
-Requests may be answered out of order; responses are matched by id.  A
-reader thread feeds a queue so batch calls can keep several requests in
-flight and still enforce a per-request deadline: a batch call times out
-when ``timeout`` seconds pass without an answer to any of its requests,
-counted from its last answer, so a large batch that an engine answers
-steadily never times out, and a hung request still does.  A batch is
-written from a thread of its own, so the deadline also holds for an engine
-that stops reading its input; while that write is still blocked, a new
-call times out at once rather than interleave its requests with it.
+Requests may be answered out of order; responses are matched by id, and a
+response for an id no call wants is dropped.  Any other line, or a line
+over a mebibyte, is a malformed response.  The client runs on its caller's
+thread: both pipes are non-blocking, and one ``selectors`` loop writes a
+batch's requests while it reads the answers.  A batch call times out when
+``timeout`` seconds pass without an answer to any of its requests, counted
+from its last answer, so a large batch that an engine answers steadily
+never times out, and a hung request, or an engine that stops reading,
+still does, however much else the engine writes.  While requests such an
+engine left unread remain, a new call times out at once rather than queue
+behind them.  The client needs POSIX pipes.
 """
 
+import contextlib
 import json
-import queue
+import os
+import selectors
 import shlex
 import subprocess
-import threading
 import time
 
 import numpy as np
 
 from ..errors import BackendError, BackendTimeoutError
 from .base import Backend, BackendDescriptor, floor_priors
+
+_MAX_LINE = 1 << 20  # bytes; an answer line is a few dozen
 
 
 class SubprocessBackend(Backend):
@@ -38,104 +43,120 @@ class SubprocessBackend(Backend):
             stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
             stderr=subprocess.DEVNULL,
-            text=True,
-            bufsize=1,
+            bufsize=0,
         )
+        self._stdin = self._proc.stdin.fileno()
+        self._stdout = self._proc.stdout.fileno()
+        os.set_blocking(self._stdin, False)
+        os.set_blocking(self._stdout, False)
         self._next_id = 0
-        self._writer: threading.Thread | None = None
-        self._write_error: OSError | None = None
-        self._messages: queue.Queue = queue.Queue()
-        self._reader = threading.Thread(target=self._read_loop, daemon=True)
-        self._reader.start()
-
-    def _read_loop(self) -> None:
-        assert self._proc.stdout is not None
-        for line in self._proc.stdout:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                self._messages.put(json.loads(line))
-            except json.JSONDecodeError:
-                self._messages.put({"malformed": line})
-        self._messages.put(None)
-
-    def _write(self, payload: str) -> None:
-        assert self._proc.stdin is not None
-        try:
-            self._proc.stdin.write(payload)
-            self._proc.stdin.flush()
-        except OSError as exc:  # the engine exited while the batch was written
-            self._write_error = exc
-
-    def _writing(self) -> bool:
-        return self._writer is not None and self._writer.is_alive()
+        self._unsent = b""  # requests the engine has not read yet
+        self._partial = b""  # the start of an answer line still being read
 
     def _call_batch(self, requests: list[dict]) -> list[float]:
-        """Send all requests, then collect the matching responses.  Ids are never
-        reused, so a response the batch does not want, left by a failed batch, is dropped."""
+        """Send all requests while collecting the matching responses.  Ids are
+        never reused, so a response the batch does not want is dropped."""
         if self._proc.poll() is not None:
             raise BackendError(f"backend process exited with code {self._proc.returncode}")
-        if self._writing():
-            raise BackendTimeoutError("backend is still not reading an earlier batch")
-        ids, lines = [], []
-        for req in requests:
-            self._next_id += 1
-            ids.append(self._next_id)
-            lines.append(json.dumps({"id": self._next_id, **req}) + "\n")
-        self._write_error = None
-        self._writer = threading.Thread(target=self._write, args=("".join(lines),),
-                                        daemon=True)
-        self._writer.start()
+        if self._unsent:
+            self._exchange(set(), 0)  # send what the engine takes now, else time out
+        ids = range(self._next_id + 1, self._next_id + 1 + len(requests))
+        self._next_id += len(requests)
+        self._unsent = "".join(json.dumps({"id": rid, **req}) + "\n"
+                               for rid, req in zip(ids, requests)).encode()
         try:
-            results = self._collect(ids)
+            results = self._exchange(set(ids), self.timeout)
         except BackendTimeoutError:
-            raise  # the engine may have stopped reading: its write stays blocked
+            raise  # the engine may have stopped reading: its requests stay unsent
         except BackendError:
             # The engine is still reading: let it take the rest of the batch,
-            # so that the next call (a retry of one point, say) finds the
-            # stream free.
-            self._writer.join(self.timeout)
+            # so that the next call (a lone retry, say) finds the stream free.
+            with contextlib.suppress(BackendError):
+                self._exchange(set(), self.timeout)
             raise
-        self._writer.join(self.timeout)  # the engine read every request: the write is done
         return [results[rid] for rid in ids]
 
-    def _collect(self, ids: list[int]) -> dict[int, float]:
-        """The answers to ``ids``, each deadline counted from the last answer."""
-        wanted = set(ids)
+    def _exchange(self, wanted: set[int], timeout: float) -> dict[int, float]:
+        """Write the unsent requests while reading answers, until all are sent
+        and every id in ``wanted`` is answered; the answers to ``wanted``.
+        Times out once ``timeout`` seconds have passed since the start or the
+        last wanted answer, however busy the pipes are; a ``timeout`` of 0
+        makes one pass."""
         results: dict[int, float] = {}
-        deadline = time.monotonic() + self.timeout
-        while wanted:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise BackendTimeoutError(
-                    f"backend did not answer within {self.timeout:.1f}s", min(wanted)
-                )
-            try:
-                msg = self._messages.get(timeout=min(remaining, 0.2))
-            except queue.Empty:
-                if self._write_error is not None:
-                    raise BackendError(
-                        f"backend stopped reading requests ({self._write_error})") from None
-                continue
-            if msg is None:
-                raise BackendError("backend closed its output stream", min(wanted))
-            if "malformed" in msg:
-                raise BackendError(f"malformed backend response: {msg['malformed']!r}")
-            rid = msg.get("id")
-            if rid in wanted:
-                results[rid] = self._take(msg)
-                wanted.discard(rid)
-                deadline = time.monotonic() + self.timeout
+        deadline = time.monotonic() + timeout
+        with selectors.DefaultSelector() as selector:
+            selector.register(self._stdout, selectors.EVENT_READ)
+            if self._unsent:
+                selector.register(self._stdin, selectors.EVENT_WRITE)
+            while wanted or self._unsent:
+                for key, _ in selector.select(deadline - time.monotonic()):
+                    if key.fd == self._stdin:
+                        self._send()
+                        if not self._unsent:
+                            selector.unregister(self._stdin)
+                        continue
+                    for msg in self._receive(wanted):
+                        rid = msg.get("id")
+                        if rid in wanted:
+                            results[rid] = self._take(msg)
+                            wanted.discard(rid)
+                            deadline = time.monotonic() + timeout
+                if time.monotonic() < deadline:
+                    continue
+                if wanted:
+                    raise BackendTimeoutError(
+                        f"backend did not answer within {timeout:.1f}s", min(wanted))
+                if self._unsent:
+                    raise BackendTimeoutError("backend is still not reading an earlier batch")
         return results
+
+    def _send(self) -> None:
+        try:
+            sent = os.write(self._stdin, self._unsent)
+        except BlockingIOError:
+            return
+        except OSError as exc:  # the engine exited while the batch was written
+            raise BackendError(f"backend stopped reading requests ({exc})") from None
+        self._unsent = self._unsent[sent:]
+
+    def _receive(self, wanted: set[int]) -> list[dict]:
+        """The responses completed by the next chunk of output; a partial
+        last line waits for the chunk that ends it."""
+        try:
+            chunk = os.read(self._stdout, 1 << 16)
+        except BlockingIOError:
+            return []
+        except OSError as exc:
+            raise BackendError(f"backend output failed ({exc})") from None
+        if not chunk:
+            raise BackendError("backend closed its output stream", min(wanted, default=None))
+        *lines, self._partial = (self._partial + chunk).split(b"\n")
+        if len(self._partial) > _MAX_LINE:
+            self._partial = b""
+            raise BackendError(f"malformed backend response: a line over {_MAX_LINE} bytes")
+        return [self._parse(line) for line in lines if line.strip()]
+
+    @staticmethod
+    def _parse(line: bytes) -> dict:
+        try:
+            msg = json.loads(line)
+        except (ValueError, RecursionError):
+            msg = None
+        # a list or an object is an id no set can hold, and true would match id 1
+        if not isinstance(msg, dict) or isinstance(msg.get("id"), (list, dict, bool)):
+            raise BackendError(
+                f"malformed backend response: {line.decode(errors='replace')!r}")
+        return msg
 
     @staticmethod
     def _take(msg: dict) -> float:
         if "error" in msg:
             raise BackendError(str(msg["error"]), msg.get("id"))
-        if "value" not in msg or not isinstance(msg["value"], (int, float)):
-            raise BackendError(f"response without numeric value: {msg!r}", msg.get("id"))
-        return float(msg["value"])
+        value = msg.get("value")
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            with contextlib.suppress(OverflowError):  # an integer beyond float range
+                return float(value)
+        raise BackendError(f"malformed backend response: {msg!r}", msg.get("id"))
 
     def _requests(self, kind, states, moves, level=None) -> list[dict]:
         if moves is None:
@@ -158,16 +179,7 @@ class SubprocessBackend(Backend):
         return np.array(self._call_batch(self._requests("value", states, moves)))
 
     def close(self) -> None:
-        if self._writing():
-            # A blocked write holds the input stream's lock until the engine
-            # is gone, and closing the stream would wait for it.
-            self._proc.kill()
-            self._writer.join(timeout=3)
-        try:
-            if self._proc.stdin is not None and not self._writing():
-                self._proc.stdin.close()
-        except OSError:
-            pass
+        self._proc.stdin.close()
         if self._proc.poll() is None:
             self._proc.terminate()
             try:
@@ -175,9 +187,4 @@ class SubprocessBackend(Backend):
             except subprocess.TimeoutExpired:
                 self._proc.kill()
                 self._proc.wait()
-        # The reader sees end of file once the engine is gone.  One still
-        # reading (a child of the engine holds the pipe open) holds the
-        # stream's lock, and closing the stream would wait for it.
-        self._reader.join(timeout=3)
-        if not self._reader.is_alive() and self._proc.stdout is not None:
-            self._proc.stdout.close()
+        self._proc.stdout.close()

@@ -50,9 +50,9 @@ def parse_moves(moves, width: int) -> np.ndarray:
 
 
 class SyntheticBackend(Backend):
-    def __init__(self, config: SynthConfig, descriptor: BackendDescriptor | None = None):
+    def __init__(self, config: SynthConfig):
         self.config = config
-        self.descriptor = descriptor or BackendDescriptor(
+        self.descriptor = BackendDescriptor(
             kind="value", game="synthetic", levels=config.level_labels()
         )
         self._last_states = None

@@ -1,7 +1,8 @@
 """Command-line entry point: ingest, extract, train, eval, ablate, synth,
 report, and the full pipeline.
 
-Exit codes: 0 success, 1 configuration error, 2 data or backend error.
+Exit codes: 0 success, 1 configuration error, 2 data or backend error;
+``extract`` also exits 2 when it drops every data point it was given.
 ``pipeline`` writes a manifest with the config hash and seeds so its runs
 can be reproduced exactly; the other commands write none.
 """
@@ -124,9 +125,9 @@ def cmd_ingest(args) -> int:
 def _build_bank(run: RunConfig) -> BackendBank:
     backends_cfg = run.raw.get("backends", {})
     features = run.features
-    if not backends_cfg and run.synth is not None:
-        shared = SyntheticBackend(run.synth)
-        return BackendBank(strength=shared, policy=shared, value=shared)
+    synthetic = SyntheticBackend(run.synth) if run.synth is not None else None
+    if not backends_cfg and synthetic is not None:
+        return BackendBank(strength=synthetic, policy=synthetic, value=synthetic)
     try:
         timeout = float(backends_cfg.get("timeout", 30.0))
     except (AttributeError, TypeError, ValueError):
@@ -144,10 +145,10 @@ def _build_bank(run: RunConfig) -> BackendBank:
             launch=launch,
             levels=features.policy_levels if kind == "policy" else (),
         )
-        if launch == BUILTIN_SYNTHETIC:
-            if run.synth is None:
+        if launch == BUILTIN_SYNTHETIC:  # one backend serves every such role
+            if synthetic is None:
                 raise ConfigError("builtin:synthetic backend needs a synthetic config")
-            return SyntheticBackend(run.synth, descriptor=descriptor)
+            return synthetic
         backend = SubprocessBackend(descriptor, timeout=timeout)
         if cache is None:
             return backend
@@ -191,6 +192,9 @@ def cmd_extract(args) -> int:
         bank.close()
     _log(f"extract: {len(rows)} rows -> {args.out} "
          f"({len(report.dropped)} dropped)")
+    if datapoints and not rows:
+        raise DataError(f"every data point was dropped, the first for "
+                        f"{report.dropped[0]['reason']}")
     return 0
 
 

@@ -9,6 +9,9 @@ Modes:
   slow               answer each request after SLOW_DELAY seconds, so a
                      batch's answers come steadily but the whole batch
                      takes longer than a short timeout
+  split              answer each request immediately, in two flushes
+                     SPLIT_PAUSE seconds apart, so the reader sees half a
+                     line first
 
 Values are a deterministic hash of (kind, state, move, level), so two
 modes produce identical values and only ordering/completeness differ.
@@ -21,6 +24,7 @@ import sys
 import time
 
 SLOW_DELAY = 0.05
+SPLIT_PAUSE = 0.01
 
 
 def value_of(req):
@@ -41,7 +45,13 @@ def respond(req):
 
 
 def emit(msg):
-    sys.stdout.write(json.dumps(msg) + "\n")
+    line = json.dumps(msg) + "\n"
+    if mode == "split":
+        sys.stdout.write(line[:len(line) // 2])
+        sys.stdout.flush()
+        time.sleep(SPLIT_PAUSE)
+        line = line[len(line) // 2:]
+    sys.stdout.write(line)
     sys.stdout.flush()
 
 

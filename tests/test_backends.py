@@ -1,4 +1,5 @@
 import math
+import shlex
 import sys
 import threading
 import time
@@ -183,6 +184,69 @@ def test_inorder_and_outoforder_backends_agree(mock_backend_cmd):
         b.close()
 
 
+def test_answers_written_in_two_flushes_agree_with_inorder(mock_backend_cmd):
+    states = [f"s{i}" for i in range(9)]
+    moves = [str(i % 3) for i in range(9)]
+    split = SubprocessBackend(_descriptor(mock_backend_cmd("split")), timeout=10)
+    reference = SubprocessBackend(_descriptor(mock_backend_cmd("inorder")), timeout=10)
+    try:
+        assert np.array_equal(split.evaluate_state_many(states, moves),
+                              reference.evaluate_state_many(states, moves))
+        assert np.array_equal(split.policy_prior_many(states, moves, "lv1"),
+                              reference.policy_prior_many(states, moves, "lv1"))
+    finally:
+        split.close()
+        reference.close()
+
+
+def _one_answer_engine(answer: str) -> str:
+    """An engine that reads one request, writes ``answer`` as its one line,
+    then waits for its input to close."""
+    code = (f"import sys; sys.stdin.readline(); print({answer!r}, flush=True); "
+            "sys.stdin.read()")
+    return f"{sys.executable} -c {shlex.quote(code)}"
+
+
+@pytest.mark.parametrize("answer", [
+    "not json", '"x"', "[1]", "null", "[" * 2000,
+    '{"id": [1], "value": 0.5}', '{"id": true, "value": 0.5}', '{"id": 1, "value": true}',
+    '{"id": 1, "value": 1' + "0" * 400 + "}",
+], ids=["not-json", "string", "list", "null", "nested-too-deep",
+        "unhashable-id", "bool-id", "bool-value", "int-beyond-float-range"])
+def test_malformed_answer_is_backend_error(answer):
+    backend = SubprocessBackend(_descriptor(_one_answer_engine(answer)), timeout=5)
+    try:
+        with pytest.raises(BackendError, match="malformed backend response") as exc_info:
+            backend.evaluate_state_many(["s"])
+        assert not isinstance(exc_info.value, BackendTimeoutError)
+    finally:
+        backend.close()
+
+
+def test_engine_that_writes_half_a_line_and_exits_is_backend_error():
+    code = ("import sys; sys.stdin.readline(); "
+            "sys.stdout.write('{\"id\": 1, \"val'); sys.stdout.flush()")
+    backend = SubprocessBackend(
+        _descriptor(f"{sys.executable} -c {shlex.quote(code)}"), timeout=10)
+    try:
+        exc = _bounded(lambda: backend.evaluate_state_many(["s"]), 5)
+        assert isinstance(exc, BackendError) and not isinstance(exc, BackendTimeoutError)
+        assert exc.request_id == 1
+    finally:
+        backend.close()
+
+
+def test_client_starts_no_thread(mock_backend_cmd):
+    before = threading.active_count()
+    backend = SubprocessBackend(_descriptor(mock_backend_cmd("inorder")), timeout=10)
+    try:
+        assert len(backend.evaluate_state_many([f"s{i}" for i in range(5)])) == 5
+        assert threading.active_count() == before
+    finally:
+        backend.close()
+    assert threading.active_count() == before
+
+
 def test_n_requests_yield_n_responses(mock_backend_cmd):
     backend = SubprocessBackend(_descriptor(mock_backend_cmd("outoforder")), timeout=10)
     try:
@@ -305,6 +369,78 @@ def test_engine_that_never_reads_a_large_batch_times_out():
         assert _bounded(backend.close, 10) is None
     finally:
         backend._proc.kill()
+
+
+def test_engine_that_resumes_reading_serves_the_next_call():
+    # it starts reading 0.6 s late: the first batch, about 120 KB, times out
+    # with requests unsent, and the engine takes them once it reads again
+    code = ("import json, sys, time\ntime.sleep(0.6)\nfor line in sys.stdin:\n"
+            "    print(json.dumps({'id': json.loads(line)['id'], 'value': 0.5}), flush=True)\n")
+    backend = SubprocessBackend(
+        _descriptor(f"{sys.executable} -c {shlex.quote(code)}"), timeout=0.3)
+    states = [f"state-{i:06d}" * 4 for i in range(1000)]
+    try:
+        exc = _bounded(lambda: backend.evaluate_state_many(states), 10)
+        assert isinstance(exc, BackendTimeoutError)
+        time.sleep(1.5)
+        assert backend.evaluate_state_many(["s"]).tolist() == [0.5]
+    finally:
+        backend.close()
+
+
+def _chatty_engine(setup: str, reads: bool) -> str:
+    """An engine that runs ``setup``, then writes lines no call wants as fast
+    as they are read, so its output is never idle; with ``reads`` it also
+    reads its input a few bytes at a time."""
+    code = ("import os, sys\n" + setup + "\nwhile True:\n"
+            + ("    os.read(0, 8)\n" if reads else "")
+            + "    sys.stdout.write('\\n{\"id\": 0}\\n' * 8000); sys.stdout.flush()\n")
+    return f"{sys.executable} -c {shlex.quote(code)}"
+
+
+@pytest.mark.parametrize("setup, reads", [
+    ("sys.stdin.readline()", False),
+    ("", True),
+], ids=["reads-one-request", "reads-slowly"])
+def test_engine_that_writes_but_never_answers_times_out(setup, reads):
+    backend = SubprocessBackend(_descriptor(_chatty_engine(setup, reads)), timeout=0.5)
+    states = [f"state-{i:06d}" * 4 for i in range(1000)]
+    try:
+        assert isinstance(_bounded(lambda: backend.evaluate_state_many(states), 5),
+                          BackendTimeoutError)
+        # most of the batch is still unsent: the next call fails at once
+        start = time.monotonic()
+        assert isinstance(_bounded(lambda: backend.evaluate_state_many(["s"]), 5),
+                          BackendTimeoutError)
+        assert time.monotonic() - start < 0.5
+    finally:
+        backend.close()
+
+
+def test_error_answer_from_an_engine_that_then_stops_reading_is_backend_error():
+    setup = ("import json\nrid = json.loads(sys.stdin.readline())['id']\n"
+             "print(json.dumps({'id': rid, 'error': 'bad'}), flush=True)")
+    backend = SubprocessBackend(_descriptor(_chatty_engine(setup, False)), timeout=0.5)
+    states = [f"state-{i:06d}" * 4 for i in range(1000)]
+    try:
+        exc = _bounded(lambda: backend.evaluate_state_many(states), 5)
+        assert isinstance(exc, BackendError) and not isinstance(exc, BackendTimeoutError)
+        assert exc.request_id == 1
+    finally:
+        backend.close()
+
+
+def test_endless_answer_line_is_backend_error():
+    code = ("import sys, time; sys.stdin.readline()\n"
+            "for _ in range(40): sys.stdout.write('x' * 65536); sys.stdout.flush()\n"
+            "time.sleep(60)")
+    backend = SubprocessBackend(
+        _descriptor(f"{sys.executable} -c {shlex.quote(code)}"), timeout=10)
+    try:
+        exc = _bounded(lambda: backend.evaluate_state_many(["s"]), 5)
+        assert isinstance(exc, BackendError) and not isinstance(exc, BackendTimeoutError)
+    finally:
+        backend.close()
 
 
 def test_error_in_a_batch_larger_than_a_pipe_buffer_leaves_the_engine_usable(mock_backend_cmd):

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+import shlex
+import sys
 from pathlib import Path
 
 import pytest
@@ -364,7 +366,7 @@ def test_eval_rejects_schema_mismatch(tmp_path):
 
 
 @pytest.mark.parametrize("mode", ["random", "player"])
-def test_eval_group_unknown_to_model_exits_one(tmp_path, capsys, mode):
+def test_eval_group_unknown_to_model_exits_two(tmp_path, capsys, mode):
     config = tmp_path / "run.toml"
     config.write_text(TINY_SYNTH)
     dataset = tmp_path / "d.jsonl"
@@ -562,7 +564,7 @@ def test_ablate_test_store_group_beyond_the_synth_groups_exits_two(tmp_path, cap
     assert "data error" in capsys.readouterr().err
 
 
-def test_train_on_a_store_without_rows_exits_one(tmp_path, capsys):
+def test_train_on_a_store_without_rows_exits_two(tmp_path, capsys):
     store, model = _tiny_store(tmp_path)
     _rewrite_store(store, keep=lambda row: False)
     capsys.readouterr()
@@ -655,6 +657,26 @@ def test_extract_through_engines_opens_one_response_cache(tmp_path, monkeypatch,
     monkeypatch.setattr(cli, "ResponseCache", CountingCache)
     assert run(tmp_path / "store.jsonl") == 0
     assert len(opened) == 1
+
+
+def test_extract_through_an_engine_of_malformed_answers_exits_two(tmp_path, capsys,
+                                                                  monkeypatch):
+    code = "import sys\nfor line in sys.stdin:\n    print('[1]', flush=True)\n"
+    engine = f"{sys.executable} -c {shlex.quote(code)}"
+    config = tmp_path / "engine.toml"
+    config.write_text(TINY_SYNTH + "\n[backends]\n" + "".join(
+        f"{role} = {json.dumps(engine)}\n" for role in ("strength", "policy", "value")))
+    dataset = tmp_path / "data.jsonl"
+    assert main(["synth", "--config", str(config), "--matches", "2",
+                 "--out", str(dataset)]) == 0
+    monkeypatch.delenv("RANKFORGE_CACHE", raising=False)
+    capsys.readouterr()
+    assert main(["extract", "--config", str(config), "--dataset", str(dataset),
+                 "--out", str(tmp_path / "store.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "data error: every data point was dropped" in err
+    assert "malformed backend response" in err
 
 
 def test_report_loss_traces_without_value_backend_is_config_error(tmp_path, capsys):

@@ -180,7 +180,7 @@ def test_heterogeneous_players_hurt_player_specific_mode():
 
 
 @pytest.mark.parametrize("mode", ["random", "player"])
-def test_group_unknown_to_model_is_config_error(mode):
+def test_group_unknown_to_model_is_data_error(mode):
     model = _FixedModel(lambda row: row[0], r_groups=3)
     protocol = EvalProtocol(mode, 3, 5, seed=0)
     with pytest.raises(DataError, match=r"outside \[0, 3\)"):
