@@ -3,7 +3,7 @@
 Wire format, one UTF-8 JSON object per line:
   request:  {"id": <int>, "kind": "strength"|"policy"|"value",
              "state": <string>, "move": <string|null>, "level": <string|null>}
-  response: {"id": <int>, "value": <number>}  or  {"id": <int>, "error": <string>}
+  response: {"id": <int>, "value": <finite number>}  or  {"id": <int>, "error": <string>}
 
 Requests may be answered out of order; responses are matched by id, and a
 response for an id no call wants is dropped.  Any other line, or a line
@@ -20,6 +20,7 @@ behind them.  The client needs POSIX pipes.
 
 import contextlib
 import json
+import math
 import os
 import selectors
 import shlex
@@ -155,7 +156,9 @@ class SubprocessBackend(Backend):
         value = msg.get("value")
         if isinstance(value, (int, float)) and not isinstance(value, bool):
             with contextlib.suppress(OverflowError):  # an integer beyond float range
-                return float(value)
+                value = float(value)
+                if math.isfinite(value):  # json reads NaN and Infinity
+                    return value
         raise BackendError(f"malformed backend response: {msg!r}", msg.get("id"))
 
     def _requests(self, kind, states, moves, level=None) -> list[dict]:

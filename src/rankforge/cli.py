@@ -2,7 +2,8 @@
 report, and the full pipeline.
 
 Exit codes: 0 success, 1 configuration error, 2 data or backend error;
-``extract`` also exits 2 when it drops every data point it was given.
+``extract`` also exits 2 when it drops every data point it was given, and
+``eval`` when ``--n`` is not the n its model was trained for.
 ``pipeline`` writes a manifest with the config hash and seeds so its runs
 can be reproduced exactly; the other commands write none.
 """
@@ -37,6 +38,8 @@ from .evalharness import (
     boxplot_rows,
     family_masks,
     loss_by_ply_rows,
+    player_pool_from_store,
+    pool_from_store,
     prior_curve_rows,
     run_ablation,
     run_player_specific,
@@ -202,20 +205,6 @@ def cmd_extract(args) -> int:
 # train / eval
 
 
-def _pool_from_store(rows):
-    pool: dict = {}
-    for row in rows:
-        pool.setdefault(row.group_index, []).append(row.vector)
-    return pool
-
-
-def _player_pool_from_store(rows):
-    pool: dict = {}
-    for row in rows:
-        pool.setdefault(row.group_index, {}).setdefault(row.player_id, []).append(row.vector)
-    return pool
-
-
 def _group_count(game: str, pool: dict, run: RunConfig | None) -> int:
     """The game's group count, else ``[synth] groups``, else (no config) one
     more than the pool's top group; a pool group beyond it is a DataError."""
@@ -229,7 +218,7 @@ def _group_count(game: str, pool: dict, run: RunConfig | None) -> int:
 def cmd_train(args) -> int:
     run = run_config_from(read_config_file(args.config)) if args.config else None
     config, rows = read_feature_store(args.features)
-    pool = _pool_from_store(rows)
+    pool = pool_from_store(rows)
     params = run.gbdt if run else GbdtParams()
     spec = TrainingSetSpec(n=args.n, repetitions_per_group=args.repetitions, seed=args.seed)
     model = train_meta_model(pool, spec, params, config.schema_id(),
@@ -247,9 +236,9 @@ def cmd_eval(args) -> int:
     protocol = EvalProtocol(mode=args.mode, n=args.n,
                             repetitions=args.repetitions, seed=args.seed)
     if args.mode == "random":
-        report = run_random_sampling(_pool_from_store(rows), model, protocol)
+        report = run_random_sampling(pool_from_store(rows), model, protocol)
     else:
-        report = run_player_specific(_player_pool_from_store(rows), model, protocol)
+        report = run_player_specific(player_pool_from_store(rows), model, protocol)
     write_report(report, args.out)
     _log(f"eval: mode={args.mode} n={args.n} accuracy={report.accuracy:.4f} "
          f"accuracy_pm1={report.accuracy_pm1:.4f} -> {args.out}")
@@ -291,7 +280,8 @@ def _ablate(run: RunConfig, full_config, train_pool, test_pool, ns, outdir, fitt
         gbdt_params=run.gbdt,
         train_repetitions=run.train_repetitions,
         train_seed=run.seed,
-        protocol_template=EvalProtocol("random", ns[0], run.eval_repetitions, run.seed),
+        eval_repetitions=run.eval_repetitions,
+        eval_seed=run.seed,
         r_groups=_group_count(full_config.game, {**test_pool, **train_pool}, run),
         fitted=fitted,
     )
@@ -309,8 +299,8 @@ def cmd_ablate(args) -> int:
     if train_config.schema_id() != test_config.schema_id():
         raise DataError("train and test stores have different schemas")
     outdir = Path(args.out)
-    results = _ablate(run, train_config, _pool_from_store(train_rows),
-                      _pool_from_store(test_rows), run.ablation_ns or [10], outdir, {})
+    results = _ablate(run, train_config, pool_from_store(train_rows),
+                      pool_from_store(test_rows), run.ablation_ns or [10], outdir, {})
     for (name, n), report in results.items():
         write_report(report, outdir / f"{name}_n{n}")
     _log(f"ablate: {len(results)} runs -> {outdir}")
@@ -384,11 +374,11 @@ def run_pipeline(run: RunConfig, outdir) -> dict:
     bank = _build_bank(run)
     stage = "extract"
     try:
-        train_pool = _pool_from_store(
+        train_pool = pool_from_store(
             _synth_store(run, bank, "train", run.train_matches_per_group, outdir)[1])
         test_datapoints, test_rows = _synth_store(run, bank, "test",
                                                   run.test_matches_per_group, outdir)
-        test_pool = _pool_from_store(test_rows)
+        test_pool = pool_from_store(test_rows)
 
         stage = "train"
         metrics = {}

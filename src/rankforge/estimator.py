@@ -1,8 +1,14 @@
 """Training-set construction and rank prediction around the meta-model.
 
-For each rank group, features of n sampled data points are averaged and
-paired with the group index as the regression target.  Predictions are
-rounded half away from zero and clamped into the valid group range.
+Every draw goes one way, through ``draw_group_means``: per subject (a rank
+group, or one player in it) and repetition, n distinct feature vectors are
+drawn on the subject's own substream and averaged into one row.  Training
+sets and both evaluation protocols are built with it.
+
+Every prediction goes one way too, through ``predict_groups``: a model
+trained for n predicts only averages of n vectors (the paper fits one
+model per n), and its answer is rounded half away from zero and clamped
+into the model's group range.  ``estimate_rank`` is its one-row case.
 """
 
 from dataclasses import dataclass
@@ -10,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, SchemaMismatchError
-from .features import average_features, stack_vectors
+from .features import stack_vectors
 from .gbdt import GbdtParams, TreeEnsemble, fit
 from .rng import draw_means
 
@@ -34,30 +40,31 @@ class RankPrediction:
     group_index: int
 
 
-def build_training_set(pool: dict, spec: TrainingSetSpec):
-    """(X, y) from a per-group pool of feature vectors.
+def draw_group_means(subjects, n: int, repetitions: int, seed: int, schema_id: str = ""):
+    """(X, y) from (group, substream path, vectors) subjects.
 
-    Per group and repetition, n distinct data points are drawn (without
-    replacement within the repetition, independently across repetitions)
-    and their features averaged.  Row order and sampling are fully
-    determined by the spec seed via per-(group, repetition) substreams.
-    """
-    groups = sorted(pool)
-    if not groups:
+    Per subject, row ``rep`` of X is the mean of n distinct vectors drawn
+    with the substream ``(*path, rep)``, and its y is the subject's group;
+    rows follow subject order.  Every subject must hold at least n vectors
+    of one schema: ``schema_id``, or the first vector's when it is empty."""
+    rows, groups = [], []
+    for g, path, vectors in subjects:
+        vectors = list(vectors)
+        if len(vectors) < n:
+            raise ConfigError(f"group {g} has {len(vectors)} data points, fewer than n={n}")
+        schema_id = schema_id or vectors[0].schema_id
+        rows.append(draw_means(stack_vectors(vectors, schema_id), n, repetitions, seed, *path))
+        groups.append(g)
+    return np.concatenate(rows), np.repeat(np.array(groups, dtype=np.float64), repetitions)
+
+
+def build_training_set(pool: dict, spec: TrainingSetSpec):
+    """(X, y) from a per-group pool of feature vectors: per group,
+    ``repetitions_per_group`` rows drawn on the paths ``("trainset", g)``."""
+    if not pool:
         raise DataError("empty training pool")
-    schema = ""
-    rows = []
-    for g in groups:
-        vectors = list(pool[g])
-        if len(vectors) < spec.n:
-            raise ConfigError(
-                f"group {g} has {len(vectors)} data points, fewer than n={spec.n}"
-            )
-        schema = schema or vectors[0].schema_id
-        rows.append(draw_means(stack_vectors(vectors, schema), spec.n,
-                               spec.repetitions_per_group, spec.seed, "trainset", g))
-    targets = np.repeat(np.array(groups, dtype=np.float64), spec.repetitions_per_group)
-    return np.concatenate(rows), targets
+    return draw_group_means(((g, ("trainset", g), pool[g]) for g in sorted(pool)),
+                            spec.n, spec.repetitions_per_group, spec.seed)
 
 
 def train_meta_model(
@@ -82,10 +89,6 @@ def round_half_away(x):
     return np.where(x >= 0, np.floor(x + 0.5), np.ceil(x - 0.5))
 
 
-def _group_of(raw, r_groups: int):
-    return np.clip(round_half_away(raw), 0, r_groups - 1).astype(int)
-
-
 def group_count(model: TreeEnsemble) -> int:
     """The number of rank groups ``model`` was trained to predict into."""
     count = model.meta.get("r_groups")
@@ -94,21 +97,19 @@ def group_count(model: TreeEnsemble) -> int:
     return count
 
 
+def predict_groups(model: TreeEnsemble, rows: np.ndarray, n: int):
+    """(raw predictions, group indexes) for rows that each average n
+    vectors; a model trained for another n is a SchemaMismatchError."""
+    trained_n = model.meta.get("trained_n")
+    if trained_n is not None and n != trained_n:
+        raise SchemaMismatchError(f"model was trained for n={trained_n}, not n={n}")
+    raw = model.predict_many(rows)
+    return raw, np.clip(round_half_away(raw), 0, group_count(model) - 1).astype(int)
+
+
 def estimate_rank(model: TreeEnsemble, vectors) -> RankPrediction:
     """Predict a rank group from n sampled data points' feature vectors."""
     vectors = list(vectors)
-    avg = average_features(vectors)
-    if model.schema_id and avg.schema_id != model.schema_id:
-        raise SchemaMismatchError("feature schema does not match the model")
-    trained_n = model.meta.get("trained_n")
-    if trained_n is not None and len(vectors) != trained_n:
-        raise SchemaMismatchError(
-            f"model was trained for n={trained_n}, got {len(vectors)} vectors"
-        )
-    raw = model.predict(np.asarray(avg.values))
-    return RankPrediction(raw=raw, group_index=int(_group_of(raw, group_count(model))))
-
-
-def estimate_rank_rows(model: TreeEnsemble, rows: np.ndarray, r_groups: int) -> np.ndarray:
-    """Vectorized group prediction for pre-averaged feature rows."""
-    return _group_of(model.predict_many(rows), r_groups)
+    row = stack_vectors(vectors, model.schema_id).mean(axis=0, keepdims=True)
+    raw, groups = predict_groups(model, row, len(vectors))
+    return RankPrediction(raw=float(raw[0]), group_index=int(groups[0]))

@@ -1,9 +1,14 @@
 """Evaluation protocols, metrics, ablations, and plot-data tables.
 
 Random-sampling mode draws n data points from a whole rank group per
-repetition; player-specific mode draws n from one player's own pool.
-Both tally exact-group accuracy, within-one-group accuracy, and a
-confusion matrix with rows = actual group, columns = predicted group.
+repetition, on the substream paths ``("eval-random", g)``; player-specific
+mode draws n from one player's own pool, on ``("eval-player", g, player)``,
+and leaves out players with fewer than n.  Both draw with
+``estimator.draw_group_means`` and predict every draw in one
+``estimator.predict_groups`` call, so a model trained for another n than
+the protocol's is refused.  Both tally exact-group accuracy, within-one-group
+accuracy, and a confusion matrix with rows = actual group, columns =
+predicted group.
 """
 
 from dataclasses import asdict, dataclass, field, replace
@@ -13,8 +18,9 @@ import numpy as np
 
 from .artifacts import write_json, write_table
 from .errors import ConfigError, DataError
-from .estimator import TrainingSetSpec, estimate_rank_rows, group_count, train_meta_model
-from .features import FeatureConfig, FeatureVector, StoredFeature, stack_vectors
+from .estimator import (TrainingSetSpec, draw_group_means, group_count, predict_groups,
+                        train_meta_model)
+from .features import FeatureConfig, FeatureVector, stack_vectors
 from .rng import draw_means
 
 RANDOM_MODE = "random"
@@ -84,22 +90,13 @@ def accuracy_metrics(pairs, r_groups: int):
 
 
 def _evaluate(subjects, model, protocol: EvalProtocol) -> EvaluationReport:
-    """Score `repetitions` draws of n vectors per subject, one prediction per
-    draw; a subject is (actual group, substream path, vectors).
-
-    Every subject's draws are made first, on its own substream path; the
-    rows of all subjects then go through one prediction call, and the
-    answers are paired back with the subjects' groups in subject order,
-    `repetitions` answers per subject."""
-    r_groups = group_count(model)
-    groups, rows = [], []
-    for g, path, vectors in subjects:
-        groups.append(g)
-        rows.append(draw_means(stack_vectors(vectors, model.schema_id), protocol.n,
-                               protocol.repetitions, protocol.seed, *path))
-    predicted = estimate_rank_rows(model, np.concatenate(rows), r_groups) if rows else []
-    pairs = np.column_stack([np.repeat(groups, protocol.repetitions), predicted])
-    accuracy, accuracy_pm1, confusion = accuracy_metrics(pairs, r_groups)
+    """Score `repetitions` draws of n vectors per (actual group, substream
+    path, vectors) subject, all predicted in one call."""
+    X, actual = draw_group_means(subjects, protocol.n, protocol.repetitions, protocol.seed,
+                                 model.schema_id)
+    _, predicted = predict_groups(model, X, protocol.n)
+    accuracy, accuracy_pm1, confusion = accuracy_metrics(np.column_stack([actual, predicted]),
+                                                         group_count(model))
     return EvaluationReport(accuracy, accuracy_pm1, confusion, config=asdict(protocol))
 
 
@@ -108,13 +105,10 @@ def run_random_sampling(testpool: dict, model, protocol: EvalProtocol) -> Evalua
     every draw yields one prediction."""
     if protocol.mode != RANDOM_MODE:
         raise ConfigError("protocol mode must be 'random'")
-    subjects = []
-    for g in sorted(testpool):
-        vectors = list(testpool[g])
-        if len(vectors) < protocol.n:
-            raise ConfigError(f"group {g} pool smaller than n={protocol.n}")
-        subjects.append((g, ("eval-random", g), vectors))
-    return _evaluate(subjects, model, protocol)
+    if not testpool:
+        raise DataError("no predictions to score: the test pool is empty")
+    return _evaluate([(g, ("eval-random", g), testpool[g]) for g in sorted(testpool)],
+                     model, protocol)
 
 
 def run_player_specific(testpool_by_player: dict, model, protocol: EvalProtocol) -> EvaluationReport:
@@ -124,7 +118,7 @@ def run_player_specific(testpool_by_player: dict, model, protocol: EvalProtocol)
     subjects, excluded = [], []
     for g in sorted(testpool_by_player):
         for player_id in sorted(testpool_by_player[g]):
-            vectors = list(testpool_by_player[g][player_id])
+            vectors = testpool_by_player[g][player_id]
             if len(vectors) < protocol.n:
                 excluded.append({"player_id": player_id, "group": g,
                                  "reason": "fewer_datapoints_than_n"})
@@ -137,6 +131,22 @@ def run_player_specific(testpool_by_player: dict, model, protocol: EvalProtocol)
     if excluded:
         report.drops["excluded_players"] = excluded
     return report
+
+
+def pool_from_store(rows) -> dict:
+    """{group: vectors} from feature store rows, in store order."""
+    pool: dict = {}
+    for row in rows:
+        pool.setdefault(row.group_index, []).append(row.vector)
+    return pool
+
+
+def player_pool_from_store(rows) -> dict:
+    """{group: {player id: vectors}} from feature store rows, in store order."""
+    pool: dict = {}
+    for row in rows:
+        pool.setdefault(row.group_index, {}).setdefault(row.player_id, []).append(row.vector)
+    return pool
 
 
 def flatten_player_pool(testpool_by_player: dict) -> dict:
@@ -180,7 +190,8 @@ class AblationContext:
     gbdt_params: object
     train_repetitions: int
     train_seed: int
-    protocol_template: EvalProtocol
+    eval_repetitions: int
+    eval_seed: int
     r_groups: int
     # {n: model} already trained with these settings on the whole train pool
     fitted: dict = field(default_factory=dict)
@@ -205,9 +216,8 @@ def run_ablation(masks, ns, ctx: AblationContext) -> dict:
                 spec = TrainingSetSpec(n=n, repetitions_per_group=ctx.train_repetitions,
                                        seed=ctx.train_seed)
                 model = train_meta_model(train, spec, ctx.gbdt_params, schema, ctx.r_groups)
-            protocol = EvalProtocol(mode=RANDOM_MODE, n=n,
-                                    repetitions=ctx.protocol_template.repetitions,
-                                    seed=ctx.protocol_template.seed)
+            protocol = EvalProtocol(mode=RANDOM_MODE, n=n, repetitions=ctx.eval_repetitions,
+                                    seed=ctx.eval_seed)
             report = run_random_sampling(test, model, protocol)
             report.config["mask"] = name
             results[(name, n)] = report
@@ -276,11 +286,9 @@ def prior_curve_rows(rows, config: FeatureConfig):
         raise ConfigError("feature config has no prior columns")
     names = config.feature_names()
     out = []
-    by_group: dict[int, list[StoredFeature]] = {}
-    for row in rows:
-        by_group.setdefault(row.group_index, []).append(row)
-    for g in sorted(by_group):
-        stacked = np.array([r.vector.values for r in by_group[g]], dtype=np.float64)
+    pool = pool_from_store(rows)
+    for g in sorted(pool):
+        stacked = stack_vectors(pool[g])
         for level in config.policy_levels:
             col = names.index(f"prior_gm_{level}")
             logs = np.log(stacked[:, col])
@@ -327,24 +335,20 @@ def boxplot_rows(rows, config: FeatureConfig, column: str, mode: str = "player",
         raise ConfigError(f"unknown feature column {column!r}")
     col = names.index(column)
     out = []
-    by_group: dict[int, list[StoredFeature]] = {}
-    for row in rows:
-        by_group.setdefault(row.group_index, []).append(row)
-    for g in sorted(by_group):
-        group_rows = by_group[g]
-        if mode == "player":
-            by_player: dict[str, list[float]] = {}
-            for row in group_rows:
-                by_player.setdefault(row.player_id, []).append(row.vector.values[col])
-            for player_id in sorted(by_player):
+    if mode == "player":
+        players = player_pool_from_store(rows)
+        for g in sorted(players):
+            for player_id in sorted(players[g]):
                 out.append({
                     "group": g,
                     "subject": player_id,
                     "statistic": column,
-                    "value": float(np.mean(by_player[player_id])),
+                    "value": float(np.mean([v.values[col] for v in players[g][player_id]])),
                 })
-        elif mode == "random":
-            values = np.array([r.vector.values[col] for r in group_rows])
+    elif mode == "random":
+        pool = pool_from_store(rows)
+        for g in sorted(pool):
+            values = np.array([v.values[col] for v in pool[g]])
             # As an (n, 1) column the mean is bit-equal to the 1-D
             # values[idx].mean(); a mean over a wider matrix is not.
             means = draw_means(values[:, None], min(sample_size, len(values)), samples,
@@ -356,8 +360,8 @@ def boxplot_rows(rows, config: FeatureConfig, column: str, mode: str = "player",
                     "statistic": column,
                     "value": float(means[s, 0]),
                 })
-        else:
-            raise ConfigError(f"unknown boxplot mode {mode!r}")
+    else:
+        raise ConfigError(f"unknown boxplot mode {mode!r}")
     return out
 
 

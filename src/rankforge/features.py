@@ -357,15 +357,8 @@ def stack_vectors(vectors, schema_id: str = "") -> np.ndarray:
         raise DataError("no feature vectors to stack")
     schema_id = schema_id or vectors[0].schema_id
     if any(v.schema_id != schema_id for v in vectors):
-        raise SchemaMismatchError("feature vectors mix schemas")
+        raise SchemaMismatchError(f"feature vectors do not all carry schema {schema_id!r}")
     return np.array([v.values for v in vectors], dtype=np.float64)
-
-
-def average_features(vectors) -> FeatureVector:
-    vectors = list(vectors)
-    stacked = stack_vectors(vectors)
-    return FeatureVector(values=tuple(float(x) for x in stacked.mean(axis=0)),
-                         schema_id=vectors[0].schema_id)
 
 
 def write_feature_store(path, rows, config: FeatureConfig) -> None:

@@ -12,6 +12,7 @@ Modes:
   split              answer each request immediately, in two flushes
                      SPLIT_PAUSE seconds apart, so the reader sees half a
                      line first
+  nan MARK           answer states containing MARK with the value NaN
 
 Values are a deterministic hash of (kind, state, move, level), so two
 modes produce identical values and only ordering/completeness differ.
@@ -41,6 +42,8 @@ def value_of(req):
 def respond(req):
     if "BAD" in str(req.get("state", "")) and mode == "error":
         return {"id": req["id"], "error": "scripted failure"}
+    if mode == "nan" and sys.argv[2] in str(req.get("state", "")):
+        return {"id": req["id"], "value": float("nan")}
     return {"id": req["id"], "value": value_of(req)}
 
 

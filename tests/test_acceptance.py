@@ -159,7 +159,7 @@ def ablation_results(desk):
         full_config=desk.fconfig, train_pool=desk.train, test_pool=desk.test,
         gbdt_params=GbdtParams(), train_repetitions=TRAIN_REPETITIONS,
         train_seed=TRAIN_SEED,
-        protocol_template=EvalProtocol("random", 10, EVAL_REPETITIONS, seed=EVAL_SEED),
+        eval_repetitions=EVAL_REPETITIONS, eval_seed=EVAL_SEED,
         r_groups=desk.cfg.groups,
     )
     return run_ablation(family_masks(desk.fconfig), (10, 20), ctx)
@@ -199,7 +199,7 @@ def test_criterion_two_plateau_levels(desk):
         full_config=fconfig, train_pool=train, test_pool=test,
         gbdt_params=GbdtParams(), train_repetitions=TRAIN_REPETITIONS,
         train_seed=TRAIN_SEED,
-        protocol_template=EvalProtocol("random", 20, EVAL_REPETITIONS, seed=EVAL_SEED),
+        eval_repetitions=EVAL_REPETITIONS, eval_seed=EVAL_SEED,
         r_groups=cfg.groups,
     )
     results = run_ablation(single_level_masks(fconfig), (20,), ctx)

@@ -211,8 +211,10 @@ def _one_answer_engine(answer: str) -> str:
     "not json", '"x"', "[1]", "null", "[" * 2000,
     '{"id": [1], "value": 0.5}', '{"id": true, "value": 0.5}', '{"id": 1, "value": true}',
     '{"id": 1, "value": 1' + "0" * 400 + "}",
+    '{"id": 1, "value": NaN}', '{"id": 1, "value": -Infinity}',
 ], ids=["not-json", "string", "list", "null", "nested-too-deep",
-        "unhashable-id", "bool-id", "bool-value", "int-beyond-float-range"])
+        "unhashable-id", "bool-id", "bool-value", "int-beyond-float-range",
+        "nan-value", "infinite-value"])
 def test_malformed_answer_is_backend_error(answer):
     backend = SubprocessBackend(_descriptor(_one_answer_engine(answer)), timeout=5)
     try:

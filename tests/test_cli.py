@@ -15,7 +15,7 @@ from rankforge.config import (
     synth_config_from,
 )
 from rankforge.errors import ConfigError
-from rankforge.features import FeatureConfig
+from rankforge.features import FeatureConfig, read_feature_store
 
 TINY_SYNTH = """
 seed = 77
@@ -600,6 +600,15 @@ def test_player_eval_with_every_player_excluded_names_the_count_and_n(tmp_path, 
     assert "all 18 players have fewer than n=3 data points" in capsys.readouterr().err
 
 
+def test_eval_at_another_n_than_trained_exits_two(tmp_path, capsys):
+    store, model = _tiny_store(tmp_path)
+    capsys.readouterr()
+    assert main(["eval", "--n", "5", "--model", str(model), "--features", str(store),
+                 "--out", str(tmp_path / "rep")]) == 2
+    assert "data error: model was trained for n=1, not n=5" in capsys.readouterr().err
+    assert not (tmp_path / "rep").exists()
+
+
 @pytest.fixture
 def engine_extract(tmp_path, monkeypatch, mock_backend_cmd):
     """`extract` with every backend role on the mock engine, behind the
@@ -677,6 +686,26 @@ def test_extract_through_an_engine_of_malformed_answers_exits_two(tmp_path, caps
     assert "Traceback" not in err
     assert "data error: every data point was dropped" in err
     assert "malformed backend response" in err
+
+
+def test_extract_drops_the_data_point_of_a_nan_engine_answer(tmp_path, monkeypatch,
+                                                            mock_backend_cmd):
+    engine = mock_backend_cmd("nan x-g1-m00000:")
+    config = tmp_path / "engine.toml"
+    config.write_text(TINY_SYNTH + "\n[backends]\n" + "".join(
+        f"{role} = '{engine}'\n" for role in ("strength", "policy", "value")))
+    dataset = tmp_path / "data.jsonl"
+    assert main(["synth", "--config", str(config), "--matches", "2", "--tag", "x",
+                 "--out", str(dataset)]) == 0
+    monkeypatch.delenv("RANKFORGE_CACHE", raising=False)
+    drops = tmp_path / "drops.json"
+    assert main(["extract", "--config", str(config), "--dataset", str(dataset),
+                 "--out", str(tmp_path / "store.jsonl"), "--drops", str(drops)]) == 0
+    (dropped,) = json.loads(drops.read_text())["dropped"]
+    assert dropped["match_id"] == "x-g1-m00000"
+    assert dropped["reason"].startswith("backend_error:malformed backend response")
+    _, rows = read_feature_store(tmp_path / "store.jsonl")
+    assert len(rows) == 5
 
 
 def test_report_loss_traces_without_value_backend_is_config_error(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import math
 from itertools import combinations
 
 import numpy as np
@@ -9,6 +10,7 @@ from rankforge.estimator import (
     RankPrediction,
     TrainingSetSpec,
     build_training_set,
+    draw_group_means,
     estimate_rank,
     round_half_away,
     train_meta_model,
@@ -142,3 +144,72 @@ def test_meta_model_learns_separable_groups():
         prediction = estimate_rank(model, pool[g][:5])
         hits += prediction.group_index == g
     assert hits == 3
+
+
+# ---------------------------------------------------------------------------
+# the averages that draws and estimates are made of
+
+
+def _draw_all(vectors, schema_id=""):
+    """The one row of a draw of every vector: their column means."""
+    X, _ = draw_group_means([(0, ("all",), vectors)], len(vectors), 1, 0, schema_id)
+    return tuple(X[0])
+
+
+class _RowModel:
+    """Duck-typed model that records the rows it is asked to predict."""
+
+    def __init__(self, trained_n):
+        self.schema_id = "s"
+        self.meta = {"trained_n": trained_n, "r_groups": 3}
+        self.rows = []
+
+    def predict_many(self, X):
+        self.rows.append(np.array(X))
+        return np.zeros(len(X))
+
+
+def test_draw_of_one_vector_is_that_vector_and_of_two_their_mean():
+    a = FeatureVector((1.0, 3.0), "s")
+    b = FeatureVector((3.0, 1.0), "s")
+    assert _draw_all([a]) == a.values
+    assert _draw_all([a, b]) == (2.0, 2.0)
+
+
+def test_draw_of_mixed_schemas_is_schema_mismatch():
+    mixed = [FeatureVector((1.0,), "a"), FeatureVector((2.0,), "b")]
+    for schema_id in ("", "a"):
+        with pytest.raises(SchemaMismatchError):
+            _draw_all(mixed, schema_id)
+
+
+def test_estimate_rank_of_mixed_schemas_is_schema_mismatch():
+    model = _trained_model(_pool(), 2)
+    with pytest.raises(SchemaMismatchError):
+        estimate_rank(model, [FeatureVector((0.0, 0.0), "s"), FeatureVector((0.0, 0.0), "t")])
+
+
+def test_estimate_rank_predicts_the_column_means():
+    rng = np.random.default_rng(3)
+    vectors = [FeatureVector(tuple(rng.normal(size=4)), "s") for _ in range(20)]
+    model = _RowModel(trained_n=20)
+    estimate_rank(model, vectors)
+    ((row,),) = model.rows
+    for col in range(4):
+        expected = math.fsum(v.values[col] for v in vectors) / 20
+        assert math.isclose(row[col], expected, rel_tol=1e-12)
+
+
+def test_estimate_rank_of_one_vector_predicts_that_vector():
+    v = FeatureVector((1.5, -2.0), "s")
+    model = _RowModel(trained_n=1)
+    assert estimate_rank(model, [v]) == RankPrediction(raw=0.0, group_index=0)
+    assert tuple(model.rows[0][0]) == v.values
+
+
+def test_draw_mean_commutes_with_concat_weighting():
+    rng = np.random.default_rng(4)
+    a = [FeatureVector(tuple(rng.normal(size=3)), "s") for _ in range(5)]
+    b = [FeatureVector(tuple(rng.normal(size=3)), "s") for _ in range(7)]
+    via_parts = [(5 * x + 7 * y) / 12 for x, y in zip(_draw_all(a), _draw_all(b))]
+    assert list(_draw_all(a + b)) == pytest.approx(via_parts, rel=1e-12)

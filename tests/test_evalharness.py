@@ -1,15 +1,17 @@
 import csv
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from rankforge import evalharness
-from rankforge.errors import ConfigError, DataError
+from rankforge.errors import ConfigError, DataError, SchemaMismatchError
 from rankforge.estimator import (
     TrainingSetSpec,
     build_training_set,
-    estimate_rank_rows,
+    estimate_rank,
+    predict_groups,
     train_meta_model,
 )
 from rankforge.features import FeatureConfig, FeatureVector, LossSpec
@@ -196,6 +198,25 @@ def test_random_sampling_on_an_empty_pool_is_data_error():
         run_random_sampling({}, model, EvalProtocol("random", 1, 5, seed=0))
 
 
+@pytest.mark.parametrize("mode", ["random", "player"])
+def test_protocol_at_another_n_than_trained_is_schema_mismatch(mode):
+    model = _FixedModel(lambda row: row[0], r_groups=3, trained_n=2)
+    protocol = EvalProtocol(mode, 3, 5, seed=0)
+    with pytest.raises(SchemaMismatchError, match="trained for n=2, not n=3"):
+        if mode == "random":
+            run_random_sampling(_pool(groups=3), model, protocol)
+        else:
+            run_player_specific(_player_pool(), model, protocol)
+
+
+def test_random_pool_smaller_than_n_names_the_group_and_count():
+    pool = _pool(groups=3)
+    pool[1] = pool[1][:2]
+    model = _FixedModel(lambda row: row[0], r_groups=3)
+    with pytest.raises(ConfigError, match="group 1 has 2 data points, fewer than n=3"):
+        run_random_sampling(pool, model, EvalProtocol("random", 3, 5, seed=0))
+
+
 def test_player_specific_with_every_player_excluded_is_config_error():
     model = _FixedModel(lambda row: row[0], r_groups=3)
     with pytest.raises(ConfigError, match="no predictions"):
@@ -282,7 +303,7 @@ def test_each_protocol_makes_one_prediction_call(mode):
     # the answers pair with their own subject's group
     subject_rows = _per_subject(model, 5)
     per_subject = [(g, p) for g, rows in zip(groups, subject_rows, strict=True)
-                   for p in estimate_rank_rows(model, rows, 3)]
+                   for p in predict_groups(model, rows, 3)[1]]
     assert np.array_equal(report.confusion, accuracy_metrics(per_subject, 3)[2])
 
 
@@ -341,7 +362,7 @@ def test_ablation_full_mask_matches_direct_run():
     params = GbdtParams(num_trees=20, min_samples_leaf=5, seed=0)
     ctx = AblationContext(full_config=config, train_pool=pool, test_pool=test_pool,
                           gbdt_params=params, train_repetitions=100, train_seed=4,
-                          protocol_template=EvalProtocol("random", 5, 40, seed=9),
+                          eval_repetitions=40, eval_seed=9,
                           r_groups=3)
     results = run_ablation([("use_all", config)], (5,), ctx)
     report = results[("use_all", 5)]
@@ -365,7 +386,7 @@ def test_ablation_reuses_a_fitted_model_of_the_whole_schema_and_group_count(
     ctx = AblationContext(full_config=config, train_pool=pool, test_pool=pool,
                           gbdt_params=GbdtParams(num_trees=5, min_samples_leaf=5, seed=0),
                           train_repetitions=20, train_seed=4,
-                          protocol_template=EvalProtocol("random", 5, 10, seed=9),
+                          eval_repetitions=10, eval_seed=9,
                           r_groups=3, fitted={5: fitted})
     results = run_ablation(family_masks(config)[:2], (5,), ctx)
     assert trained == [5] * fits
@@ -443,7 +464,7 @@ def test_write_report_and_csvs(tmp_path):
     ctx = AblationContext(full_config=config, train_pool=tr_pool, test_pool=te_pool,
                           gbdt_params=GbdtParams(num_trees=10, min_samples_leaf=5, seed=0),
                           train_repetitions=50, train_seed=1,
-                          protocol_template=EvalProtocol("random", 3, 20, seed=2),
+                          eval_repetitions=20, eval_seed=2,
                           r_groups=3)
     results = run_ablation(family_masks(config), (3,), ctx)
     write_ablation_csv(results, tmp_path / "ablation.csv")
@@ -459,3 +480,44 @@ def test_write_report_and_csvs(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["mask", "g0", "g1", "g2", "overall"]
     assert len(rows) == 5
+
+
+# ---------------------------------------------------------------------------
+# outputs pinned: the draws, the predictions and the reports they make
+
+
+def _pinned_player_pool():
+    rng = np.random.default_rng(21)
+    return {
+        g: {f"g{g}p{p}": [FeatureVector(tuple(g + rng.normal(scale=0.8, size=3)), "s")
+                          for _ in range(6 + p)]
+            for p in range(4)}
+        for g in range(3)
+    }
+
+
+PINNED_EVAL_SHA256 = {
+    "random": "69c42ec3b7744a43b89ca3d6d22898be4f8875c9df1ab2a2548e4e5261252db7",
+    "player": "5d2d14a43dde9f0df9f330cb5443bc80adcfa9f03fddcdfb83ab6577ff290a29",
+    "estimate_rank": "799407957f0d7224d0cce1742ef30ae96e7fdc74455f51d2cfbef19ec1b92f4d",
+}
+
+
+def test_reports_and_estimates_on_a_seeded_player_pool_are_pinned():
+    by_player = _pinned_player_pool()
+    spec = TrainingSetSpec(n=4, repetitions_per_group=40, seed=5)
+    model = train_meta_model(flatten_player_pool(by_player), spec,
+                             GbdtParams(num_trees=12, min_samples_leaf=4, seed=0), "s", 3)
+    random_report = run_random_sampling(flatten_player_pool(by_player), model,
+                                        EvalProtocol("random", 4, 30, seed=8))
+    player_report = run_player_specific(by_player, model, EvalProtocol("player", 4, 6, seed=8))
+    estimates = [[prediction.raw, prediction.group_index]
+                 for g in sorted(by_player) for player_id in sorted(by_player[g])
+                 for prediction in [estimate_rank(model, by_player[g][player_id][:4])]]
+    digests = {
+        name: hashlib.sha256(json.dumps(value, sort_keys=True).encode()).hexdigest()
+        for name, value in (("random", random_report.to_dict()),
+                            ("player", player_report.to_dict()),
+                            ("estimate_rank", estimates))
+    }
+    assert digests == PINNED_EVAL_SHA256

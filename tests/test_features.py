@@ -16,7 +16,6 @@ from rankforge.features import (
     FeatureVector,
     LossSpec,
     StoredFeature,
-    average_features,
     chess_default_config,
     extract_many,
     go_default_config,
@@ -282,39 +281,6 @@ def test_extract_features_deterministic_and_ordered():
     betas = backend.score_strength_many([m[1] for m in dp.moves],
                                         [m[2] for m in dp.moves])
     assert v1.values[0] == pytest.approx(betas.mean(), abs=1e-12)
-
-
-def test_average_features_identity_and_symmetry():
-    a = FeatureVector((1.0, 3.0), "s")
-    b = FeatureVector((3.0, 1.0), "s")
-    assert average_features([a]) == a
-    assert average_features([a, b]).values == (2.0, 2.0)
-
-
-def test_average_features_schema_mismatch():
-    with pytest.raises(SchemaMismatchError):
-        average_features([FeatureVector((1.0,), "a"), FeatureVector((2.0,), "b")])
-
-
-def test_average_features_column_oracle():
-    rng = np.random.default_rng(3)
-    vectors = [FeatureVector(tuple(rng.normal(size=4)), "s") for _ in range(20)]
-    avg = average_features(vectors)
-    for col in range(4):
-        expected = math.fsum(v.values[col] for v in vectors) / 20
-        assert math.isclose(avg.values[col], expected, rel_tol=1e-12)
-
-
-def test_average_commutes_with_concat_weighting():
-    rng = np.random.default_rng(4)
-    a = [FeatureVector(tuple(rng.normal(size=3)), "s") for _ in range(5)]
-    b = [FeatureVector(tuple(rng.normal(size=3)), "s") for _ in range(7)]
-    joint = average_features(a + b)
-    via_parts = [
-        (5 * x + 7 * y) / 12
-        for x, y in zip(average_features(a).values, average_features(b).values)
-    ]
-    assert list(joint.values) == pytest.approx(via_parts, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
