@@ -1,19 +1,29 @@
 """Persistent response cache for external backends.
 
-JSONL (read through ``rankforge.artifacts``), one line per cached
-response, keyed by the backend identity plus the full request.  Reruns
-against the same engines become cheap and bit-deterministic.
+One JSONL line per cached response, keyed by the backend identity plus the
+full request.  Reruns against the same engines become cheap and
+bit-deterministic.  Each line is exactly what ``json.dumps`` writes for
+
+  {"b": <identity>, "k": <kind>, "s": <state>, "m": <move|null>,
+   "l": <level|null>, "v": <float>}
+
+with the keys in that order, ``", "`` and ``": "`` separators, strings in
+ASCII with ``\\uXXXX`` escapes, and the value as ``float.__repr__`` (a
+non-finite value as ``NaN``, ``Infinity`` or ``-Infinity``).  Such a
+value is never served: its line is read and skipped, so the request is
+fetched again and appended.  The file is UTF-8; blank lines are skipped.
 """
 
-import json
+import codecs
+import math
 import os
 from pathlib import Path
 
 import numpy as np
 
-from ..artifacts import at_line, read_lines
-from ..errors import DataError
+from ..artifacts import BAD_LINE, at_line
 from .base import Backend
+from .codec import decode, number, string, text
 
 CACHE_ENV = "RANKFORGE_CACHE"
 
@@ -23,10 +33,20 @@ def default_cache_path() -> Path | None:
     return Path(path) if path else None
 
 
+def cache_lines(records: list[tuple[tuple, float]]) -> str:
+    """The lines of (key, value) records, each key an (identity, kind,
+    state, move, level) tuple of strings, with None for no move or level."""
+    return "".join(
+        f'{{"b": {string(b)}, "k": {string(k)}, "s": {string(s)}, "m": {text(m)}, '
+        f'"l": {text(lv)}, "v": {number(v)}}}\n'
+        for (b, k, s, m, lv), v in records)
+
+
 class ResponseCache:
-    """An unparseable last line is the torn tail of an interrupted write: it
-    is skipped on load and cut off, from its first byte, before the next
-    record is appended.  A bad line anywhere else raises DataError."""
+    """An unparseable last line, or one cut inside a character, is the torn
+    tail of an interrupted write: it is skipped on load and cut off, from
+    its first byte, before the next record is appended.  A bad line
+    anywhere else raises DataError."""
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
@@ -34,33 +54,43 @@ class ResponseCache:
         self._fh = None
         self._torn_at = None  # byte offset of the skipped torn tail
         if self.path.exists():
-            lines = read_lines(self.path)
-            for lineno, line in lines:
-                try:
-                    with at_line(self.path, lineno, "cache line"):
-                        rec = json.loads(line)
+            data = self._data
+            with self.path.open("rb") as fh:
+                for lineno, raw in enumerate(fh, start=1):
+                    try:
+                        line = raw.decode().strip()
+                        if not line:
+                            continue
+                        rec = decode(line)
                         key = (rec["b"], rec["k"], rec["s"], rec.get("m"), rec.get("l"))
-                        self._data[key] = float(rec["v"])
-                except DataError:
-                    if next(lines, None) is not None:
-                        raise
-                    with self.path.open("rb") as fh:
-                        self._torn_at = sum(len(fh.readline()) for _ in range(lineno - 1))
+                        value = float(rec["v"])
+                        if math.isfinite(value):  # a non-finite value is fetched again
+                            data[key] = value
+                    except UnicodeDecodeError:
+                        with at_line(self.path, lineno, "UTF-8"):
+                            # raises unless a write stopped inside the file's last character
+                            codecs.utf_8_decode(raw, "strict", False)
+                        self._torn_at = fh.tell() - len(raw)
+                    except BAD_LINE:
+                        self._torn_at = fh.tell() - len(raw)
+                        if fh.read().decode(errors="replace").strip():  # not the last line
+                            with at_line(self.path, lineno, "cache line"):
+                                raise
 
     def get(self, key: tuple) -> float | None:
         return self._data.get(key)
 
     def put(self, key: tuple, value: float) -> None:
-        self._data[key] = value
+        self.put_many([(key, value)])
+
+    def put_many(self, records: list[tuple[tuple, float]]) -> None:
+        """Store (key, value) records and append their lines in one write."""
+        self._data.update(records)
         if self._fh is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self._cut_torn_tail()
             self._fh = self.path.open("a")
-        backend, kind, state, move, level = key
-        self._fh.write(
-            json.dumps({"b": backend, "k": kind, "s": state, "m": move, "l": level, "v": value})
-            + "\n"
-        )
+        self._fh.write(cache_lines(records))
 
     def _cut_torn_tail(self) -> None:
         """Truncate the torn tail skipped on load, or else anything after the
@@ -99,11 +129,12 @@ class CachedBackend(Backend):
     def _through(self, kind, states, moves, level, fetch) -> np.ndarray:
         if moves is None:
             moves = [None] * len(states)
+        get, identity = self.cache.get, self._identity
         out = np.empty(len(states))
         missing: dict[tuple, list[int]] = {}  # key -> positions, fetched once
         for i, (s, m) in enumerate(zip(states, moves)):
-            key = (self._identity, kind, s, m, level)
-            hit = self.cache.get(key)
+            key = (identity, kind, s, m, level)
+            hit = get(key)
             if hit is None:
                 missing.setdefault(key, []).append(i)
             else:
@@ -111,9 +142,10 @@ class CachedBackend(Backend):
         if missing:
             first = [where[0] for where in missing.values()]
             fetched = fetch([states[i] for i in first], [moves[i] for i in first])
-            for (key, where), value in zip(missing.items(), fetched):
+            values = [float(value) for value in fetched]
+            for where, value in zip(missing.values(), values):
                 out[where] = value
-                self.cache.put(key, float(value))
+            self.cache.put_many(list(zip(missing, values)))
             self.cache.flush()
         return out
 

@@ -5,6 +5,9 @@ Wire format, one UTF-8 JSON object per line:
              "state": <string>, "move": <string|null>, "level": <string|null>}
   response: {"id": <int>, "value": <finite number>}  or  {"id": <int>, "error": <string>}
 
+A request line is byte-equal to ``json.dumps`` of the object above, keys in
+that order; a response line is read as ``json.loads`` reads it.
+
 Requests may be answered out of order; responses are matched by id, and a
 response for an id no call wants is dropped.  Any other line, or a line
 over a mebibyte, is a malformed response.  The client runs on its caller's
@@ -31,8 +34,20 @@ import numpy as np
 
 from ..errors import BackendError, BackendTimeoutError
 from .base import Backend, BackendDescriptor, floor_priors
+from .codec import decode, string, text
 
 _MAX_LINE = 1 << 20  # bytes; an answer line is a few dozen
+
+
+def request_lines(ids, requests: list[tuple]) -> bytes:
+    """The lines of requests given as (kind, state, move, level) tuples,
+    each ``json.dumps({"id": rid, "kind": kind, "state": state, "move":
+    move, "level": level})``: a string kind and state, and a string or None
+    move and level."""
+    return "".join(
+        f'{{"id": {rid}, "kind": {string(kind)}, "state": {string(state)}, '
+        f'"move": {text(move)}, "level": {text(level)}}}\n'
+        for rid, (kind, state, move, level) in zip(ids, requests)).encode()
 
 
 class SubprocessBackend(Backend):
@@ -54,7 +69,7 @@ class SubprocessBackend(Backend):
         self._unsent = b""  # requests the engine has not read yet
         self._partial = b""  # the start of an answer line still being read
 
-    def _call_batch(self, requests: list[dict]) -> list[float]:
+    def _call_batch(self, requests: list[tuple]) -> list[float]:
         """Send all requests while collecting the matching responses.  Ids are
         never reused, so a response the batch does not want is dropped."""
         if self._proc.poll() is not None:
@@ -63,8 +78,7 @@ class SubprocessBackend(Backend):
             self._exchange(set(), 0)  # send what the engine takes now, else time out
         ids = range(self._next_id + 1, self._next_id + 1 + len(requests))
         self._next_id += len(requests)
-        self._unsent = "".join(json.dumps({"id": rid, **req}) + "\n"
-                               for rid, req in zip(ids, requests)).encode()
+        self._unsent = request_lines(ids, requests)
         try:
             results = self._exchange(set(ids), self.timeout)
         except BackendTimeoutError:
@@ -140,7 +154,7 @@ class SubprocessBackend(Backend):
     @staticmethod
     def _parse(line: bytes) -> dict:
         try:
-            msg = json.loads(line)
+            msg = decode(line.decode(json.detect_encoding(line), "surrogatepass"))
         except (ValueError, RecursionError):
             msg = None
         # a list or an object is an id no set can hold, and true would match id 1
@@ -161,13 +175,10 @@ class SubprocessBackend(Backend):
                     return value
         raise BackendError(f"malformed backend response: {msg!r}", msg.get("id"))
 
-    def _requests(self, kind, states, moves, level=None) -> list[dict]:
+    def _requests(self, kind, states, moves, level=None) -> list[tuple]:
         if moves is None:
             moves = [None] * len(states)
-        return [
-            {"kind": kind, "state": s, "move": m, "level": level}
-            for s, m in zip(states, moves)
-        ]
+        return [(kind, s, m, level) for s, m in zip(states, moves)]
 
     def score_strength_many(self, states, moves) -> np.ndarray:
         return np.array(self._call_batch(self._requests("strength", states, moves)))

@@ -20,6 +20,14 @@ def write_datapoints(path, datapoints) -> None:
     ))
 
 
+def _ply(m: dict) -> tuple[int, str, str | None]:
+    ply, state, move = int(m["ply"]), m["state"], m["move"]
+    if not isinstance(state, str) or not (move is None or isinstance(move, str)):
+        raise TypeError(f"a state must be a string and a move a string or null, "
+                        f"not {type(state).__name__} and {type(move).__name__}")
+    return ply, state, move
+
+
 def read_datapoints(path) -> list[DataPoint]:
     out = []
     for lineno, rec in read_jsonl(path):
@@ -33,9 +41,7 @@ def read_datapoints(path) -> list[DataPoint]:
                     side=rec["side"],
                     group=RankGroup(game=game, index=index,
                                     label=group_label(game, index)),
-                    moves=tuple(
-                        (int(m["ply"]), m["state"], m["move"]) for m in rec["moves"]
-                    ),
+                    moves=tuple(_ply(m) for m in rec["moves"]),
                 )
             )
     return out

@@ -1,3 +1,4 @@
+import json
 import math
 import shlex
 import sys
@@ -7,7 +8,7 @@ import time
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rankforge.backends import (
     PRIOR_FLOOR,
@@ -19,6 +20,9 @@ from rankforge.backends import (
     SyntheticBackend,
     logit,
 )
+from rankforge.backends.cache import cache_lines
+from rankforge.backends.client import request_lines
+from rankforge.backends.codec import decode
 from rankforge.errors import (
     BackendError,
     BackendTimeoutError,
@@ -464,6 +468,93 @@ def test_error_in_a_batch_larger_than_a_pipe_buffer_leaves_the_engine_usable(moc
 
 
 # ---------------------------------------------------------------------------
+# line codec: json.dumps and json.loads are the oracles
+
+_ANY_TEXT = st.text(st.characters(exclude_categories=()), max_size=12)  # lone surrogates too
+_TEXT_OR_NONE = st.none() | _ANY_TEXT
+_ODD_FLOATS = (-0.0, 5e-324, 2.2250738585072014e-308, 1e308, 1e16, 0.1)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.tuples(_ANY_TEXT, _ANY_TEXT, _ANY_TEXT, _TEXT_OR_NONE, _TEXT_OR_NONE),
+                          st.floats()), max_size=3))
+@example([(("b", "value", "s", None, None), x) for x in _ODD_FLOATS])
+@example([(("b", "value", "s", None, None), x) for x in (math.nan, math.inf, -math.inf)])
+def test_cache_lines_equal_json_dumps(records):
+    assert cache_lines(records) == "".join(
+        json.dumps({"b": b, "k": k, "s": s, "m": m, "l": lv, "v": v}) + "\n"
+        for (b, k, s, m, lv), v in records)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=1 << 64),
+       st.lists(st.tuples(_ANY_TEXT, _ANY_TEXT, _TEXT_OR_NONE, _TEXT_OR_NONE), max_size=3))
+def test_request_lines_equal_json_dumps(first, requests):
+    ids = range(first, first + len(requests))
+    assert request_lines(ids, requests) == "".join(
+        json.dumps({"id": rid, "kind": kind, "state": state, "move": move, "level": level})
+        + "\n" for rid, (kind, state, move, level) in zip(ids, requests)).encode()
+
+
+_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _ANY_TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_ANY_TEXT, inner, max_size=3),
+    max_leaves=6)
+_SPACE = st.text(st.sampled_from(" \t\n\r\x0b\x0c\xa0\x85\u2028\ufeff"), max_size=2)
+_LINES = st.one_of(
+    st.builds(lambda a, v, ascii_only, b: a + json.dumps(v, ensure_ascii=ascii_only) + b,
+              _SPACE, _VALUES, st.booleans(), _SPACE),
+    st.builds(lambda v, w: json.dumps(v) + json.dumps(w), _VALUES, _VALUES),
+    st.builds(lambda v, cut: json.dumps(v)[:cut], _VALUES, st.integers(0, 20)),
+    st.text(st.characters(exclude_categories=()), max_size=12),
+)
+
+
+def _outcome(load, line, errors=(ValueError, RecursionError)):
+    try:
+        return "ok", repr(load(line))  # repr: NaN equals NaN
+    except errors:
+        return "error", None
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(_LINES)
+@example("\x0b{}")
+@example("\xa0{}")
+@example("{}\x0b")
+@example(" \t{} \r\n")
+@example("\ufeff{}")
+@example("[" * 5000)
+def test_decode_accepts_and_returns_what_json_loads_does(line):
+    assert _outcome(decode, line) == _outcome(json.loads, line)
+
+
+def _reference_parse(line: bytes) -> dict:
+    """The answer rules on top of json.loads itself."""
+    try:
+        msg = json.loads(line)
+    except (ValueError, RecursionError):
+        msg = None
+    if not isinstance(msg, dict) or isinstance(msg.get("id"), (list, dict, bool)):
+        raise BackendError("malformed backend response")
+    return msg
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.one_of(
+    _LINES.map(lambda line: line.encode("utf-8", "surrogatepass")),
+    st.builds(lambda v, encoding: json.dumps(v).encode(encoding), _VALUES,
+              st.sampled_from(["utf-8-sig", "utf-16", "utf-16-le", "utf-32-be"])),
+    st.binary(max_size=12),
+))
+@example(b'\x0b{"id": 1, "value": 0.5}')
+@example(b'\xef\xbb\xbf{"id": 1, "value": 0.5}')
+def test_answer_parse_accepts_and_returns_what_json_loads_does(line):
+    assert (_outcome(SubprocessBackend._parse, line, BackendError)
+            == _outcome(_reference_parse, line, BackendError))
+
+
+# ---------------------------------------------------------------------------
 # cache
 
 
@@ -555,6 +646,46 @@ def test_cache_bad_line_before_the_end_is_data_error(tmp_path):
     path.write_text("\n".join([lines[0], lines[1][:20], lines[2]]) + "\n")
     with pytest.raises(DataError, match="cache.jsonl:2:"):
         ResponseCache(path)
+
+
+def _hand_written_line(state: str, value: str) -> bytes:
+    return (f'{{"b": "b", "k": "value", "s": "{state}", "m": null, "l": null, '
+            f'"v": {value}}}').encode()
+
+
+def test_cache_cut_inside_a_character_of_its_last_line_is_a_torn_tail(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    first, second = ("b", "value", "s0", None, None), ("b", "value", "s1", None, None)
+    cache = ResponseCache(path)
+    cache.put(first, 0.25)
+    cache.close()
+    line = _hand_written_line("\u00e9", "0.5")  # a raw two-byte character
+    path.write_bytes(path.read_bytes() + line[:line.index(b"\xa9")])
+    cache = ResponseCache(path)
+    assert cache.get(first) == 0.25
+    cache.put(second, 0.5)
+    cache.close()
+    assert [ResponseCache(path).get(k) for k in (first, second)] == [0.25, 0.5]
+    assert path.read_text().count("\n") == 2
+
+
+def test_cache_cut_inside_a_character_before_its_last_line_is_data_error(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    line = _hand_written_line("\u00e9", "0.5")
+    path.write_bytes(line[:line.index(b"\xa9")] + b"\n" + _hand_written_line("s", "0.5") + b"\n")
+    with pytest.raises(DataError, match="cache.jsonl:1: bad UTF-8"):
+        ResponseCache(path)
+
+
+def test_cache_reads_but_never_serves_a_non_finite_value(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    spellings = ("NaN", "Infinity", "-Infinity")
+    path.write_bytes(b"\n".join(_hand_written_line(s, s) for s in spellings) + b"\n")
+    cache = ResponseCache(path)
+    assert [cache.get(("b", "value", s, None, None)) for s in spellings] == [None] * 3
+    cache.put(("b", "value", "NaN", None, None), 0.5)
+    cache.close()
+    assert ResponseCache(path).get(("b", "value", "NaN", None, None)) == 0.5
 
 
 def test_bank_requires_backends_for_enabled_families():

@@ -653,6 +653,42 @@ def test_extract_survives_a_torn_cache_tail(tmp_path, engine_extract):
     assert cache.stat().st_size == size
 
 
+def test_extract_fetches_a_non_finite_cached_value_again(tmp_path, engine_extract):
+    run, cache = engine_extract
+    assert run(tmp_path / "cold.jsonl") == 0
+    lines = cache.read_text().splitlines()
+    for i, spelling in zip((0, len(lines) // 2, -1), ("NaN", "Infinity", "-Infinity")):
+        lines[i] = lines[i][:lines[i].rindex('"v": ')] + f'"v": {spelling}}}'
+    cache.write_text("\n".join(lines) + "\n")
+    assert run(tmp_path / "again.jsonl") == 0
+    assert (tmp_path / "again.jsonl").read_bytes() == (tmp_path / "cold.jsonl").read_bytes()
+    assert cache.read_text().splitlines()[:len(lines)] == lines
+    assert len(cache.read_text().splitlines()) == len(lines) + 3
+
+
+@pytest.mark.parametrize("field, value", [
+    ("state", [1, 2]),
+    ("state", {"x": 1}),
+    ("state", 7),
+    ("state", None),
+    ("move", 5),
+], ids=["state-list", "state-object", "state-number", "state-null", "move-number"])
+def test_extract_with_a_non_string_state_exits_two(tmp_path, capsys, engine_extract,
+                                                  field, value):
+    run, _ = engine_extract
+    dataset = tmp_path / "data.jsonl"
+    lines = dataset.read_text().splitlines()
+    point = json.loads(lines[1])
+    point["moves"][3][field] = value
+    lines[1] = json.dumps(point)
+    dataset.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run(tmp_path / "store.jsonl") == 2
+    err = capsys.readouterr().err
+    assert f"data error: {dataset}:2: bad data point" in err
+    assert "Traceback" not in err
+
+
 def test_extract_through_engines_opens_one_response_cache(tmp_path, monkeypatch,
                                                           engine_extract):
     run, _ = engine_extract
