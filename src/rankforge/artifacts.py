@@ -12,7 +12,8 @@ from pathlib import Path
 from .errors import DataError, RankRangeError
 
 # What a line that cannot be decoded, parsed or assembled into a record raises.
-BAD_LINE = (ValueError, KeyError, IndexError, TypeError, AttributeError, RankRangeError)
+BAD_LINE = (ValueError, KeyError, IndexError, TypeError, AttributeError, RecursionError,
+            RankRangeError)
 
 
 class at_line:

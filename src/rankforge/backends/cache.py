@@ -10,8 +10,9 @@ bit-deterministic.  Each line is exactly what ``json.dumps`` writes for
 with the keys in that order, ``", "`` and ``": "`` separators, strings in
 ASCII with ``\\uXXXX`` escapes, and the value as ``float.__repr__`` (a
 non-finite value as ``NaN``, ``Infinity`` or ``-Infinity``).  Such a
-value is never served: its line is read and skipped, so the request is
-fetched again and appended.  The file is UTF-8; blank lines are skipped.
+value, or a policy prior outside [PRIOR_FLOOR, 1], is never served: its
+line is read and skipped, so the request is fetched again and appended.
+The file is UTF-8; blank lines are skipped.
 """
 
 import codecs
@@ -22,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from ..artifacts import BAD_LINE, at_line
-from .base import Backend
+from .base import PRIOR_FLOOR, Backend
 from .codec import decode, number, string, text
 
 CACHE_ENV = "RANKFORGE_CACHE"
@@ -64,7 +65,9 @@ class ResponseCache:
                         rec = decode(line)
                         key = (rec["b"], rec["k"], rec["s"], rec.get("m"), rec.get("l"))
                         value = float(rec["v"])
-                        if math.isfinite(value):  # a non-finite value is fetched again
+                        # an unservable value is fetched again
+                        if (PRIOR_FLOOR <= value <= 1 if key[1] == "policy"
+                                else math.isfinite(value)):
                             data[key] = value
                     except UnicodeDecodeError:
                         with at_line(self.path, lineno, "UTF-8"):

@@ -169,10 +169,12 @@ class SubprocessBackend(Backend):
             raise BackendError(str(msg["error"]), msg.get("id"))
         value = msg.get("value")
         if isinstance(value, (int, float)) and not isinstance(value, bool):
-            with contextlib.suppress(OverflowError):  # an integer beyond float range
+            try:
                 value = float(value)
-                if math.isfinite(value):  # json reads NaN and Infinity
-                    return value
+            except OverflowError:  # an integer beyond float range
+                value = math.nan
+            if math.isfinite(value):  # json reads NaN and Infinity
+                return value
         raise BackendError(f"malformed backend response: {msg!r}", msg.get("id"))
 
     def _requests(self, kind, states, moves, level=None) -> list[tuple]:

@@ -179,10 +179,12 @@ def _loss_traces(datapoints, bank: BackendBank, features) -> list:
     calls per ``EXTRACT_BATCH`` data points."""
     bank.require(need_strength=False, need_policy=False, need_value=True)
     transform = features.value_transform()
-    return [loss for start in range(0, len(datapoints), EXTRACT_BATCH)
-            for losses, _ in move_losses(datapoints[start:start + EXTRACT_BATCH],
-                                         bank.value, transform)
-            for loss in losses]
+    traces = []
+    for start in range(0, len(datapoints), EXTRACT_BATCH):
+        batch = datapoints[start:start + EXTRACT_BATCH]
+        losses, _ = move_losses(batch, bank.value, transform)
+        traces.extend(zip((m[0] for dp in batch for m in dp.moves), losses.tolist()))
+    return traces
 
 
 def cmd_extract(args) -> int:

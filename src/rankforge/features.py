@@ -12,13 +12,15 @@ players' plies.
 
 Extraction runs in batches of ``EXTRACT_BATCH`` data points.  A batch makes
 one backend call per strength, policy level, value before and value after,
-over the concatenated moves of its data points; each data point's features
-are then computed on its own slice of those answers, so a vector does not
-depend on the batch it was in.  The two value calls and the per-move
-losses come from ``move_losses``, which the CLI's per-ply loss traces call
-on batches of the same size.  When a backend call of a batch raises
-BackendError, each of its data points is retried alone, and exactly the
-ones that still fail are dropped.
+over the concatenated moves of its data points.  Each feature is one flat
+per-move column (strengths, one level's priors, or the losses that
+``move_losses`` returns as one array) with a reduction and, for a loss
+statistic, a ply cutoff; a data point's value reduces its own slice, so a
+vector does not depend on the batch it was in.  The CLI's per-ply loss
+traces call ``move_losses`` on batches of the same size.  When a backend
+call of a batch raises BackendError, or a feature value is not finite,
+each of its data points is retried alone, and exactly the ones that still
+fail are dropped.
 
 The feature store is a JSONL artifact (see ``rankforge.artifacts``): a
 schema header line, then one row per data point.
@@ -37,7 +39,8 @@ from .backends.base import WINRATE_EPS, BackendBank, logit
 from .errors import BackendError, BackendTimeoutError, ConfigError, DataError, SchemaMismatchError
 from .records.ranks import group_label
 
-LOSS_STATS = ("mean", "median", "std")
+# Loss statistic -> its reduction of the kept losses (std with ddof=0)
+LOSS_STATS = {"mean": np.mean, "median": np.median, "std": np.std}
 LOSS_SIGN = "deterioration"  # positive = mistake
 
 # Data points per extraction batch.  Batching amortizes the backends'
@@ -181,55 +184,27 @@ def prior_geomean(priors) -> float:
     return float(np.exp(np.log(priors).mean()))
 
 
-def move_losses(datapoints, value_backend, transform: str = "identity") -> list:
-    """Per-move deterioration of each data point, from one value call before
-    and one after the moves, over the data points' concatenated moves.
+def move_losses(datapoints, value_backend, transform: str = "identity"):
+    """Per-move deterioration over the data points' concatenated moves, from
+    one value call before and one after the moves.
 
-    Returns one (losses, clamp_count) per data point, where losses is a list
-    of (ply_index, deterioration) and clamp_count is how many of its raw win
-    rates needed clamping before the logit transform.
+    Returns (losses, clamps): one float64 array in move order, and how many
+    raw win rates of the batch needed clamping before the logit transform.
     """
     states = [m[1] for dp in datapoints for m in dp.moves]
     moves = [m[2] for dp in datapoints for m in dp.moves]
     before = value_backend.evaluate_state_many(states)
     after = value_backend.evaluate_state_many(states, moves)
-    clamped = np.zeros(len(states), dtype=np.int64)
+    clamps = 0
     if transform == "logit":
         for values in (before, after):
-            clamped += (values < WINRATE_EPS) | (values > 1 - WINRATE_EPS)
+            clamps += int(((values < WINRATE_EPS) | (values > 1 - WINRATE_EPS)).sum())
         before = np.array([logit(v) for v in before])
         after = np.array([logit(v) for v in after])
     elif transform != "identity":
         raise ConfigError(f"unknown value transform {transform!r}")
     # after is in the new mover's perspective; negate it back
-    deterioration = (before - (-after)).tolist()
-    out = []
-    stop = 0
-    for dp in datapoints:
-        own = slice(stop, stop + dp.k)
-        stop = own.stop
-        out.append((list(zip((m[0] for m in dp.moves), deterioration[own])),
-                    int(clamped[own].sum())))
-    return out
-
-
-def loss_stats(losses, stat: str, n_cut: int | None) -> tuple[float, bool]:
-    """One statistic over the losses at plies <= n_cut.
-
-    Returns (value, empty) where empty flags that no move survived the
-    cutoff and the configured sentinel 0.0 was used.
-    """
-    if stat not in LOSS_STATS:
-        raise ConfigError(f"unknown loss statistic {stat!r}")
-    kept = [loss for ply, loss in losses if n_cut is None or ply <= n_cut]
-    if not kept:
-        return 0.0, True
-    arr = np.asarray(kept, dtype=float)
-    if stat == "mean":
-        return float(arr.mean()), False
-    if stat == "median":
-        return float(np.median(arr)), False
-    return float(arr.std(ddof=0)), False
+    return np.asarray(before - (-after), dtype=np.float64), clamps
 
 
 @dataclass
@@ -257,42 +232,51 @@ class DropReport:
         }
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite value drops its data point
 def _extract_batch(datapoints, bank: BackendBank, config: FeatureConfig,
                    report: DropReport) -> list[FeatureVector]:
     """The data points' feature vectors, in order, from one backend call per
     (kind, level) over their concatenated moves.  ``report`` is only touched
-    once every backend call has answered."""
-    if any(dp.k < 1 for dp in datapoints):
-        raise DataError("data point has no moves")
+    once every vector is computed; a non-finite value raises BackendError,
+    so the batch is retried one data point at a time."""
     states = [m[1] for dp in datapoints for m in dp.moves]
     moves = [m[2] for dp in datapoints for m in dp.moves]
-    # (aggregate, per-move answers) per strength and policy feature
+    # (reduction, per-move answers, ply cutoff) per feature, in schema order
     columns = []
     if config.include_strength:
-        columns.append((mean_strength, bank.strength.score_strength_many(states, moves)))
+        columns.append((mean_strength, bank.strength.score_strength_many(states, moves), None))
     if config.include_priors:
-        columns.extend((prior_geomean, bank.policy.policy_prior_many(states, moves, level))
+        columns.extend((prior_geomean, bank.policy.policy_prior_many(states, moves, level), None)
                        for level in config.policy_levels)
+    clamps = 0
     if config.include_loss:
-        dp_losses = move_losses(datapoints, bank.value, config.value_transform())
+        losses, clamps = move_losses(datapoints, bank.value, config.value_transform())
+        columns.extend((LOSS_STATS[spec.stat], losses, spec.n_cut)
+                       for spec in config.loss_selected)
+    plies = np.array([m[0] for dp in datapoints for m in dp.moves])
+    table = list(zip(config.feature_names(), columns))
     schema_id = config.schema_id()
-    vectors = []
+    vectors, flags = [], []
     stop = 0
-    for index, dp in enumerate(datapoints):
+    for dp in datapoints:
         own = slice(stop, stop + dp.k)
         stop = own.stop
-        values = [aggregate(answers[own]) for aggregate, answers in columns]
-        if config.include_loss:
-            losses, clamps = dp_losses[index]
-            report.winrate_clamps += clamps
-            for spec in config.loss_selected:
-                value, empty = loss_stats(losses, spec.stat, spec.n_cut)
-                if empty:
-                    report.flag(dp.match_id, dp.side, f"empty_after_cut:{spec.feature_name}")
-                values.append(value)
-        if any(math.isnan(v) for v in values):
-            raise DataError("NaN feature value")
+        values = []
+        for name, (reduce, answers, n_cut) in table:
+            kept = answers[own]
+            if n_cut is not None:
+                kept = kept[plies[own] <= n_cut]
+                if not kept.size:
+                    flags.append((dp, f"empty_after_cut:{name}"))
+                    values.append(0.0)
+                    continue
+            values.append(float(reduce(kept)))
+        if not all(map(math.isfinite, values)):
+            raise BackendError("non-finite feature value")
         vectors.append(FeatureVector(values=tuple(values), schema_id=schema_id))
+    report.winrate_clamps += clamps
+    for dp, reason in flags:
+        report.flag(dp.match_id, dp.side, reason)
     return vectors
 
 

@@ -183,3 +183,18 @@ def reference_to_san(pos, move):
     if after.in_check():
         core += "#" if not reference_legal_moves(after) else "+"
     return core
+
+
+def reference_loss_stat(losses, stat: str, n_cut: int | None) -> tuple[float, bool]:
+    """(value, empty) of one loss statistic over (ply, loss) pairs: the
+    losses at plies <= n_cut (all when n_cut is None) as a list, reduced
+    with numpy; 0.0 and empty=True when no move survives the cut."""
+    kept = [loss for ply, loss in losses if n_cut is None or ply <= n_cut]
+    if not kept:
+        return 0.0, True
+    arr = np.asarray(kept, dtype=float)
+    if stat == "mean":
+        return float(arr.mean()), False
+    if stat == "median":
+        return float(np.median(arr)), False
+    return float(arr.std(ddof=0)), False

@@ -37,10 +37,10 @@ from rankforge.evalharness import (
     single_level_masks,
 )
 from rankforge.features import (
+    LOSS_STATS,
     FeatureConfig,
     LossSpec,
     extract_many,
-    loss_stats,
     prior_geomean,
 )
 from rankforge.gbdt import GbdtParams, fit
@@ -276,10 +276,10 @@ def test_criterion_formula_unit_suite():
         priors = rng.uniform(1e-6, 1.0, size=k)
         direct = float(np.prod([float(p) for p in priors])) ** (1.0 / k)
         assert math.isclose(prior_geomean(priors), direct, rel_tol=1e-10)
-    losses = [(1, 1.0), (2, 2.0), (3, 3.0)]
-    assert loss_stats(losses, "mean", None)[0] == 2.0
-    assert loss_stats(losses, "median", None)[0] == 2.0
-    assert abs(loss_stats(losses, "std", None)[0] - math.sqrt(2.0 / 3.0)) < 1e-12
+    losses = np.array([1.0, 2.0, 3.0])
+    assert LOSS_STATS["mean"](losses) == 2.0
+    assert LOSS_STATS["median"](losses) == 2.0
+    assert abs(LOSS_STATS["std"](losses) - math.sqrt(2.0 / 3.0)) < 1e-12
     elapsed = time.time() - t0
     _announce("formula-unit-suite", elapsed < 1.0,
               f"logit, geometric mean, loss statistics exact; {elapsed:.2f}s < 1s")

@@ -666,6 +666,21 @@ def test_extract_fetches_a_non_finite_cached_value_again(tmp_path, engine_extrac
     assert len(cache.read_text().splitlines()) == len(lines) + 3
 
 
+def test_extract_fetches_a_cached_prior_outside_the_floor_range_again(tmp_path,
+                                                                      engine_extract):
+    run, cache = engine_extract
+    assert run(tmp_path / "cold.jsonl") == 0
+    lines = cache.read_text().splitlines()
+    policy = [i for i, line in enumerate(lines) if '"k": "policy"' in line]
+    for i, value in zip((policy[0], policy[len(policy) // 2], policy[-1]), ("0.0", "-0.5", "1.5")):
+        lines[i] = lines[i][:lines[i].rindex('"v": ')] + f'"v": {value}}}'
+    cache.write_text("\n".join(lines) + "\n")
+    assert run(tmp_path / "again.jsonl") == 0
+    assert (tmp_path / "again.jsonl").read_bytes() == (tmp_path / "cold.jsonl").read_bytes()
+    assert cache.read_text().splitlines()[:len(lines)] == lines
+    assert len(cache.read_text().splitlines()) == len(lines) + 3
+
+
 @pytest.mark.parametrize("field, value", [
     ("state", [1, 2]),
     ("state", {"x": 1}),
@@ -744,6 +759,44 @@ def test_extract_drops_the_data_point_of_a_nan_engine_answer(tmp_path, monkeypat
     assert len(rows) == 5
 
 
+# Per game: the [features] loss selection, the SHA-256 of the feature store
+# that `ingest` and `extract` write for the corpus games through the mock
+# engine, and the drop report's clamp count.  The mock's win rates lie in
+# [-2, 2], so the chess logit clamps most of them.
+CORPUS_STORES = {
+    "go": ('[["mean", 100], ["median", "all"]]',
+           "f827410e49a0e735ef5c040eacefab37b97ca7314630b2f95c88e0d574fb319e", 0),
+    "chess": ('[["mean", 50], ["std", 50]]',
+              "a7b6158a3961661f74aae091809cd955c353c8d308c038a4055c45ed8e0832fb", 2102),
+}
+
+
+@pytest.mark.parametrize("game", sorted(CORPUS_STORES))
+def test_corpus_store_through_the_mock_engine_is_pinned(tmp_path, monkeypatch, corpus_dir,
+                                                        mock_backend_cmd, game):
+    loss_selected, expected, clamps = CORPUS_STORES[game]
+    records = tmp_path / "records"
+    records.mkdir()
+    for src in sorted(corpus_dir.glob("*.sgf" if game == "go" else "*.pgn")):
+        (records / src.name).write_bytes(src.read_bytes())
+    engine = mock_backend_cmd("inorder")
+    config = tmp_path / "engine.toml"
+    config.write_text(
+        f'[features]\ngame = "{game}"\npolicy_levels = ["a", "b"]\n'
+        f"loss_selected = {loss_selected}\n\n[backends]\n"
+        + "".join(f"{role} = '{engine}'\n" for role in ("strength", "policy", "value")))
+    dataset, store, drops = tmp_path / "data.jsonl", tmp_path / "store.jsonl", tmp_path / "d.json"
+    monkeypatch.delenv("RANKFORGE_CACHE", raising=False)
+    assert main(["ingest", "--game", game, "--records-dir", str(records),
+                 "--out", str(dataset)]) == 0
+    assert main(["extract", "--config", str(config), "--dataset", str(dataset),
+                 "--out", str(store), "--drops", str(drops)]) == 0
+    report = json.loads(drops.read_text())
+    assert not report["dropped"]
+    assert report["winrate_clamps"] == clamps
+    assert hashlib.sha256(store.read_bytes()).hexdigest() == expected
+
+
 def test_report_loss_traces_without_value_backend_is_config_error(tmp_path, capsys):
     config = tmp_path / "run.toml"
     config.write_text(
@@ -761,6 +814,8 @@ def test_report_loss_traces_without_value_backend_is_config_error(tmp_path, caps
     assert "config error" in capsys.readouterr().err
 
 
+# a line nested deeper than the JSON reader recurses
+DEEP = b"[" * 100_000
 GO_POINT = {"match_id": "m", "player_id": "p", "side": "black", "game": "go",
             "group_index": 0, "moves": [{"ply": 1, "state": ".", "move": "aa"}]}
 
@@ -779,11 +834,15 @@ GO_POINT = {"match_id": "m", "player_id": "p", "side": "black", "game": "go",
     ("eval", "model.json", b'{"format": "rankforge-gbdt/1"'),
     ("eval", "model.json", b'{"format": "rankforge-gbdt/1"}'),
     ("extract", "cache.jsonl", b"\xff\xfe"),
+    ("extract", "data.jsonl", DEEP),
+    ("train", "store.jsonl", DEEP),
+    ("eval", "model.json", DEEP),
+    ("extract", "cache.jsonl", DEEP + b"\n{}\n"),
 ], ids=["datapoint-not-object", "datapoint-moves-not-list", "datapoint-group-out-of-range",
         "datapoint-go-group-below-0", "datapoint-go-group-11", "datapoint-chess-group-8",
         "datapoint-synthetic-group-below-0",
         "dataset-not-utf8", "store-not-utf8", "model-cut", "model-without-fields",
-        "cache-not-utf8"])
+        "cache-not-utf8", "dataset-deep", "store-deep", "model-deep", "cache-deep-not-last"])
 def test_bad_artifact_exits_two_naming_the_line(tmp_path, capsys, monkeypatch,
                                                 mock_backend_cmd, command, name, content):
     bad = tmp_path / name
@@ -809,6 +868,7 @@ def test_bad_artifact_exits_two_naming_the_line(tmp_path, capsys, monkeypatch,
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "data error" in err and f"{bad}:1:" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("field, value", [

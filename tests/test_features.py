@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers.oracles import reference_loss_stat
 from rankforge.backends import BackendBank, BackendDescriptor, SubprocessBackend, SyntheticBackend
 from rankforge.backends import synthetic
 from rankforge.errors import BackendError, ConfigError, DataError, SchemaMismatchError
@@ -19,7 +20,6 @@ from rankforge.features import (
     chess_default_config,
     extract_many,
     go_default_config,
-    loss_stats,
     mean_strength,
     move_losses,
     prior_geomean,
@@ -97,44 +97,74 @@ def test_prior_geomean_bounded_by_extremes(priors):
     assert min(priors) - 1e-12 <= gm <= max(priors) + 1e-12
 
 
+class _LossTable:
+    """A value backend whose states spell the moves' losses: it answers each
+    state's loss before the move and 0 after it, so each move's
+    deterioration is its loss."""
+
+    def evaluate_state_many(self, states, moves=None):
+        return np.array([float(s) if moves is None else 0.0 for s in states])
+
+
+def loss_feature(losses, stat: str, n_cut: int | None):
+    """(value, flagged reasons) of one loss statistic over (ply, loss)
+    moves, through extraction."""
+    dp = DataPoint("m", "p", "black", RankGroup("synthetic", 0, "g0"),
+                   tuple((ply, repr(float(loss)), "0") for ply, loss in losses))
+    config = FeatureConfig(game="synthetic", include_strength=False, include_priors=False,
+                           loss_selected=(LossSpec(stat, n_cut),))
+    (row,), report = extract_many([dp], BackendBank(value=_LossTable()), config)
+    return row.vector.values[0], [flag["reason"] for flag in report.flagged]
+
+
 @given(st.permutations(list(range(8))))
 def test_permutation_invariance(perm):
     values = [0.1, 0.2, 0.4, 0.8, 0.5, 0.3, 0.9, 0.7]
     shuffled = [values[i] for i in perm]
     assert mean_strength(shuffled) == pytest.approx(mean_strength(values), abs=1e-12)
     assert prior_geomean(shuffled) == pytest.approx(prior_geomean(values), rel=1e-12)
-    base = list(enumerate(values))
-    shuffled_losses = [(i, values[i]) for i in perm]
+    base = list(enumerate(values, start=1))
+    shuffled_losses = list(enumerate(shuffled, start=1))
     for stat in ("mean", "median", "std"):
-        assert loss_stats(shuffled_losses, stat, None)[0] == pytest.approx(
-            loss_stats(base, stat, None)[0], abs=1e-12)
+        assert loss_feature(shuffled_losses, stat, None)[0] == pytest.approx(
+            loss_feature(base, stat, None)[0], abs=1e-12)
 
 
 def test_loss_stats_basics():
     losses = [(1, 1.0), (2, 2.0), (3, 3.0)]
-    assert loss_stats(losses, "mean", None) == (2.0, False)
-    assert loss_stats(losses, "median", None) == (2.0, False)
-    std, _ = loss_stats(losses, "std", None)
+    assert loss_feature(losses, "mean", None) == (2.0, [])
+    assert loss_feature(losses, "median", None) == (2.0, [])
+    std, _ = loss_feature(losses, "std", None)
     expected = float(mpmath.sqrt(mpmath.mpf(2) / 3))
     assert abs(std - expected) < 1e-12
 
 
 def test_loss_stats_even_count_median_averages_middle():
     losses = [(1, 1.0), (2, 2.0), (3, 5.0), (4, 10.0)]
-    assert loss_stats(losses, "median", None)[0] == 3.5
+    assert loss_feature(losses, "median", None)[0] == 3.5
 
 
 def test_loss_stats_cut_is_match_global():
     losses = [(40, 2.0), (60, 4.0), (120, 8.0)]
-    assert loss_stats(losses, "mean", 50) == (2.0, False)
-    assert loss_stats(losses, "mean", 100) == (3.0, False)
-    assert loss_stats(losses, "mean", None)[0], pytest.approx(14 / 3)
+    assert loss_feature(losses, "mean", 50) == (2.0, [])
+    assert loss_feature(losses, "mean", 100) == (3.0, [])
+    assert loss_feature(losses, "mean", None)[0] == pytest.approx(14 / 3)
 
 
 def test_loss_stats_empty_after_cut_sentinel():
     losses = [(60, 2.0)]
-    value, empty = loss_stats(losses, "mean", 50)
-    assert value == 0.0 and empty
+    assert loss_feature(losses, "mean", 50) == (0.0, ["empty_after_cut:loss_mean_cut50"])
+
+
+@settings(max_examples=100)
+@given(st.lists(st.tuples(st.integers(1, 5), st.floats(-1e6, 1e6)), min_size=1, max_size=12),
+       st.sampled_from(["mean", "median", "std"]), st.sampled_from([None, 1, 5, 20, 40]))
+def test_loss_stats_equal_the_list_reference_bit_for_bit(steps, stat, n_cut):
+    plies = np.cumsum([step for step, _ in steps]).tolist()
+    losses = list(zip(plies, (loss for _, loss in steps)))
+    value, empty = reference_loss_stat(losses, stat, n_cut)
+    assert loss_feature(losses, stat, n_cut) == (
+        value, [f"empty_after_cut:{LossSpec(stat, n_cut).feature_name}"] if empty else [])
 
 
 # ---------------------------------------------------------------------------
@@ -144,12 +174,12 @@ def test_loss_stats_empty_after_cut_sentinel():
 def test_move_losses_synthetic_semantics():
     cfg, dp = _dp()
     backend = SyntheticBackend(cfg)
-    losses, clamps = move_losses([dp], backend)[0]
+    losses, clamps = move_losses([dp], backend)
     assert clamps == 0
     from rankforge.synthlab import quality_block
 
     q = quality_block(cfg, dp.match_id)
-    for (ply, loss), match_ply in zip(losses, range(cfg.plies_per_match)):
+    for loss, match_ply in zip(losses, range(cfg.plies_per_match)):
         chosen = int(dp.moves[match_ply][2])
         assert loss == pytest.approx(q[match_ply].max() - q[match_ply, chosen], abs=1e-12)
         assert loss >= 0
@@ -168,27 +198,28 @@ def test_move_losses_value_table_blunder():
 
     dp = DataPoint("m", "p", "black", RankGroup("synthetic", 0, "g0"),
                    ((1, "s0", "0"),))
-    losses, _ = move_losses([dp], _TableBackend())[0]
-    assert losses == [(1, 3.0)]
+    losses, _ = move_losses([dp], _TableBackend())
+    assert losses.dtype == np.float64
+    assert losses.tolist() == [3.0]
 
 
 def test_move_losses_best_move_zero():
     cfg = tiny_config()
     match = gen_match(cfg, 2, "best", player_skill=50.0)  # near-argmax play
     dp = to_datapoint(match)
-    losses, _ = move_losses([dp], SyntheticBackend(cfg))[0]
-    assert all(abs(loss) < 1e-9 for _, loss in losses)
+    losses, _ = move_losses([dp], SyntheticBackend(cfg))
+    assert all(abs(loss) < 1e-9 for loss in losses)
 
 
 def test_move_losses_ten_move_replay_oracle():
     cfg, dp = _dp(gen_match(tiny_config(), 0, "replay10"))
     backend = SyntheticBackend(cfg)
-    losses, _ = move_losses([dp], backend)[0]
+    losses, _ = move_losses([dp], backend)
     from rankforge.synthlab import quality_block
 
     q = quality_block(cfg, "replay10")
     expected = [q[i].max() - q[i, int(dp.moves[i][2])] for i in range(10)]
-    assert [loss for _, loss in losses] == pytest.approx(expected, abs=1e-12)
+    assert losses.tolist() == pytest.approx(expected, abs=1e-12)
 
 
 def test_move_losses_logit_transform_counts_clamps():
@@ -200,11 +231,11 @@ def test_move_losses_logit_transform_counts_clamps():
 
     dp = DataPoint("m", "p", "black", RankGroup("chess", 0, "R1000-R1199"),
                    ((1, "s", "e2e4"),))
-    losses, clamps = move_losses([dp], _WinrateBackend(), transform="logit")[0]
+    losses, clamps = move_losses([dp], _WinrateBackend(), transform="logit")
     assert clamps == 1
     # opponent now winning outright: a maximal positive deterioration
-    assert losses[0][1] == pytest.approx(math.log((1 - 1e-6) / 1e-6), rel=1e-6)
-    assert losses[0][1] > 0
+    assert losses[0] == pytest.approx(math.log((1 - 1e-6) / 1e-6), rel=1e-6)
+    assert losses[0] > 0
 
 
 class _CrcWinrates:
@@ -226,12 +257,14 @@ def test_batched_move_losses_equal_one_point_calls(transform):
     dps = [to_datapoint(gen_match(cfg, i % 3, f"mixed-{i}")) for i in range(5)]
     dps = [replace(dp, moves=dp.moves[start:]) for dp, start in zip(dps, (0, 7, 9, 3, 5))]
     backend = SyntheticBackend(cfg) if transform == "identity" else _CrcWinrates()
-    batched = move_losses(dps, backend, transform)
-    assert batched == [move_losses([dp], backend, transform)[0] for dp in dps]
-    assert [len(losses) for losses, _ in batched] == [10, 3, 1, 7, 5]
+    losses, clamps = move_losses(dps, backend, transform)
+    alone = [move_losses([dp], backend, transform) for dp in dps]
+    assert [len(one) for one, _ in alone] == [10, 3, 1, 7, 5]
+    assert losses.tolist() == [loss for one, _ in alone for loss in one.tolist()]
+    assert clamps == sum(one for _, one in alone)
     if transform == "logit":  # one pair of calls for the batch, one per point after it
         assert backend.calls == ["before", "after"] * (1 + len(dps))
-        assert [clamps for _, clamps in batched] == [2, 0, 0, 1, 1]
+        assert [one for _, one in alone] == [2, 0, 0, 1, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +352,34 @@ def test_extract_many_drops_on_backend_error():
     assert len(rows) == 2
     assert len(report.dropped) == 1
     assert report.dropped[0]["match_id"] == "drop-1"
+
+
+@pytest.mark.parametrize("answer", [1e308, math.inf, math.nan])
+def test_extract_many_drops_exactly_the_point_of_a_non_finite_feature(answer):
+    cfg = tiny_config()
+    dps = [to_datapoint(gen_match(cfg, 0, f"huge-{i}")) for i in range(5)]
+    # the odd points start at ply 4, so their cut-3 loss is empty and flagged
+    dps = [replace(dp, moves=dp.moves[3:]) if i % 2 else dp for i, dp in enumerate(dps)]
+
+    class _Huge(SyntheticBackend):
+        def score_strength_many(self, states, moves):
+            betas = super().score_strength_many(states, moves)
+            return np.where(["huge-3" in s for s in states], answer, betas)
+
+    backend = _Huge(cfg)
+    bank = BackendBank(strength=backend, policy=backend, value=backend)
+    # chess values go through the logit, which clamps the synthetic values
+    fconfig = FeatureConfig(game="chess", policy_levels=cfg.level_labels(),
+                            loss_selected=(LossSpec("mean", 3), LossSpec("median", None)))
+    rows, report = extract_many(dps, bank, fconfig)
+    expected, clean = extract_many(dps[:3] + dps[4:], bank, fconfig)
+    assert rows == expected
+    assert all(math.isfinite(v) for row in rows for v in row.vector.values)
+    assert report.dropped == [{"match_id": "huge-3", "side": "black",
+                               "reason": "backend_error:non-finite feature value"}]
+    assert report.flagged == clean.flagged
+    assert [flag["match_id"] for flag in clean.flagged] == ["huge-1"]
+    assert report.winrate_clamps == clean.winrate_clamps > 0
 
 
 def test_extract_many_over_several_batches_equals_one_point_extraction():
