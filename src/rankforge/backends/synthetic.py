@@ -9,28 +9,31 @@ Semantics, all derived from one seeded table:
 so the deterioration computed downstream is exactly best - chosen quality.
 States are self-describing ids.
 
-The ids of the last ``states`` sequence are parsed once and their runs
-kept, each with its match's quality block, and so are the indices of the
-last ``moves`` sequence.  The strength, policy and value calls of one
-extraction batch all pass the same states and moves, so they parse each id
-and each move once and derive each match's quality block once; the
-strength call derives each match's noise block once.  A malformed id, a
-ply outside the match or a move that is not an in-range integer raises
-DataError.
+The ids of the last ``states`` sequence are parsed once per run of one
+match: each id is split once, the prefix and uid are checked once per run
+and the ply texts once per sequence.  Beside the runs, the backend keeps
+the sequence's quality rows stacked as one (states, M) matrix, one row per
+state, and the indices of the last ``moves`` sequence.  The strength,
+policy and value calls of one extraction batch all pass the same states
+and moves, so each is one array expression over those rows; each match's
+quality block is derived once per batch, and the strength call derives
+each match's noise block once.  A malformed id, a ply outside the match or
+a move that is not an in-range integer raises DataError; a malformed id
+raises the error of ``parse_state_id``.
 """
 
-from itertools import groupby
-from operator import itemgetter
+from itertools import groupby, repeat
 
 import numpy as np
 
 from ..errors import DataError
 from ..synthlab import (
+    STATE_PREFIX,
     SynthConfig,
     parse_state_id,
     perceived_qualities,
     quality_block,
-    softmax,
+    row_max,
     strength_noise_block,
 )
 from .base import Backend, BackendDescriptor, floor_priors
@@ -49,6 +52,32 @@ def parse_moves(moves, width: int) -> np.ndarray:
     return cols
 
 
+def parse_state_runs(states) -> tuple[list, list, np.ndarray]:
+    """(uids, stops, plies): the match uid and end of each run of consecutive
+    ``states`` of one match, and every state's ply.  A malformed id, or a
+    state that is not a str, is left to ``parse_state_id``."""
+    if not states:
+        return [], [], np.empty(0, dtype=np.int64)
+    try:
+        heads, _, texts = zip(*map(str.rpartition, states, repeat(":")))
+    except TypeError:  # a state that is not a str
+        heads = texts = ()
+    uids, stops, stop = [], [], 0
+    for head, run in groupby(heads):
+        prefix, _, uid = head.partition(":")
+        if prefix != STATE_PREFIX or not uid:
+            break
+        stop += len(list(run))
+        uids.append(uid)
+        stops.append(stop)
+    if stop == len(states) and all(texts) and "".join(texts).isdecimal():
+        return uids, stops, np.array(texts, dtype=np.int64)
+    for state in states:
+        parse_state_id(state)  # raises the DataError of the first malformed id
+    # every state that is not a str reads as an id through its str()
+    return parse_state_runs(tuple(map(str, states)))
+
+
 class SyntheticBackend(Backend):
     def __init__(self, config: SynthConfig):
         self.config = config
@@ -57,36 +86,35 @@ class SyntheticBackend(Backend):
         )
         self._last_states = None
         self._last_runs = None
+        self._last_rows = None
         self._last_moves = None
         self._last_cols = None
 
-    def _runs(self, states):
-        """(uid, vector slice, ply rows, quality block) per run of consecutive
-        states sharing a match uid; kept for the last ``states`` sequence."""
+    def _stack(self, block, runs) -> np.ndarray:
+        """Each state's row of its match's ``block``, stacked in state order."""
+        uids, stops, plies = runs
+        rows = np.empty((len(plies), self.config.moves_per_state))
+        start = 0
+        for uid, stop in zip(uids, stops):
+            rows[start:stop] = block(self.config, uid)[plies[start:stop]]
+            start = stop
+        return rows
+
+    def _rows(self, states) -> np.ndarray:
+        """The (states, M) quality rows of ``states``; kept, with their runs,
+        for the last ``states`` sequence."""
         states = tuple(states)
         if states != self._last_states:
-            rows = [parse_state_id(s) for s in states]
-            plies = np.array([ply for _, ply in rows], dtype=np.int64) - 1
+            uids, stops, plies = parse_state_runs(states)
+            plies -= 1
             outside = (plies < 0) | (plies >= self.config.plies_per_match)
             if outside.any():
                 raise DataError(f"state {states[int(outside.argmax())]!r} is outside plies "
                                 f"1-{self.config.plies_per_match} of a match")
-            runs = []
-            start = 0
-            for uid, run in groupby(rows, key=itemgetter(0)):
-                stop = start + sum(1 for _ in run)
-                runs.append((uid, slice(start, stop), plies[start:stop],
-                             quality_block(self.config, uid)))
-                start = stop
+            runs = (uids, stops, plies)
+            self._last_rows = self._stack(quality_block, runs)
             self._last_states, self._last_runs = states, runs
-        return self._last_runs
-
-    def _grouped(self, states, moves):
-        """The runs of ``states``, each with its move indices (None without moves)."""
-        runs = self._runs(states)
-        cols = None if moves is None else self._move_indices(moves)
-        for uid, where, plies, q in runs:
-            yield uid, where, plies, q, None if cols is None else cols[where]
+        return self._last_rows
 
     def _move_indices(self, moves) -> np.ndarray:
         """The moves as column indices; kept for the last ``moves`` sequence."""
@@ -96,30 +124,28 @@ class SyntheticBackend(Backend):
             self._last_moves = moves
         return self._last_cols
 
+    def _chosen(self, states, moves):
+        """The quality rows of ``states`` and, per row, its index and move column."""
+        q = self._rows(states)
+        return q, np.arange(len(q)), self._move_indices(moves)
+
     def score_strength_many(self, states, moves) -> np.ndarray:
-        out = np.empty(len(states))
+        q, rows, cols = self._chosen(states, moves)
+        beta = q[rows, cols]
         sd = self.config.strength_noise_sd
-        for uid, where, plies, q, cols in self._grouped(states, moves):
-            beta = q[plies, cols]
-            if sd > 0:
-                beta = beta + sd * strength_noise_block(self.config, uid)[plies, cols]
-            out[where] = beta
-        return out
+        if sd > 0:
+            beta = beta + sd * self._stack(strength_noise_block, self._last_runs)[rows, cols]
+        return beta
 
     def policy_prior_many(self, states, moves, level: str) -> np.ndarray:
         lv = self.config.level_by_label(level)
-        temp = self.config.temperature(lv.skill)
-        out = np.empty(len(states))
-        for _, where, plies, q, cols in self._grouped(states, moves):
-            probs = softmax(perceived_qualities(lv, q[plies]) / temp, axis=1)
-            out[where] = probs[np.arange(len(plies)), cols]
-        return floor_priors(out)
+        q, rows, cols = self._chosen(states, moves)
+        v = perceived_qualities(lv, q) / self.config.temperature(lv.skill)
+        ex = np.exp(v - row_max(v)[:, None])
+        return floor_priors(ex[rows, cols] / ex.sum(axis=1))
 
     def evaluate_state_many(self, states, moves=None) -> np.ndarray:
-        out = np.empty(len(states))
-        for _, where, plies, q, cols in self._grouped(states, moves):
-            if cols is None:
-                out[where] = q[plies].max(axis=1)
-            else:
-                out[where] = -q[plies, cols]
-        return out
+        if moves is None:
+            return row_max(self._rows(states))
+        q, rows, cols = self._chosen(states, moves)
+        return -q[rows, cols]

@@ -15,8 +15,12 @@ one backend call per strength, policy level, value before and value after,
 over the concatenated moves of its data points.  Each feature is one flat
 per-move column (strengths, one level's priors, or the losses that
 ``move_losses`` returns as one array) with a reduction and, for a loss
-statistic, a ply cutoff; a data point's value reduces its own slice, so a
-vector does not depend on the batch it was in.  The CLI's per-ply loss
+statistic, a ply cutoff.  Consecutive data points with equal ply arrays
+reduce their slices of a column as one (points, moves) matrix, row by row;
+a synthetic batch is one such run, and a record's sides, which alternate
+plies, are runs of one point, which reduce their 1-D slice.  A row of a
+C-contiguous matrix reduces to the bits of the same 1-D slice, so a vector
+does not depend on the batch it was in.  The CLI's per-ply loss
 traces call ``move_losses`` on batches of the same size.  When a backend
 call of a batch raises BackendError, or a feature value is not finite,
 each of its data points is retried alone, and exactly the ones that still
@@ -30,7 +34,8 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, groupby
+from operator import itemgetter
 
 import numpy as np
 
@@ -167,21 +172,23 @@ class FeatureVector:
     schema_id: str
 
 
-def mean_strength(betas) -> float:
+def mean_strength(betas, axis=None):
+    """The mean score, or each row's mean along ``axis``."""
     betas = np.asarray(betas, dtype=float)
     if betas.size == 0:
         raise DataError("mean_strength needs at least one score")
-    return float(betas.mean())
+    return betas.mean(axis=axis)
 
 
-def prior_geomean(priors) -> float:
-    """exp(mean(log p)); priors must already be floored above zero."""
+def prior_geomean(priors, axis=None):
+    """exp(mean(log p)), or each row's along ``axis``; priors must already
+    be floored above zero."""
     priors = np.asarray(priors, dtype=float)
     if priors.size == 0:
         raise DataError("prior_geomean needs at least one prior")
     if (priors <= 0).any():
         raise AssertionError("prior below floor reached geometric mean")
-    return float(np.exp(np.log(priors).mean()))
+    return np.exp(np.log(priors).mean(axis=axis))
 
 
 def move_losses(datapoints, value_backend, transform: str = "identity"):
@@ -253,27 +260,37 @@ def _extract_batch(datapoints, bank: BackendBank, config: FeatureConfig,
         losses, clamps = move_losses(datapoints, bank.value, config.value_transform())
         columns.extend((LOSS_STATS[spec.stat], losses, spec.n_cut)
                        for spec in config.loss_selected)
-    plies = np.array([m[0] for dp in datapoints for m in dp.moves])
     table = list(zip(config.feature_names(), columns))
     schema_id = config.schema_id()
     vectors, flags = [], []
     stop = 0
-    for dp in datapoints:
-        own = slice(stop, stop + dp.k)
+    for plies, run in groupby([([m[0] for m in dp.moves], dp) for dp in datapoints],
+                              key=itemgetter(0)):
+        points = [dp for _, dp in run]
+        n, k = len(points), len(plies)
+        own = slice(stop, stop + n * k)
         stop = own.stop
-        values = []
-        for name, (reduce, answers, n_cut) in table:
-            kept = answers[own]
+        plies = np.array(plies)
+        values = np.empty((n, len(table)))
+        empty = []
+        for j, (name, (reduce, answers, n_cut)) in enumerate(table):
+            # one point reduces its 1-D slice; a (1, k) matrix would be slower
+            block = answers[own] if n == 1 else answers[own].reshape(n, k)
             if n_cut is not None:
-                kept = kept[plies[own] <= n_cut]
-                if not kept.size:
-                    flags.append((dp, f"empty_after_cut:{name}"))
-                    values.append(0.0)
+                keep = plies <= n_cut
+                if not keep.any():
+                    empty.append(name)
+                    values[:, j] = 0.0
                     continue
-            values.append(float(reduce(kept)))
-        if not all(map(math.isfinite, values)):
+                # a column selection is not C-contiguous, and its reduction
+                # would add in another order than a row's
+                block = np.ascontiguousarray(block[..., keep])
+            values[:, j] = reduce(block, axis=-1)
+        if not np.isfinite(values).all():
             raise BackendError("non-finite feature value")
-        vectors.append(FeatureVector(values=tuple(values), schema_id=schema_id))
+        vectors.extend(FeatureVector(values=tuple(row), schema_id=schema_id)
+                       for row in values.tolist())
+        flags.extend((dp, f"empty_after_cut:{name}") for dp in points for name in empty)
     report.winrate_clamps += clamps
     for dp, reason in flags:
         report.flag(dp.match_id, dp.side, reason)

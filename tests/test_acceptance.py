@@ -161,6 +161,8 @@ def ablation_results(desk):
         train_seed=TRAIN_SEED,
         eval_repetitions=EVAL_REPETITIONS, eval_seed=EVAL_SEED,
         r_groups=desk.cfg.groups,
+        # the desk models were fit with these settings, so use_all reuses them
+        fitted=desk.models,
     )
     return run_ablation(family_masks(desk.fconfig), (10, 20), ctx)
 

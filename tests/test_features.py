@@ -6,6 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from helpers.oracles import reference_loss_stat
 from rankforge.backends import BackendBank, BackendDescriptor, SubprocessBackend, SyntheticBackend
@@ -13,6 +14,7 @@ from rankforge.backends import synthetic
 from rankforge.errors import BackendError, ConfigError, DataError, SchemaMismatchError
 from rankforge.features import (
     EXTRACT_BATCH,
+    LOSS_STATS,
     FeatureConfig,
     FeatureVector,
     LossSpec,
@@ -432,24 +434,123 @@ def test_backend_error_drops_exactly_the_failing_point_of_a_batch(mock_backend_c
     assert report.dropped[0]["reason"].startswith("backend_error:scripted failure")
 
 
-def test_synthetic_backend_parses_each_state_once_per_batch(monkeypatch):
-    parsed, parsed_moves = [], []
+def test_synthetic_backend_parses_a_clean_batch_at_most_once(monkeypatch):
+    calls = {"states": 0, "moves": 0}
     parse = synthetic.parse_state_id
-    monkeypatch.setattr(synthetic, "parse_state_id", lambda s: parsed.append(s) or parse(s))
+    monkeypatch.setattr(synthetic, "parse_state_id",
+                        lambda s: calls.__setitem__("states", calls["states"] + 1) or parse(s))
     parse_moves = synthetic.parse_moves
     monkeypatch.setattr(synthetic, "parse_moves",
-                        lambda moves, width: parsed_moves.extend(moves)
+                        lambda moves, width: calls.__setitem__("moves", calls["moves"] + 1)
                         or parse_moves(moves, width))
     cfg = tiny_config()
-    dps = [to_datapoint(gen_match(cfg, g, f"parse-{g}-{i}")) for g in range(3) for i in range(4)]
+    dps = [to_datapoint(gen_match(cfg, i % 3, f"parse-{i}")) for i in range(2 * EXTRACT_BATCH + 3)]
     backend = SyntheticBackend(cfg)
     bank = BackendBank(strength=backend, policy=backend, value=backend)
     fconfig = FeatureConfig(game="synthetic", policy_levels=cfg.level_labels(),
                             loss_selected=(LossSpec("mean", None),))
     rows, _ = extract_many(dps, bank, fconfig)
-    assert len(rows) == len(dps) <= EXTRACT_BATCH
-    assert len(parsed) == sum(dp.k for dp in dps)
-    assert len(parsed_moves) == sum(dp.k for dp in dps)
+    assert len(rows) == len(dps)
+    batches = -(-len(dps) // EXTRACT_BATCH)
+    assert calls["states"] <= batches
+    assert calls["moves"] <= batches
+
+
+_MALFORMED_IDS = {
+    "bad-prefix": ("xyz:{uid}:{ply}", "not a synthetic state id: {state!r}"),
+    "empty-uid": ("syn::{ply}", "not a synthetic state id: {state!r}"),
+    "empty-ply": ("syn:{uid}:", "not a synthetic state id: {state!r}"),
+    "non-decimal-ply": ("syn:{uid}:{ply}a", "not a synthetic state id: {state!r}"),
+    "ply-0": ("syn:{uid}:0", "state {state!r} is outside plies 1-10 of a match"),
+    "ply-past-match": ("syn:{uid}:11", "state {state!r} is outside plies 1-10 of a match"),
+}
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+@pytest.mark.parametrize("kind", sorted(_MALFORMED_IDS))
+def test_malformed_state_id_in_a_run_raises_its_data_error(kind, where):
+    cfg = tiny_config()
+    assert cfg.plies_per_match == 10
+    dps = [to_datapoint(gen_match(cfg, 1, f"bad-{i}")) for i in range(3)]
+    at = {"first": 0, "middle": 4, "last": 9}[where]
+    ply, _, move = dps[1].moves[at]
+    template, message = _MALFORMED_IDS[kind]
+    state = template.format(uid="bad-1", ply=ply)
+    moves = dps[1].moves[:at] + ((ply, state, move),) + dps[1].moves[at + 1:]
+    dps[1] = replace(dps[1], moves=moves)
+    backend = SyntheticBackend(cfg)
+    bank = BackendBank(strength=backend, policy=backend, value=backend)
+    fconfig = FeatureConfig(game="synthetic", policy_levels=cfg.level_labels(),
+                            loss_selected=(LossSpec("mean", None),))
+    with pytest.raises(DataError) as raised:
+        extract_many(dps, bank, fconfig)
+    assert str(raised.value) == message.format(state=state)
+
+
+def test_synthetic_state_that_is_not_a_str_reads_as_its_str():
+    class _Id:
+        def __init__(self, text):
+            self.text = text
+
+        def __str__(self):
+            return self.text
+
+    cfg = tiny_config()
+    _, states, moves = zip(*to_datapoint(gen_match(cfg, 1, "obj")).moves)
+    backend = SyntheticBackend(cfg)
+    expected = backend.policy_prior_many(states, moves, "lo")
+    assert np.array_equal(SyntheticBackend(cfg).policy_prior_many(
+        [_Id(s) for s in states], moves, "lo"), expected)
+    with pytest.raises(DataError, match="not a synthetic state id: 7$"):
+        SyntheticBackend(cfg).evaluate_state_many([states[0], 7])
+
+
+_BLOCKS = st.integers(1, 8).flatmap(lambda points: st.integers(1, 40).flatmap(
+    lambda k: st.tuples(
+        hnp.arrays(np.float64, (points, k), elements=st.floats(1e-10, 1e6)),
+        hnp.arrays(np.bool_, k))))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_BLOCKS, st.sampled_from(["mean", "median", "std", "strength", "prior"]))
+def test_row_reductions_equal_one_row_at_a_time_bit_for_bit(block_and_keep, stat):
+    # _extract_batch reduces the data points of one ply run as a matrix, and
+    # a point alone as its 1-D slice; both must give the same bits
+    block, keep = block_and_keep
+    reduce = {"strength": mean_strength, "prior": prior_geomean}.get(stat) or LOSS_STATS[stat]
+    cuts = [block]
+    if keep.any():
+        cuts.append(np.ascontiguousarray(block[:, keep]))
+    for rows in cuts:
+        matrix = reduce(rows, axis=-1)
+        for row, value in zip(rows, matrix):
+            assert np.float64(value).tobytes() == np.float64(reduce(row, axis=-1)).tobytes()
+
+
+def test_same_ply_runs_of_a_batch_equal_one_point_extraction():
+    # desk-sized matches: a cut keeps enough moves per point that a
+    # reduction over a strided column selection would add in another order
+    cfg = desk_config()
+    dps = []
+    for i in range(EXTRACT_BATCH + 4):
+        dp = to_datapoint(gen_match(cfg, i % cfg.groups, f"run-{i}"))
+        if 5 <= i < 9:  # a run that starts at ply 3
+            dp = replace(dp, moves=dp.moves[2:])
+        elif 9 <= i < 11:  # a run of ply 31 on, whose cut-30 loss is empty
+            dp = replace(dp, moves=dp.moves[30:])
+        dps.append(dp)
+    backend = SyntheticBackend(cfg)
+    bank = BackendBank(strength=backend, policy=backend, value=backend)
+    fconfig = FeatureConfig(game="synthetic", policy_levels=cfg.level_labels(),
+                            loss_selected=(LossSpec("mean", 30), LossSpec("mean", 50),
+                                           LossSpec("median", 60), LossSpec("std", 50),
+                                           LossSpec("std", None)))
+    rows, report = extract_many(dps, bank, fconfig)
+    alone = [extract_many([dp], bank, fconfig) for dp in dps]
+    assert rows == sorted((row for one, _ in alone for row in one),
+                          key=lambda r: (r.match_id, r.side))
+    assert report.flagged == [flag for _, one in alone for flag in one.flagged]
+    assert len(report.flagged) == 2
 
 
 def test_synthetic_backend_derives_each_block_once_per_match_per_batch(monkeypatch):

@@ -160,6 +160,24 @@ def test_player_pool_offsets_deterministic():
     assert len(skills) > 4  # offsets actually vary
 
 
+def test_chunked_pools_equal_one_match_at_a_time():
+    # more matches than one sampling chunk, so a chunk boundary falls inside
+    # every group and every player
+    cfg = small_config(player_offset_sd=0.5)
+    per_group = synthlab.SAMPLE_CHUNK + 1
+    groups = synthlab.gen_group_pool(cfg, "chunk", per_group)
+    for g, matches in groups.items():
+        assert len(matches) == per_group
+        assert matches == [synthlab.gen_match(cfg, g, m.uid) for m in matches]
+    players = synthlab.gen_player_pool(cfg, "chunk", 2, 20)
+    for g, pool in players.items():
+        for matches in pool.values():
+            assert len(matches) == 20
+            assert len({m.player_skill for m in matches}) == 1
+            assert matches == [synthlab.gen_match(cfg, g, m.uid, player_skill=m.player_skill)
+                               for m in matches]
+
+
 def test_datapoint_conversion_round_trip_fields():
     cfg = small_config()
     match = synthlab.gen_match(cfg, 2, "dpconv")
