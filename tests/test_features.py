@@ -435,14 +435,12 @@ def test_backend_error_drops_exactly_the_failing_point_of_a_batch(mock_backend_c
 
 
 def test_synthetic_backend_parses_a_clean_batch_at_most_once(monkeypatch):
-    calls = {"states": 0, "moves": 0}
+    calls = []
     parse = synthetic.parse_state_id
-    monkeypatch.setattr(synthetic, "parse_state_id",
-                        lambda s: calls.__setitem__("states", calls["states"] + 1) or parse(s))
+    monkeypatch.setattr(synthetic, "parse_state_id", lambda s: calls.append("state") or parse(s))
     parse_moves = synthetic.parse_moves
     monkeypatch.setattr(synthetic, "parse_moves",
-                        lambda moves, width: calls.__setitem__("moves", calls["moves"] + 1)
-                        or parse_moves(moves, width))
+                        lambda moves, width: calls.append("moves") or parse_moves(moves, width))
     cfg = tiny_config()
     dps = [to_datapoint(gen_match(cfg, i % 3, f"parse-{i}")) for i in range(2 * EXTRACT_BATCH + 3)]
     backend = SyntheticBackend(cfg)
@@ -451,9 +449,9 @@ def test_synthetic_backend_parses_a_clean_batch_at_most_once(monkeypatch):
                             loss_selected=(LossSpec("mean", None),))
     rows, _ = extract_many(dps, bank, fconfig)
     assert len(rows) == len(dps)
-    batches = -(-len(dps) // EXTRACT_BATCH)
-    assert calls["states"] <= batches
-    assert calls["moves"] <= batches
+    batches = math.ceil(len(dps) / EXTRACT_BATCH)
+    assert calls.count("state") <= batches
+    assert calls.count("moves") <= batches
 
 
 _MALFORMED_IDS = {
