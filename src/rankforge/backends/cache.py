@@ -83,9 +83,6 @@ class ResponseCache:
     def get(self, key: tuple) -> float | None:
         return self._data.get(key)
 
-    def put(self, key: tuple, value: float) -> None:
-        self.put_many([(key, value)])
-
     def put_many(self, records: list[tuple[tuple, float]]) -> None:
         """Store (key, value) records and append their lines in one write."""
         self._data.update(records)

@@ -71,7 +71,10 @@ def parse_state_runs(states) -> tuple[list, list, np.ndarray]:
         uids.append(uid)
         stops.append(stop)
     if stop == len(states) and all(texts) and "".join(texts).isdecimal():
-        return uids, stops, np.array(texts, dtype=np.int64)
+        try:
+            return uids, stops, np.array(texts, dtype=np.int64)
+        except OverflowError:  # a ply past int64 is past every match: clip it
+            return uids, stops, np.array([min(int(t), 2**63 - 1) for t in texts])
     for state in states:
         parse_state_id(state)  # raises the DataError of the first malformed id
     # every state that is not a str reads as an id through its str()

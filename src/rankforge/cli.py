@@ -2,14 +2,19 @@
 report, and the full pipeline.
 
 Exit codes: 0 success, 1 configuration error, 2 data or backend error;
-``extract`` also exits 2 when it drops every data point it was given, and
-``eval`` when ``--n`` is not the n its model was trained for.
-``pipeline`` writes a manifest with the config hash and seeds so its runs
-can be reproduced exactly; the other commands write none.
+``extract`` and ``report --dataset`` also exit 2 when they drop every data
+point they were given, and ``eval`` when ``--n`` is not the n its model was
+trained for.  loss_by_ply.csv holds the losses that extraction computed:
+``pipeline`` writes it from its test extraction only when its features
+include losses, and ``report --dataset`` extracts losses alone, exiting 1
+when its config selects no loss statistic.  ``pipeline`` writes a manifest
+with the config hash and seeds so its runs can be reproduced exactly; the
+other commands write none.
 """
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__, synthlab
@@ -50,8 +55,8 @@ from .evalharness import (
     write_per_group_csv,
     write_report,
 )
-from .features import (EXTRACT_BATCH, extract_many, move_losses, read_feature_store,
-                       write_feature_store)
+# move_losses is unused here; perfbench's tracer patches rankforge.cli.move_losses
+from .features import extract_many, move_losses, read_feature_store, write_feature_store
 from .gbdt import GbdtParams, TreeEnsemble
 from .records import (
     GROUP_COUNTS,
@@ -164,27 +169,21 @@ def _build_bank(run: RunConfig) -> BackendBank:
     )
 
 
-def _extract(datapoints, bank: BackendBank, features, out, drops=None):
-    """Extract, write the feature store to ``out`` and, when ``drops`` is a
-    path, the drop report there.  Returns (rows, report)."""
-    rows, report = extract_many(datapoints, bank, features)
+def _extract(datapoints, bank: BackendBank, features, out, drops=None, traces=None):
+    """Extract through ``extract_many``, write the feature store to ``out``
+    and, when ``drops`` is a path, the drop report there.  Returns (rows, report)."""
+    rows, report = extract_many(datapoints, bank, features, traces)
     write_feature_store(out, rows, features)
     if drops:
         write_json(drops, report.to_dict())
     return rows, report
 
 
-def _loss_traces(datapoints, bank: BackendBank, features) -> list:
-    """Every data point's (ply, loss) pairs, in order, from one pair of value
-    calls per ``EXTRACT_BATCH`` data points."""
-    bank.require(need_strength=False, need_policy=False, need_value=True)
-    transform = features.value_transform()
-    traces = []
-    for start in range(0, len(datapoints), EXTRACT_BATCH):
-        batch = datapoints[start:start + EXTRACT_BATCH]
-        losses, _ = move_losses(batch, bank.value, transform)
-        traces.extend(zip((m[0] for dp in batch for m in dp.moves), losses.tolist()))
-    return traces
+def _require_rows(datapoints, rows, report) -> None:
+    """A DataError naming the first reason when every data point was dropped."""
+    if datapoints and not rows:
+        raise DataError(f"every data point was dropped, the first for "
+                        f"{report.dropped[0]['reason']}")
 
 
 def cmd_extract(args) -> int:
@@ -197,9 +196,7 @@ def cmd_extract(args) -> int:
         bank.close()
     _log(f"extract: {len(rows)} rows -> {args.out} "
          f"({len(report.dropped)} dropped)")
-    if datapoints and not rows:
-        raise DataError(f"every data point was dropped, the first for "
-                        f"{report.dropped[0]['reason']}")
+    _require_rows(datapoints, rows, report)
     return 0
 
 
@@ -331,12 +328,17 @@ def cmd_report(args) -> int:
     traces = None
     if args.dataset and args.config:
         run = run_config_from(read_config_file(args.config))
+        if not run.features.include_loss:
+            raise ConfigError("the report's loss table needs loss statistics in [features]")
+        losses_only = replace(run.features, include_strength=False, include_priors=False)
         datapoints = read_datapoints(args.dataset)
         bank = _build_bank(run)
+        traces = []
         try:
-            traces = _loss_traces(datapoints, bank, run.features)
+            kept, report = extract_many(datapoints, bank, losses_only, traces)
         finally:
             bank.close()
+        _require_rows(datapoints, kept, report)
     _write_plot_tables(outdir, rows, config, traces)
     first = config.feature_names()[0]
     write_csv(outdir / "boxplot_player.csv",
@@ -353,14 +355,14 @@ def cmd_report(args) -> int:
 # pipeline
 
 
-def _synth_store(run: RunConfig, bank: BackendBank, name: str, matches: int, outdir):
-    """Generate, write and extract one synthetic dataset into ``outdir``;
-    returns (data points, feature store rows)."""
+def _synth_store(run: RunConfig, bank: BackendBank, name: str, matches: int, outdir, traces):
+    """Generate, write and extract one synthetic dataset into ``outdir``,
+    passing ``traces`` to ``extract_many``; returns the feature store rows."""
     datapoints = _synth_datapoints(run.synth, name, matches)
     write_datapoints(outdir / f"{name}_dataset.jsonl", datapoints)
     rows, _ = _extract(datapoints, bank, run.features, outdir / f"{name}_features.jsonl",
-                       outdir / f"{name}_drops.json")
-    return datapoints, rows
+                       outdir / f"{name}_drops.json", traces)
+    return rows
 
 
 def run_pipeline(run: RunConfig, outdir) -> dict:
@@ -377,9 +379,9 @@ def run_pipeline(run: RunConfig, outdir) -> dict:
     stage = "extract"
     try:
         train_pool = pool_from_store(
-            _synth_store(run, bank, "train", run.train_matches_per_group, outdir)[1])
-        test_datapoints, test_rows = _synth_store(run, bank, "test",
-                                                  run.test_matches_per_group, outdir)
+            _synth_store(run, bank, "train", run.train_matches_per_group, outdir, None))
+        traces = [] if run.features.include_loss else None
+        test_rows = _synth_store(run, bank, "test", run.test_matches_per_group, outdir, traces)
         test_pool = pool_from_store(test_rows)
 
         stage = "train"
@@ -412,8 +414,7 @@ def run_pipeline(run: RunConfig, outdir) -> dict:
             }
 
         stage = "report"
-        _write_plot_tables(outdir / "plotdata", test_rows, run.features,
-                           _loss_traces(test_datapoints, bank, run.features))
+        _write_plot_tables(outdir / "plotdata", test_rows, run.features, traces)
     except RankforgeError as exc:
         raise type(exc)(f"pipeline stage {stage!r} failed: {exc}") from exc
     finally:

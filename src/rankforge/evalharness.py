@@ -306,19 +306,22 @@ def prior_curve_rows(rows, config: FeatureConfig):
 
 
 def loss_by_ply_rows(traces):
-    """Fig-3-style table from (ply, loss) pairs across many data points."""
-    by_ply: dict[int, list[float]] = {}
-    for ply, loss in traces:
-        by_ply.setdefault(int(ply), []).append(float(loss))
+    """Fig-3-style table from (plies, losses) array pairs, as extraction
+    hands them out.  Each pair is grouped by a stable sort by ply, and a
+    ply's pieces are joined in pair order, so each ply reduces its losses
+    in input order.  Grouping pair by pair keeps no concatenated copy of
+    every loss alive."""
+    pieces: dict[int, list] = {}
+    for plies, losses in traces:
+        order = np.argsort(plies, kind="stable")
+        keys, starts = np.unique(plies[order], return_index=True)
+        for ply, part in zip(keys.tolist(), np.split(losses[order], starts[1:])):
+            pieces.setdefault(ply, []).append(part)
     out = []
-    for ply in sorted(by_ply):
-        arr = np.asarray(by_ply[ply])
-        out.append({
-            "ply": ply,
-            "mean_loss": float(arr.mean()),
-            "std_loss": float(arr.std(ddof=0)),
-            "count": len(arr),
-        })
+    for ply in sorted(pieces):
+        part = np.concatenate(pieces[ply])
+        out.append({"ply": ply, "mean_loss": float(part.mean()),
+                    "std_loss": float(part.std(ddof=0)), "count": len(part)})
     return out
 
 

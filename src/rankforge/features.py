@@ -20,11 +20,11 @@ reduce their slices of a column as one (points, moves) matrix, row by row;
 a synthetic batch is one such run, and a record's sides, which alternate
 plies, are runs of one point, which reduce their 1-D slice.  A row of a
 C-contiguous matrix reduces to the bits of the same 1-D slice, so a vector
-does not depend on the batch it was in.  The CLI's per-ply loss
-traces call ``move_losses`` on batches of the same size.  When a backend
-call of a batch raises BackendError, or a feature value is not finite,
-each of its data points is retried alone, and exactly the ones that still
-fail are dropped.
+does not depend on the batch it was in.  When a backend call of a batch
+raises BackendError, or a feature value is not finite, each of its data
+points is retried alone, and exactly the ones that still fail are dropped.
+Losses are computed nowhere else: the per-ply loss table is reduced from
+the (plies, losses) arrays that a ``traces`` list receives.
 
 The feature store is a JSONL artifact (see ``rankforge.artifacts``): a
 schema header line, then one row per data point.
@@ -241,11 +241,11 @@ class DropReport:
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite value drops its data point
 def _extract_batch(datapoints, bank: BackendBank, config: FeatureConfig,
-                   report: DropReport) -> list[FeatureVector]:
+                   report: DropReport, traces) -> list[FeatureVector]:
     """The data points' feature vectors, in order, from one backend call per
-    (kind, level) over their concatenated moves.  ``report`` is only touched
-    once every vector is computed; a non-finite value raises BackendError,
-    so the batch is retried one data point at a time."""
+    (kind, level) over their concatenated moves.  ``report`` and ``traces``
+    are only touched once every vector is computed; a non-finite value
+    raises BackendError, so the batch is retried one data point at a time."""
     states = [m[1] for dp in datapoints for m in dp.moves]
     moves = [m[2] for dp in datapoints for m in dp.moves]
     # (reduction, per-move answers, ply cutoff) per feature, in schema order
@@ -294,20 +294,22 @@ def _extract_batch(datapoints, bank: BackendBank, config: FeatureConfig,
     report.winrate_clamps += clamps
     for dp, reason in flags:
         report.flag(dp.match_id, dp.side, reason)
+    if traces is not None and config.include_loss:
+        traces.append((np.array([m[0] for dp in datapoints for m in dp.moves]), losses))
     return vectors
 
 
 def _extract_isolated(datapoints, bank: BackendBank, config: FeatureConfig,
-                      report: DropReport) -> list:
+                      report: DropReport, traces) -> list:
     """(data point, vector) pairs of one batch.  When a backend call fails,
     each data point is retried alone and the ones that still fail are
     dropped, with the backend's reason."""
     try:
-        return list(zip(datapoints, _extract_batch(datapoints, bank, config, report)))
+        return list(zip(datapoints, _extract_batch(datapoints, bank, config, report, traces)))
     except BackendError as exc:
         if len(datapoints) > 1:
             return [pair for dp in datapoints
-                    for pair in _extract_isolated([dp], bank, config, report)]
+                    for pair in _extract_isolated([dp], bank, config, report, traces)]
         reason = "backend_timeout" if isinstance(exc, BackendTimeoutError) else f"backend_error:{exc}"
         report.drop(datapoints[0].match_id, datapoints[0].side, reason)
         return []
@@ -322,10 +324,12 @@ class StoredFeature:
     vector: FeatureVector
 
 
-def extract_many(datapoints, bank: BackendBank, config: FeatureConfig):
+def extract_many(datapoints, bank: BackendBank, config: FeatureConfig, traces=None):
     """Extract all data points, ``EXTRACT_BATCH`` at a time; backend failures
     drop the data point and are counted in the report.  Output is sorted by
-    (match_id, side) so it does not depend on input order."""
+    (match_id, side) so it does not depend on input order.  When ``traces``
+    is a list and ``config`` has losses, it receives the kept data points'
+    (plies, losses) columns in input order, one pair of arrays per batch."""
     bank.require(
         need_strength=config.include_strength,
         need_policy=config.include_priors,
@@ -343,7 +347,7 @@ def extract_many(datapoints, bank: BackendBank, config: FeatureConfig):
         )
         for start in range(0, len(datapoints), EXTRACT_BATCH)
         for dp, vector in _extract_isolated(datapoints[start:start + EXTRACT_BATCH],
-                                            bank, config, report)
+                                            bank, config, report, traces)
     ]
     rows.sort(key=lambda r: (r.match_id, r.side))
     return rows, report

@@ -29,7 +29,6 @@ in a loop over the trees, and every prediction has the same bits.  Fit's
 residual update, `FlatTree.leaf_values`, is the one-root case of the walk.
 """
 
-import json
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -145,10 +144,6 @@ class FlatTree:
     def leaf_values(self, X: np.ndarray) -> np.ndarray:
         return self.walk(X, _ONE_ROOT)[:, 0]
 
-    @property
-    def n_leaves(self) -> int:
-        return int((self.feature < 0).sum())
-
     def to_dict(self) -> dict:
         return {name: getattr(self, name).tolist() for name in _FLAT_DTYPES}
 
@@ -261,9 +256,6 @@ class TreeEnsemble:
                 part += self.params.learning_rate * leaves
         return out
 
-    def predict(self, x) -> float:
-        return float(self.predict_many(np.asarray(x, dtype=np.float64)[None, :])[0])
-
     def to_dict(self) -> dict:
         return {
             "format": FORMAT_TAG,
@@ -274,9 +266,6 @@ class TreeEnsemble:
             "meta": self.meta,
             "trees": [tree.to_dict() for tree in self.trees],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
     @classmethod
     def from_dict(cls, data: dict) -> "TreeEnsemble":

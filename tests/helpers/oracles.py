@@ -1,5 +1,7 @@
 """Independent brute-force oracles shared by unit and acceptance tests."""
 
+import json
+
 import numpy as np
 
 from rankforge.errors import DataError, ParseError
@@ -198,3 +200,26 @@ def reference_loss_stat(losses, stat: str, n_cut: int | None) -> tuple[float, bo
     if stat == "median":
         return float(np.median(arr)), False
     return float(arr.std(ddof=0)), False
+
+
+def model_json(model) -> str:
+    """A model's dict as one JSON text with sorted keys, for byte comparisons."""
+    return json.dumps(model.to_dict(), sort_keys=True)
+
+
+def reference_loss_by_ply_rows(traces):
+    """Fig-3-style table from (ply, loss) pairs, grouped in a dict of lists:
+    each ply's losses in input order."""
+    by_ply: dict[int, list[float]] = {}
+    for ply, loss in traces:
+        by_ply.setdefault(int(ply), []).append(float(loss))
+    out = []
+    for ply in sorted(by_ply):
+        arr = np.asarray(by_ply[ply])
+        out.append({
+            "ply": ply,
+            "mean_loss": float(arr.mean()),
+            "std_loss": float(arr.std(ddof=0)),
+            "count": len(arr),
+        })
+    return out

@@ -15,7 +15,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from helpers.oracles import brute_force_first_split
+from helpers.oracles import brute_force_first_split, model_json
 from rankforge import synthlab
 from rankforge.backends import (
     BackendBank,
@@ -320,7 +320,7 @@ def test_criterion_gbdt_oracle_suite():
     model = fit(rng.normal(size=(200, 3)), rng.normal(size=200),
                 GbdtParams(num_trees=40, min_samples_leaf=4, seed=7))
     from rankforge.gbdt import TreeEnsemble
-    restored = TreeEnsemble.from_dict(json.loads(model.to_json()))
+    restored = TreeEnsemble.from_dict(json.loads(model_json(model)))
     probe = rng.normal(size=(1000, 3))
     assert np.array_equal(model.predict_many(probe), restored.predict_many(probe))
     _announce("gbdt-oracle-suite", True,

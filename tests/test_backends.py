@@ -594,14 +594,14 @@ def test_cache_skips_torn_tail_and_appends_on_a_fresh_line(tmp_path):
     path = tmp_path / "cache.jsonl"
     keys = [("b", "value", f"s{i}", None, None) for i in range(3)]
     cache = ResponseCache(path)
-    cache.put(keys[0], 0.25)
-    cache.put(keys[1], 0.5)
+    cache.put_many([(keys[0], 0.25)])
+    cache.put_many([(keys[1], 0.5)])
     cache.close()
     path.write_bytes(path.read_bytes()[:-10])  # the second record, half written
     cache = ResponseCache(path)
     assert cache.get(keys[0]) == 0.25
     assert cache.get(keys[1]) is None
-    cache.put(keys[2], 0.75)
+    cache.put_many([(keys[2], 0.75)])
     cache.close()
     cache = ResponseCache(path)
     assert [cache.get(k) for k in keys] == [0.25, None, 0.75]
@@ -612,11 +612,11 @@ def test_cache_cuts_a_bad_last_line_that_ends_in_a_newline(tmp_path):
     path = tmp_path / "c.jsonl"
     good, later = ("b", "value", "s0", None, None), ("b", "value", "s1", None, None)
     cache = ResponseCache(path)
-    cache.put(good, 0.25)
+    cache.put_many([(good, 0.25)])
     cache.close()
     path.write_bytes(path.read_bytes() + b'{"b": "b", "k"\n')
     cache = ResponseCache(path)
-    cache.put(later, 0.5)
+    cache.put_many([(later, 0.5)])
     cache.close()
     cache = ResponseCache(path)
     assert [cache.get(k) for k in (good, later)] == [0.25, 0.5]
@@ -640,7 +640,7 @@ def test_cache_bad_line_before_the_end_is_data_error(tmp_path):
     path = tmp_path / "cache.jsonl"
     cache = ResponseCache(path)
     for i in range(3):
-        cache.put(("b", "value", f"s{i}", None, None), float(i))
+        cache.put_many([(("b", "value", f"s{i}", None, None), float(i))])
     cache.close()
     lines = path.read_text().splitlines()
     path.write_text("\n".join([lines[0], lines[1][:20], lines[2]]) + "\n")
@@ -657,13 +657,13 @@ def test_cache_cut_inside_a_character_of_its_last_line_is_a_torn_tail(tmp_path):
     path = tmp_path / "cache.jsonl"
     first, second = ("b", "value", "s0", None, None), ("b", "value", "s1", None, None)
     cache = ResponseCache(path)
-    cache.put(first, 0.25)
+    cache.put_many([(first, 0.25)])
     cache.close()
     line = _hand_written_line("\u00e9", "0.5")  # a raw two-byte character
     path.write_bytes(path.read_bytes() + line[:line.index(b"\xa9")])
     cache = ResponseCache(path)
     assert cache.get(first) == 0.25
-    cache.put(second, 0.5)
+    cache.put_many([(second, 0.5)])
     cache.close()
     assert [ResponseCache(path).get(k) for k in (first, second)] == [0.25, 0.5]
     assert path.read_text().count("\n") == 2
@@ -683,7 +683,7 @@ def test_cache_reads_but_never_serves_a_non_finite_value(tmp_path):
     path.write_bytes(b"\n".join(_hand_written_line(s, s) for s in spellings) + b"\n")
     cache = ResponseCache(path)
     assert [cache.get(("b", "value", s, None, None)) for s in spellings] == [None] * 3
-    cache.put(("b", "value", "NaN", None, None), 0.5)
+    cache.put_many([(("b", "value", "NaN", None, None), 0.5)])
     cache.close()
     assert ResponseCache(path).get(("b", "value", "NaN", None, None)) == 0.5
 

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import math
@@ -14,8 +15,9 @@ from rankforge.config import (
     run_config_from,
     synth_config_from,
 )
-from rankforge.errors import ConfigError
-from rankforge.features import FeatureConfig, read_feature_store
+from rankforge.backends import SyntheticBackend
+from rankforge.errors import BackendError, ConfigError
+from rankforge.features import EXTRACT_BATCH, FeatureConfig, read_feature_store
 
 TINY_SYNTH = """
 seed = 77
@@ -50,6 +52,8 @@ repetitions = 60
 [ablation]
 ns = [3]
 """
+NO_LOSS_SYNTH = TINY_SYNTH.replace('loss_selected = [["mean", 10], ["std", "all"]]',
+                                  "include_loss = false")
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +343,91 @@ def test_pipeline_end_to_end_and_rerun_identical(tmp_path):
     digests = {str(path.relative_to(out1)): hashlib.sha256(path.read_bytes()).hexdigest()
                for path in sorted(out1.rglob("*")) if path.is_file()}
     assert digests == PIPELINE_SHA256
+
+
+def _count_value_calls(monkeypatch, fail=lambda states: False) -> list:
+    """Record every synthetic value call's states; a call whose states
+    ``fail`` selects raises BackendError."""
+    calls = []
+    evaluate = SyntheticBackend.evaluate_state_many
+
+    def counted(self, states, moves=None):
+        calls.append(states)
+        if fail(states):
+            raise BackendError("scripted")
+        return evaluate(self, states, moves)
+
+    monkeypatch.setattr(SyntheticBackend, "evaluate_state_many", counted)
+    return calls
+
+
+def test_pipeline_computes_losses_only_in_extraction(tmp_path, monkeypatch):
+    config = tmp_path / "run.toml"
+    config.write_text(TINY_SYNTH.replace("[ablation]\nns = [3]\n", ""))
+    calls = _count_value_calls(monkeypatch)
+    assert main(["pipeline", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
+    batches = sum(math.ceil(len((tmp_path / "run" / f"{name}_dataset.jsonl")
+                                .read_text().splitlines()) / EXTRACT_BATCH)
+                  for name in ("train", "test"))
+    # one value call before and one after the moves per batch; none to report
+    assert len(calls) == 2 * batches
+    assert (tmp_path / "run" / "plotdata" / "loss_by_ply.csv").exists()
+
+
+def test_pipeline_without_losses_writes_no_loss_table(tmp_path, monkeypatch):
+    config = tmp_path / "run.toml"
+    config.write_text(NO_LOSS_SYNTH.replace("[ablation]\nns = [3]\n", ""))
+    calls = _count_value_calls(monkeypatch)
+    assert main(["pipeline", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
+    assert calls == []
+    assert (tmp_path / "run" / "plotdata" / "prior_curves.csv").exists()
+    assert not (tmp_path / "run" / "plotdata" / "loss_by_ply.csv").exists()
+
+
+def _report_argv(tmp_path, text: str, matches: int = 8) -> list:
+    """Synthesize and extract a dataset on config ``text``; the argv of a
+    report with its loss table."""
+    config = tmp_path / "run.toml"
+    config.write_text(text)
+    dataset, store = tmp_path / "data.jsonl", tmp_path / "store.jsonl"
+    assert main(["synth", "--config", str(config), "--matches", str(matches),
+                 "--out", str(dataset)]) == 0
+    assert main(["extract", "--config", str(config), "--dataset", str(dataset),
+                 "--out", str(store)]) == 0
+    return ["report", "--features", str(store), "--out", str(tmp_path / "plots"),
+            "--dataset", str(dataset), "--config", str(config)]
+
+
+def test_report_loss_table_leaves_out_a_dropped_point(tmp_path, monkeypatch):
+    argv = _report_argv(tmp_path, TINY_SYNTH)
+    points = [json.loads(line) for line in (tmp_path / "data.jsonl").read_text().splitlines()]
+    dropped = points[5]["match_id"]
+    calls = _count_value_calls(monkeypatch, lambda states: any(f":{dropped}:" in s
+                                                               for s in states))
+    assert main(argv) == 0
+    kept = [m["ply"] for dp in points if dp["match_id"] != dropped for m in dp["moves"]]
+    with (tmp_path / "plots" / "loss_by_ply.csv").open() as fh:
+        counts = {int(row["ply"]): int(row["count"]) for row in csv.DictReader(fh)}
+    assert counts == {ply: kept.count(ply) for ply in sorted(set(kept))}
+    assert calls
+
+
+def test_report_that_drops_every_point_exits_two(tmp_path, monkeypatch, capsys):
+    argv = _report_argv(tmp_path, TINY_SYNTH, matches=2)
+    _count_value_calls(monkeypatch, lambda states: True)
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "every data point was dropped, the first for backend_error:scripted" in err
+
+
+def test_report_without_a_loss_statistic_exits_one(tmp_path, capsys):
+    argv = _report_argv(tmp_path, NO_LOSS_SYNTH, matches=2)
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "the report's loss table needs loss statistics in [features]" in err
+    assert "enables no feature family" not in err
 
 
 def test_exit_codes():
@@ -869,6 +958,25 @@ def test_bad_artifact_exits_two_naming_the_line(tmp_path, capsys, monkeypatch,
     err = capsys.readouterr().err
     assert "data error" in err and f"{bad}:1:" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("ply", ["99", "9" * 23], ids=["past-the-match", "past-int64"])
+def test_synthetic_ply_past_the_match_exits_two_naming_the_state(tmp_path, capsys, ply):
+    config = tmp_path / "run.toml"
+    config.write_text(TINY_SYNTH)
+    dataset = tmp_path / "data.jsonl"
+    assert main(["synth", "--config", str(config), "--matches", "2", "--out", str(dataset)]) == 0
+    lines = dataset.read_text().splitlines()
+    point = json.loads(lines[0])
+    state = f"syn:{point['match_id']}:{ply}"
+    point["moves"][3]["state"] = state
+    lines[0] = json.dumps(point)
+    dataset.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["extract", "--config", str(config), "--dataset", str(dataset),
+                 "--out", str(tmp_path / "store.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert f"data error: state {state!r} is outside plies 1-20 of a match" in err
 
 
 @pytest.mark.parametrize("field, value", [

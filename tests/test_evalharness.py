@@ -4,7 +4,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from helpers.oracles import reference_loss_by_ply_rows
 from rankforge import evalharness
 from rankforge.errors import ConfigError, DataError, SchemaMismatchError
 from rankforge.estimator import (
@@ -428,10 +430,31 @@ def test_prior_curve_rows_constant_zero_width():
 
 
 def test_loss_by_ply_rows():
-    traces = [(1, 2.0), (1, 4.0), (2, 1.0)]
+    traces = [(np.array([1, 1]), np.array([2.0, 4.0])), (np.array([2]), np.array([1.0]))]
     out = loss_by_ply_rows(traces)
     assert out[0] == {"ply": 1, "mean_loss": 3.0, "std_loss": 1.0, "count": 2}
     assert out[1]["count"] == 1
+
+
+# a loss of about 10**-15 to 10**15, of either sign
+_LOSSES = st.tuples(st.floats(-1.0, 1.0), st.integers(-15, 15)).map(lambda t: t[0] * 10.0 ** t[1])
+# batches of (ply, loss) pairs, plies repeated and in any order
+_BATCHES = st.lists(st.lists(st.tuples(st.integers(1, 12), _LOSSES), max_size=40), max_size=6)
+
+
+@given(_BATCHES)
+@settings(derandomize=True, max_examples=200, deadline=None)
+def test_loss_by_ply_rows_equal_the_dict_of_lists_reduction_bit_for_bit(batches):
+    traces = [(np.array([ply for ply, _ in batch], dtype=np.int64),
+               np.array([loss for _, loss in batch], dtype=np.float64)) for batch in batches]
+    got = loss_by_ply_rows(traces)
+    want = reference_loss_by_ply_rows(pair for batch in batches for pair in batch)
+    assert [type(row["ply"]) for row in got] == [int] * len(want)
+
+    def bits(rows):
+        return [(r["ply"], r["mean_loss"].hex(), r["std_loss"].hex(), r["count"]) for r in rows]
+
+    assert bits(got) == bits(want)
 
 
 def test_boxplot_rows_player_and_random_modes():

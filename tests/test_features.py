@@ -407,6 +407,60 @@ def test_extract_many_over_several_batches_equals_one_point_extraction():
     assert not report.dropped
 
 
+class _FailOneMatch(SyntheticBackend):
+    """A synthetic backend whose value or strength call fails for one match:
+    a BackendError, or a non-finite strength found after the losses."""
+
+    def __init__(self, config, uid, fault):
+        super().__init__(config)
+        self.uid, self.fault = f":{uid}:", fault
+
+    def evaluate_state_many(self, states, moves=None):
+        if self.fault == "value-error" and any(self.uid in s for s in states):
+            raise BackendError("scripted")
+        return super().evaluate_state_many(states, moves)
+
+    def score_strength_many(self, states, moves):
+        betas = super().score_strength_many(states, moves)
+        if self.fault == "non-finite-strength":
+            return np.where([self.uid in s for s in states], math.nan, betas)
+        return betas
+
+
+@pytest.mark.parametrize("fault", ["value-error", "non-finite-strength"])
+def test_traces_hold_the_kept_points_once_in_input_order(fault):
+    cfg = tiny_config()
+    dps = [to_datapoint(gen_match(cfg, i % 3, f"trace-{i}")) for i in range(2 * EXTRACT_BATCH + 3)]
+    backend = _FailOneMatch(cfg, f"trace-{EXTRACT_BATCH + 4}", fault)
+    bank = BackendBank(strength=backend, policy=backend, value=backend)
+    fconfig = FeatureConfig(game="synthetic", policy_levels=cfg.level_labels(),
+                            loss_selected=(LossSpec("mean", 4),))
+    traces = []
+    rows, report = extract_many(dps, bank, fconfig, traces)
+    kept = dps[:EXTRACT_BATCH + 4] + dps[EXTRACT_BATCH + 5:]
+    assert [d["match_id"] for d in report.dropped] == [f"trace-{EXTRACT_BATCH + 4}"]
+    assert len(rows) == len(kept)
+    # two whole batches, and the failed batch's 15 kept points retried one at a time
+    assert len(traces) == 2 + EXTRACT_BATCH - 1
+    plies = np.concatenate([p for p, _ in traces])
+    assert plies.tolist() == [m[0] for dp in kept for m in dp.moves]
+    losses = np.concatenate([losses for _, losses in traces])
+    alone = np.concatenate([move_losses([dp], SyntheticBackend(cfg))[0] for dp in kept])
+    assert losses.tobytes() == alone.tobytes()
+
+
+def test_traces_stay_empty_without_losses():
+    cfg = tiny_config()
+    dps = [to_datapoint(gen_match(cfg, 0, f"noloss-{i}")) for i in range(3)]
+    backend = SyntheticBackend(cfg)
+    bank = BackendBank(strength=backend, policy=backend)
+    fconfig = FeatureConfig(game="synthetic", policy_levels=cfg.level_labels(),
+                            include_loss=False)
+    traces = []
+    rows, _ = extract_many(dps, bank, fconfig, traces)
+    assert len(rows) == 3 and traces == []
+
+
 def _engine_bank(cmd, mode):
     backend = SubprocessBackend(BackendDescriptor(kind="policy", game="synthetic",
                                                   launch=cmd(mode), levels=("lv1", "lv2")),
