@@ -9,11 +9,11 @@ import csv
 import json
 from pathlib import Path
 
-from .errors import DataError, RankRangeError
+from .errors import DataError
 
 # What a line that cannot be decoded, parsed or assembled into a record raises.
 BAD_LINE = (ValueError, KeyError, IndexError, TypeError, AttributeError, RecursionError,
-            RankRangeError)
+            DataError)
 
 
 class at_line:
@@ -29,6 +29,15 @@ class at_line:
     def __exit__(self, kind, exc, tb):
         if kind is not None and issubclass(kind, BAD_LINE):
             raise DataError(f"{self.path}:{self.lineno}: bad {self.what} ({exc})") from None
+
+
+def strings(rec: dict, *keys) -> list[str]:
+    """``rec``'s values at ``keys``; one that is not a str raises TypeError."""
+    values = [rec[key] for key in keys]
+    for key, value in zip(keys, values):
+        if not isinstance(value, str):
+            raise TypeError(f"{key} must be a string, not {type(value).__name__}")
+    return values
 
 
 def read_lines(path):

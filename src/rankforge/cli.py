@@ -130,9 +130,9 @@ def cmd_ingest(args) -> int:
 # backends wiring
 
 
-def _build_bank(run: RunConfig) -> BackendBank:
+def _build_bank(run: RunConfig, features) -> BackendBank:
+    """The backends of ``run`` that the feature config ``features`` needs."""
     backends_cfg = run.raw.get("backends", {})
-    features = run.features
     synthetic = SyntheticBackend(run.synth) if run.synth is not None else None
     if not backends_cfg and synthetic is not None:
         return BackendBank(strength=synthetic, policy=synthetic, value=synthetic)
@@ -189,7 +189,7 @@ def _require_rows(datapoints, rows, report) -> None:
 def cmd_extract(args) -> int:
     run = run_config_from(read_config_file(args.config))
     datapoints = read_datapoints(args.dataset)
-    bank = _build_bank(run)
+    bank = _build_bank(run, run.features)
     try:
         rows, report = _extract(datapoints, bank, run.features, args.out, args.drops)
     finally:
@@ -332,7 +332,7 @@ def cmd_report(args) -> int:
             raise ConfigError("the report's loss table needs loss statistics in [features]")
         losses_only = replace(run.features, include_strength=False, include_priors=False)
         datapoints = read_datapoints(args.dataset)
-        bank = _build_bank(run)
+        bank = _build_bank(run, losses_only)
         traces = []
         try:
             kept, report = extract_many(datapoints, bank, losses_only, traces)
@@ -375,7 +375,7 @@ def run_pipeline(run: RunConfig, outdir) -> dict:
         raise ConfigError("pipeline currently needs a [synth] section")
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    bank = _build_bank(run)
+    bank = _build_bank(run, run.features)
     stage = "extract"
     try:
         train_pool = pool_from_store(

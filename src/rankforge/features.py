@@ -10,12 +10,13 @@ The ply cutoff for loss statistics is match-global: a move survives when
 its original ply index in the match is <= the cutoff, counting both
 players' plies.
 
-Extraction runs in batches of ``EXTRACT_BATCH`` data points.  A batch makes
-one backend call per strength, policy level, value before and value after,
-over the concatenated moves of its data points.  Each feature is one flat
-per-move column (strengths, one level's priors, or the losses that
-``move_losses`` returns as one array) with a reduction and, for a loss
-statistic, a ply cutoff.  Consecutive data points with equal ply arrays
+Extraction runs in batches of ``EXTRACT_BATCH`` data points.  A data point
+holds its moves as three columns: plies, states and moves.  A batch
+concatenates its state and move columns once, and makes one backend call
+per strength, policy level, value before and value after over them.  Each
+feature is one flat per-move column (strengths, one level's priors, or the
+losses that ``move_losses`` returns as one array) with a reduction and, for
+a loss statistic, a ply cutoff.  Consecutive data points with equal plies
 reduce their slices of a column as one (points, moves) matrix, row by row;
 a synthetic batch is one such run, and a record's sides, which alternate
 plies, are runs of one point, which reduce their 1-D slice.  A row of a
@@ -35,11 +36,11 @@ import json
 import math
 from dataclasses import dataclass, field
 from itertools import chain, groupby
-from operator import itemgetter
+from operator import attrgetter
 
 import numpy as np
 
-from .artifacts import at_line, read_jsonl, write_jsonl
+from .artifacts import at_line, read_jsonl, strings, write_jsonl
 from .backends.base import WINRATE_EPS, BackendBank, logit
 from .errors import BackendError, BackendTimeoutError, ConfigError, DataError, SchemaMismatchError
 from .records.ranks import group_label
@@ -191,15 +192,13 @@ def prior_geomean(priors, axis=None):
     return np.exp(np.log(priors).mean(axis=axis))
 
 
-def move_losses(datapoints, value_backend, transform: str = "identity"):
-    """Per-move deterioration over the data points' concatenated moves, from
-    one value call before and one after the moves.
+def move_losses(states, moves, value_backend, transform: str = "identity"):
+    """Per-move deterioration of the equal-length ``states`` and ``moves``
+    columns, from one value call before and one after the moves.
 
     Returns (losses, clamps): one float64 array in move order, and how many
     raw win rates of the batch needed clamping before the logit transform.
     """
-    states = [m[1] for dp in datapoints for m in dp.moves]
-    moves = [m[2] for dp in datapoints for m in dp.moves]
     before = value_backend.evaluate_state_many(states)
     after = value_backend.evaluate_state_many(states, moves)
     clamps = 0
@@ -243,11 +242,12 @@ class DropReport:
 def _extract_batch(datapoints, bank: BackendBank, config: FeatureConfig,
                    report: DropReport, traces) -> list[FeatureVector]:
     """The data points' feature vectors, in order, from one backend call per
-    (kind, level) over their concatenated moves.  ``report`` and ``traces``
-    are only touched once every vector is computed; a non-finite value
-    raises BackendError, so the batch is retried one data point at a time."""
-    states = [m[1] for dp in datapoints for m in dp.moves]
-    moves = [m[2] for dp in datapoints for m in dp.moves]
+    (kind, level) over their concatenated state and move columns.  ``report``
+    and ``traces`` are only touched once every vector is computed; a
+    non-finite value raises BackendError, so the batch is retried one data
+    point at a time."""
+    states = tuple(chain.from_iterable(dp.states for dp in datapoints))
+    moves = tuple(chain.from_iterable(dp.moves for dp in datapoints))
     # (reduction, per-move answers, ply cutoff) per feature, in schema order
     columns = []
     if config.include_strength:
@@ -257,16 +257,15 @@ def _extract_batch(datapoints, bank: BackendBank, config: FeatureConfig,
                        for level in config.policy_levels)
     clamps = 0
     if config.include_loss:
-        losses, clamps = move_losses(datapoints, bank.value, config.value_transform())
+        losses, clamps = move_losses(states, moves, bank.value, config.value_transform())
         columns.extend((LOSS_STATS[spec.stat], losses, spec.n_cut)
                        for spec in config.loss_selected)
     table = list(zip(config.feature_names(), columns))
     schema_id = config.schema_id()
     vectors, flags = [], []
     stop = 0
-    for plies, run in groupby([([m[0] for m in dp.moves], dp) for dp in datapoints],
-                              key=itemgetter(0)):
-        points = [dp for _, dp in run]
+    for plies, run in groupby(datapoints, key=attrgetter("plies")):
+        points = list(run)
         n, k = len(points), len(plies)
         own = slice(stop, stop + n * k)
         stop = own.stop
@@ -295,7 +294,8 @@ def _extract_batch(datapoints, bank: BackendBank, config: FeatureConfig,
     for dp, reason in flags:
         report.flag(dp.match_id, dp.side, reason)
     if traces is not None and config.include_loss:
-        traces.append((np.array([m[0] for dp in datapoints for m in dp.moves]), losses))
+        traces.append((np.fromiter(chain.from_iterable(dp.plies for dp in datapoints),
+                                   dtype=np.int64), losses))
     return vectors
 
 
@@ -402,10 +402,11 @@ def read_feature_store(path):
     rows = []
     for lineno, rec in records:
         with at_line(path, lineno, "feature row"):
+            match_id, player_id, side = strings(rec, "match_id", "player_id", "side")
             row = StoredFeature(
-                match_id=rec["match_id"],
-                player_id=rec["player_id"],
-                side=rec["side"],
+                match_id=match_id,
+                player_id=player_id,
+                side=side,
                 group_index=int(rec["group_index"]),
                 vector=FeatureVector(tuple(rec["features"]), rec["schema_id"]),
             )

@@ -1,7 +1,8 @@
 """Data point JSONL: one player's side of one match per line, in the
-format of ``rankforge.artifacts``."""
+format of ``rankforge.artifacts``.  A line keeps one ``{"ply", "state",
+"move"}`` object per move; a ``DataPoint`` holds them as three columns."""
 
-from ..artifacts import at_line, read_jsonl, write_jsonl
+from ..artifacts import at_line, read_jsonl, strings, write_jsonl
 from .ranks import group_label
 from .types import DataPoint, RankGroup
 
@@ -14,7 +15,8 @@ def write_datapoints(path, datapoints) -> None:
             "side": dp.side,
             "game": dp.group.game,
             "group_index": dp.group.index,
-            "moves": [{"ply": p, "state": s, "move": m} for p, s, m in dp.moves],
+            "moves": [{"ply": p, "state": s, "move": m}
+                      for p, s, m in zip(dp.plies, dp.states, dp.moves)],
         }
         for dp in sorted(datapoints, key=lambda dp: (dp.match_id, dp.side))
     ))
@@ -29,19 +31,26 @@ def _ply(m: dict) -> tuple[int, str, str | None]:
 
 
 def read_datapoints(path) -> list[DataPoint]:
+    """The data points of a dataset.  A line that cannot be read, or whose
+    data point breaks a ``DataPoint`` check, raises DataError naming
+    ``path:line``."""
     out = []
     for lineno, rec in read_jsonl(path):
         with at_line(path, lineno, "data point"):
+            match_id, player_id, side = strings(rec, "match_id", "player_id", "side")
             game = rec["game"]
             index = int(rec["group_index"])
+            plies, states, moves = tuple(zip(*map(_ply, rec["moves"]))) or ((), (), ())
             out.append(
                 DataPoint(
-                    match_id=rec["match_id"],
-                    player_id=rec["player_id"],
-                    side=rec["side"],
+                    match_id=match_id,
+                    player_id=player_id,
+                    side=side,
                     group=RankGroup(game=game, index=index,
                                     label=group_label(game, index)),
-                    moves=tuple(_ply(m) for m in rec["moves"]),
+                    plies=plies,
+                    states=states,
+                    moves=moves,
                 )
             )
     return out

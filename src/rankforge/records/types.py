@@ -60,41 +60,41 @@ class MatchRecord:
 
 @dataclass(frozen=True)
 class DataPoint:
-    """One player's side of one match: their moves with original ply indices."""
+    """One player's side of one match as three equal-length columns, one
+    entry per move: its match-global ply index, the state before it, and
+    the move."""
 
     match_id: str
     player_id: str
     side: str
     group: RankGroup
-    moves: tuple  # of (ply_index, state_before, move)
-
-    @property
-    def k(self) -> int:
-        return len(self.moves)
+    plies: tuple  # of int, strictly increasing
+    states: tuple  # of str
+    moves: tuple  # of str, or None
 
     def __post_init__(self):
-        if len(self.moves) < 1:
+        if not len(self.plies) == len(self.states) == len(self.moves):
+            raise DataError("plies, states and moves must have equal lengths")
+        if len(self.plies) < 1:
             raise DataError("data point needs at least one move")
-        indices = [m[0] for m in self.moves]
-        if any(b <= a for a, b in zip(indices, indices[1:])):
+        if any(b <= a for a, b in zip(self.plies, self.plies[1:])):
             raise DataError("ply indices must be strictly increasing")
 
 
 def split_sides(record: MatchRecord, match_id: str, group: RankGroup):
     """Partition an accepted record's plies into the two players' data points."""
-    moves = {BLACK: [], WHITE: []}
-    for ply in record.plies:
-        moves[ply.mover].append((ply.index, ply.state_before, ply.move))
-    players = {BLACK: record.black_player, WHITE: record.white_player}
     out = []
-    for side in (BLACK, WHITE):
+    for side, player in ((BLACK, record.black_player), (WHITE, record.white_player)):
+        plies = [ply for ply in record.plies if ply.mover == side]
         out.append(
             DataPoint(
                 match_id=match_id,
-                player_id=players[side] or f"{match_id}:{side}",
+                player_id=player or f"{match_id}:{side}",
                 side=side,
                 group=group,
-                moves=tuple(moves[side]),
+                plies=tuple(ply.index for ply in plies),
+                states=tuple(ply.state_before for ply in plies),
+                moves=tuple(ply.move for ply in plies),
             )
         )
     return tuple(out)

@@ -261,14 +261,16 @@ def to_datapoint(match: SynthMatch, player_id: str | None = None):
     from .records.ranks import group_label
     from .records.types import DataPoint, RankGroup
 
+    plies = tuple(range(1, len(match.moves) + 1))
     return DataPoint(
         match_id=match.uid,
         player_id=player_id or match.uid,
         side="black",
         group=RankGroup(game="synthetic", index=match.true_group,
                         label=group_label("synthetic", match.true_group)),
-        moves=tuple((ply, state_id(match.uid, ply), str(move))
-                    for ply, move in enumerate(match.moves, 1)),
+        plies=plies,
+        states=tuple(state_id(match.uid, ply) for ply in plies),
+        moves=tuple(map(str, match.moves)),
     )
 
 

@@ -90,14 +90,16 @@ def test_strength_is_quality_without_noise():
     cfg = tiny_config()
     backend = SyntheticBackend(cfg)
     q = quality_block(cfg, "m1")
-    for i, (_, state, move) in enumerate(to_datapoint(gen_match(cfg, 1, "m1")).moves):
+    dp = to_datapoint(gen_match(cfg, 1, "m1"))
+    for i, (state, move) in enumerate(zip(dp.states, dp.moves)):
         assert backend.score_strength(state, move) == q[i, int(move)]
 
 
 def test_repeat_queries_bit_identical():
     cfg = tiny_config()
     backend = SyntheticBackend(cfg)
-    _, state, move = to_datapoint(gen_match(cfg, 1, "m2")).moves[3]
+    dp = to_datapoint(gen_match(cfg, 1, "m2"))
+    state, move = dp.states[3], dp.moves[3]
     first = backend.score_strength(state, move)
     second = backend.score_strength(state, move)
     assert first == second
@@ -108,14 +110,14 @@ def test_repeat_queries_bit_identical():
 
 def test_unknown_level_is_config_error():
     backend = SyntheticBackend(tiny_config())
-    state = to_datapoint(gen_match(tiny_config(), 0, "m3")).moves[0][1]
+    state = to_datapoint(gen_match(tiny_config(), 0, "m3")).states[0]
     with pytest.raises(ConfigError):
         backend.policy_prior_many([state], ["0"], "nope")
 
 
 def test_illegal_move_is_domain_error():
     backend = SyntheticBackend(tiny_config())
-    state = to_datapoint(gen_match(tiny_config(), 0, "m4")).moves[0][1]
+    state = to_datapoint(gen_match(tiny_config(), 0, "m4")).states[0]
     with pytest.raises(DataError):
         backend.score_strength(state, "99")
 
@@ -123,7 +125,7 @@ def test_illegal_move_is_domain_error():
 def test_bad_moves_raise_typed_errors_on_every_call():
     config = tiny_config()
     backend = SyntheticBackend(config)
-    states = [state for _, state, _ in to_datapoint(gen_match(config, 0, "m5")).moves[:2]]
+    states = list(to_datapoint(gen_match(config, 0, "m5")).states[:2])
     width = config.moves_per_state
     for _ in range(2):
         with pytest.raises(DataError, match=f"move '99' out of range for {width} moves"):
@@ -142,7 +144,7 @@ def test_prior_floor_applied():
     backend = SyntheticBackend(cfg)
     match = gen_match(cfg, 0, "floor", player_skill=-10.0)
     q = None
-    for _, state, _ in to_datapoint(match).moves:
+    for state in to_datapoint(match).states:
         priors = backend.policy_prior_many([state] * cfg.moves_per_state,
                                            [str(m) for m in range(cfg.moves_per_state)],
                                            "sharp")
@@ -155,7 +157,8 @@ def test_deterioration_semantics():
     backend = SyntheticBackend(cfg)
     match = gen_match(cfg, 2, "m5")
     q = quality_block(cfg, "m5")
-    for i, (_, state, move) in enumerate(to_datapoint(match).moves):
+    dp = to_datapoint(match)
+    for i, (state, move) in enumerate(zip(dp.states, dp.moves)):
         before = backend.evaluate_state_many([state])[0]
         after = backend.evaluate_state_many([state], [move])[0]
         assert before == q[i].max()
@@ -571,7 +574,7 @@ class _CountingBackend(SyntheticBackend):
 def test_cache_round_trip_and_reuse(tmp_path):
     cfg = tiny_config()
     match = gen_match(cfg, 0, "c1")
-    states = [state for _, state, _ in to_datapoint(match).moves]
+    states = list(to_datapoint(match).states)
     path = tmp_path / "cache.jsonl"
 
     inner = _CountingBackend(cfg)
@@ -625,7 +628,7 @@ def test_cache_cuts_a_bad_last_line_that_ends_in_a_newline(tmp_path):
 
 def test_cached_backend_fetches_a_repeated_request_once(tmp_path):
     cfg = tiny_config()
-    states = [state for _, state, _ in to_datapoint(gen_match(cfg, 0, "rep")).moves[:3]]
+    states = list(to_datapoint(gen_match(cfg, 0, "rep")).states[:3])
     inner = _CountingBackend(cfg)
     path = tmp_path / "cache.jsonl"
     cached = CachedBackend(inner, ResponseCache(path))

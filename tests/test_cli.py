@@ -430,6 +430,26 @@ def test_report_without_a_loss_statistic_exits_one(tmp_path, capsys):
     assert "enables no feature family" not in err
 
 
+def test_report_through_engines_launches_only_the_value_engine(tmp_path, monkeypatch,
+                                                               mock_backend_cmd):
+    argv = _report_argv(tmp_path, TINY_SYNTH, matches=2)
+    engine = mock_backend_cmd("inorder")
+    (tmp_path / "run.toml").write_text(TINY_SYNTH + "\n[backends]\n" + "".join(
+        f"{role} = '{engine}'\n" for role in ("strength", "policy", "value")))
+    launched = []
+
+    class _Launches(cli.SubprocessBackend):
+        def __init__(self, descriptor, **kwargs):
+            launched.append(descriptor.kind)
+            super().__init__(descriptor, **kwargs)
+
+    monkeypatch.setattr(cli, "SubprocessBackend", _Launches)
+    monkeypatch.delenv("RANKFORGE_CACHE", raising=False)
+    assert main(argv) == 0
+    assert launched == ["value"]
+    assert (tmp_path / "plots" / "loss_by_ply.csv").exists()
+
+
 def test_exit_codes():
     assert main(["pipeline", "--config", "/nonexistent.toml", "--out", "/tmp/x"]) == 1
     assert main(["eval", "--mode", "random", "--n", "3", "--model", "/nope.json",
@@ -907,33 +927,48 @@ def test_report_loss_traces_without_value_backend_is_config_error(tmp_path, caps
 DEEP = b"[" * 100_000
 GO_POINT = {"match_id": "m", "player_id": "p", "side": "black", "game": "go",
             "group_index": 0, "moves": [{"ply": 1, "state": ".", "move": "aa"}]}
+STORE_CONFIG = FeatureConfig(game="go", include_priors=False, include_loss=False)
+STORE_HEADER = json.dumps({"schema": {"schema_id": STORE_CONFIG.schema_id(),
+                                      "config": STORE_CONFIG.to_dict()}})
+STORE_ROW = {"match_id": "m", "player_id": "p", "side": "black", "group_index": 0,
+             "schema_id": STORE_CONFIG.schema_id(), "features": [1.0]}
 
 
-@pytest.mark.parametrize("command, name, content", [
-    ("extract", "data.jsonl", b"[1,2]\n"),
-    ("extract", "data.jsonl", json.dumps({**GO_POINT, "moves": 5}).encode()),
-    ("extract", "data.jsonl", json.dumps({**GO_POINT, "group_index": 99}).encode()),
-    ("extract", "data.jsonl", json.dumps({**GO_POINT, "group_index": -1}).encode()),
-    ("extract", "data.jsonl", json.dumps({**GO_POINT, "group_index": 11}).encode()),
-    ("extract", "data.jsonl", json.dumps({**GO_POINT, "game": "chess", "group_index": 8}).encode()),
+@pytest.mark.parametrize("command, name, content, line", [
+    ("extract", "data.jsonl", b"[1,2]\n", 1),
+    ("extract", "data.jsonl", json.dumps({**GO_POINT, "moves": 5}).encode(), 1),
+    ("extract", "data.jsonl", json.dumps({**GO_POINT, "group_index": 99}).encode(), 1),
+    ("extract", "data.jsonl", json.dumps({**GO_POINT, "group_index": -1}).encode(), 1),
+    ("extract", "data.jsonl", json.dumps({**GO_POINT, "group_index": 11}).encode(), 1),
     ("extract", "data.jsonl",
-     json.dumps({**GO_POINT, "game": "synthetic", "group_index": -1}).encode()),
-    ("extract", "data.jsonl", b"\xff\xfe"),
-    ("train", "store.jsonl", b"\xff\xfe"),
-    ("eval", "model.json", b'{"format": "rankforge-gbdt/1"'),
-    ("eval", "model.json", b'{"format": "rankforge-gbdt/1"}'),
-    ("extract", "cache.jsonl", b"\xff\xfe"),
-    ("extract", "data.jsonl", DEEP),
-    ("train", "store.jsonl", DEEP),
-    ("eval", "model.json", DEEP),
-    ("extract", "cache.jsonl", DEEP + b"\n{}\n"),
+     json.dumps({**GO_POINT, "game": "chess", "group_index": 8}).encode(), 1),
+    ("extract", "data.jsonl",
+     json.dumps({**GO_POINT, "game": "synthetic", "group_index": -1}).encode(), 1),
+    ("extract", "data.jsonl", b"\xff\xfe", 1),
+    ("train", "store.jsonl", b"\xff\xfe", 1),
+    ("eval", "model.json", b'{"format": "rankforge-gbdt/1"', 1),
+    ("eval", "model.json", b'{"format": "rankforge-gbdt/1"}', 1),
+    ("extract", "cache.jsonl", b"\xff\xfe", 1),
+    ("extract", "data.jsonl", DEEP, 1),
+    ("train", "store.jsonl", DEEP, 1),
+    ("eval", "model.json", DEEP, 1),
+    ("extract", "cache.jsonl", DEEP + b"\n{}\n", 1),
+    ("extract", "data.jsonl", json.dumps({**GO_POINT, "moves": []}).encode(), 1),
+    ("extract", "data.jsonl", json.dumps({**GO_POINT, "moves": [
+        {"ply": 3, "state": ".", "move": "aa"}, {"ply": 1, "state": ".", "move": "bb"}]}).encode(),
+     1),
+    ("extract", "data.jsonl", json.dumps({**GO_POINT, "match_id": 7}).encode(), 1),
+    ("train", "store.jsonl",
+     (STORE_HEADER + "\n" + json.dumps({**STORE_ROW, "player_id": ["p"]})).encode(), 2),
 ], ids=["datapoint-not-object", "datapoint-moves-not-list", "datapoint-group-out-of-range",
         "datapoint-go-group-below-0", "datapoint-go-group-11", "datapoint-chess-group-8",
         "datapoint-synthetic-group-below-0",
         "dataset-not-utf8", "store-not-utf8", "model-cut", "model-without-fields",
-        "cache-not-utf8", "dataset-deep", "store-deep", "model-deep", "cache-deep-not-last"])
+        "cache-not-utf8", "dataset-deep", "store-deep", "model-deep", "cache-deep-not-last",
+        "datapoint-no-moves", "datapoint-plies-not-increasing", "datapoint-match-id-not-string",
+        "store-player-id-list"])
 def test_bad_artifact_exits_two_naming_the_line(tmp_path, capsys, monkeypatch,
-                                                mock_backend_cmd, command, name, content):
+                                                mock_backend_cmd, command, name, content, line):
     bad = tmp_path / name
     bad.write_bytes(content)
     config = tmp_path / "run.toml"
@@ -956,7 +991,7 @@ def test_bad_artifact_exits_two_naming_the_line(tmp_path, capsys, monkeypatch,
     }[command]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert "data error" in err and f"{bad}:1:" in err
+    assert "data error" in err and f"{bad}:{line}:" in err
     assert "Traceback" not in err
 
 

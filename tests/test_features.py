@@ -54,6 +54,12 @@ def _dp(match=None):
     return cfg, to_datapoint(match)
 
 
+def _from_move(dp, start: int):
+    """``dp`` without its moves before index ``start``."""
+    return replace(dp, plies=dp.plies[start:], states=dp.states[start:],
+                   moves=dp.moves[start:])
+
+
 # ---------------------------------------------------------------------------
 # scalar operations
 
@@ -111,8 +117,9 @@ class _LossTable:
 def loss_feature(losses, stat: str, n_cut: int | None):
     """(value, flagged reasons) of one loss statistic over (ply, loss)
     moves, through extraction."""
-    dp = DataPoint("m", "p", "black", RankGroup("synthetic", 0, "g0"),
-                   tuple((ply, repr(float(loss)), "0") for ply, loss in losses))
+    plies = tuple(ply for ply, _ in losses)
+    dp = DataPoint("m", "p", "black", RankGroup("synthetic", 0, "g0"), plies,
+                   tuple(repr(float(loss)) for _, loss in losses), ("0",) * len(plies))
     config = FeatureConfig(game="synthetic", include_strength=False, include_priors=False,
                            loss_selected=(LossSpec(stat, n_cut),))
     (row,), report = extract_many([dp], BackendBank(value=_LossTable()), config)
@@ -176,13 +183,13 @@ def test_loss_stats_equal_the_list_reference_bit_for_bit(steps, stat, n_cut):
 def test_move_losses_synthetic_semantics():
     cfg, dp = _dp()
     backend = SyntheticBackend(cfg)
-    losses, clamps = move_losses([dp], backend)
+    losses, clamps = move_losses(dp.states, dp.moves, backend)
     assert clamps == 0
     from rankforge.synthlab import quality_block
 
     q = quality_block(cfg, dp.match_id)
     for loss, match_ply in zip(losses, range(cfg.plies_per_match)):
-        chosen = int(dp.moves[match_ply][2])
+        chosen = int(dp.moves[match_ply])
         assert loss == pytest.approx(q[match_ply].max() - q[match_ply, chosen], abs=1e-12)
         assert loss >= 0
 
@@ -198,9 +205,7 @@ def test_move_losses_value_table_blunder():
                 return np.array([table[s] for s in states])
             return np.array([table["after"] for _ in states])
 
-    dp = DataPoint("m", "p", "black", RankGroup("synthetic", 0, "g0"),
-                   ((1, "s0", "0"),))
-    losses, _ = move_losses([dp], _TableBackend())
+    losses, _ = move_losses(["s0"], ["0"], _TableBackend())
     assert losses.dtype == np.float64
     assert losses.tolist() == [3.0]
 
@@ -209,18 +214,18 @@ def test_move_losses_best_move_zero():
     cfg = tiny_config()
     match = gen_match(cfg, 2, "best", player_skill=50.0)  # near-argmax play
     dp = to_datapoint(match)
-    losses, _ = move_losses([dp], SyntheticBackend(cfg))
+    losses, _ = move_losses(dp.states, dp.moves, SyntheticBackend(cfg))
     assert all(abs(loss) < 1e-9 for loss in losses)
 
 
 def test_move_losses_ten_move_replay_oracle():
     cfg, dp = _dp(gen_match(tiny_config(), 0, "replay10"))
     backend = SyntheticBackend(cfg)
-    losses, _ = move_losses([dp], backend)
+    losses, _ = move_losses(dp.states, dp.moves, backend)
     from rankforge.synthlab import quality_block
 
     q = quality_block(cfg, "replay10")
-    expected = [q[i].max() - q[i, int(dp.moves[i][2])] for i in range(10)]
+    expected = [q[i].max() - q[i, int(dp.moves[i])] for i in range(10)]
     assert losses.tolist() == pytest.approx(expected, abs=1e-12)
 
 
@@ -231,9 +236,7 @@ def test_move_losses_logit_transform_counts_clamps():
                 return np.array([0.5] * len(states))
             return np.array([1.0] * len(states))  # out of (0,1): clamped
 
-    dp = DataPoint("m", "p", "black", RankGroup("chess", 0, "R1000-R1199"),
-                   ((1, "s", "e2e4"),))
-    losses, clamps = move_losses([dp], _WinrateBackend(), transform="logit")
+    losses, clamps = move_losses(["s"], ["e2e4"], _WinrateBackend(), transform="logit")
     assert clamps == 1
     # opponent now winning outright: a maximal positive deterioration
     assert losses[0] == pytest.approx(math.log((1 - 1e-6) / 1e-6), rel=1e-6)
@@ -257,10 +260,11 @@ class _CrcWinrates:
 def test_batched_move_losses_equal_one_point_calls(transform):
     cfg = tiny_config()
     dps = [to_datapoint(gen_match(cfg, i % 3, f"mixed-{i}")) for i in range(5)]
-    dps = [replace(dp, moves=dp.moves[start:]) for dp, start in zip(dps, (0, 7, 9, 3, 5))]
+    dps = [_from_move(dp, start) for dp, start in zip(dps, (0, 7, 9, 3, 5))]
     backend = SyntheticBackend(cfg) if transform == "identity" else _CrcWinrates()
-    losses, clamps = move_losses(dps, backend, transform)
-    alone = [move_losses([dp], backend, transform) for dp in dps]
+    losses, clamps = move_losses([s for dp in dps for s in dp.states],
+                                 [m for dp in dps for m in dp.moves], backend, transform)
+    alone = [move_losses(dp.states, dp.moves, backend, transform) for dp in dps]
     assert [len(one) for one, _ in alone] == [10, 3, 1, 7, 5]
     assert losses.tolist() == [loss for one, _ in alone for loss in one.tolist()]
     assert clamps == sum(one for _, one in alone)
@@ -313,8 +317,7 @@ def test_extract_features_deterministic_and_ordered():
     v1, v2 = row1.vector, row2.vector
     assert v1 == v2
     assert len(v1.values) == 1 + 2 + 1
-    betas = backend.score_strength_many([m[1] for m in dp.moves],
-                                        [m[2] for m in dp.moves])
+    betas = backend.score_strength_many(dp.states, dp.moves)
     assert v1.values[0] == pytest.approx(betas.mean(), abs=1e-12)
 
 
@@ -361,7 +364,7 @@ def test_extract_many_drops_exactly_the_point_of_a_non_finite_feature(answer):
     cfg = tiny_config()
     dps = [to_datapoint(gen_match(cfg, 0, f"huge-{i}")) for i in range(5)]
     # the odd points start at ply 4, so their cut-3 loss is empty and flagged
-    dps = [replace(dp, moves=dp.moves[3:]) if i % 2 else dp for i, dp in enumerate(dps)]
+    dps = [_from_move(dp, 3) if i % 2 else dp for i, dp in enumerate(dps)]
 
     class _Huge(SyntheticBackend):
         def score_strength_many(self, states, moves):
@@ -390,7 +393,7 @@ def test_extract_many_over_several_batches_equals_one_point_extraction():
     for i in range(2 * EXTRACT_BATCH + 5):
         dp = to_datapoint(gen_match(cfg, i % 3, f"batch-{i}"))
         if i % 2:  # starts at ply 4, so its cut-3 loss is empty and flagged
-            dp = replace(dp, side="white", moves=dp.moves[3:])
+            dp = replace(_from_move(dp, 3), side="white")
         dps.append(dp)
     backend = SyntheticBackend(cfg)
     bank = BackendBank(strength=backend, policy=backend, value=backend)
@@ -443,9 +446,10 @@ def test_traces_hold_the_kept_points_once_in_input_order(fault):
     # two whole batches, and the failed batch's 15 kept points retried one at a time
     assert len(traces) == 2 + EXTRACT_BATCH - 1
     plies = np.concatenate([p for p, _ in traces])
-    assert plies.tolist() == [m[0] for dp in kept for m in dp.moves]
+    assert plies.tolist() == [ply for dp in kept for ply in dp.plies]
     losses = np.concatenate([losses for _, losses in traces])
-    alone = np.concatenate([move_losses([dp], SyntheticBackend(cfg))[0] for dp in kept])
+    alone = np.concatenate([move_losses(dp.states, dp.moves, SyntheticBackend(cfg))[0]
+                            for dp in kept])
     assert losses.tobytes() == alone.tobytes()
 
 
@@ -525,11 +529,10 @@ def test_malformed_state_id_in_a_run_raises_its_data_error(kind, where):
     assert cfg.plies_per_match == 10
     dps = [to_datapoint(gen_match(cfg, 1, f"bad-{i}")) for i in range(3)]
     at = {"first": 0, "middle": 4, "last": 9}[where]
-    ply, _, move = dps[1].moves[at]
     template, message = _MALFORMED_IDS[kind]
-    state = template.format(uid="bad-1", ply=ply)
-    moves = dps[1].moves[:at] + ((ply, state, move),) + dps[1].moves[at + 1:]
-    dps[1] = replace(dps[1], moves=moves)
+    state = template.format(uid="bad-1", ply=dps[1].plies[at])
+    states = dps[1].states[:at] + (state,) + dps[1].states[at + 1:]
+    dps[1] = replace(dps[1], states=states)
     backend = SyntheticBackend(cfg)
     bank = BackendBank(strength=backend, policy=backend, value=backend)
     fconfig = FeatureConfig(game="synthetic", policy_levels=cfg.level_labels(),
@@ -548,7 +551,8 @@ def test_synthetic_state_that_is_not_a_str_reads_as_its_str():
             return self.text
 
     cfg = tiny_config()
-    _, states, moves = zip(*to_datapoint(gen_match(cfg, 1, "obj")).moves)
+    dp = to_datapoint(gen_match(cfg, 1, "obj"))
+    states, moves = dp.states, dp.moves
     backend = SyntheticBackend(cfg)
     expected = backend.policy_prior_many(states, moves, "lo")
     assert np.array_equal(SyntheticBackend(cfg).policy_prior_many(
@@ -587,9 +591,9 @@ def test_same_ply_runs_of_a_batch_equal_one_point_extraction():
     for i in range(EXTRACT_BATCH + 4):
         dp = to_datapoint(gen_match(cfg, i % cfg.groups, f"run-{i}"))
         if 5 <= i < 9:  # a run that starts at ply 3
-            dp = replace(dp, moves=dp.moves[2:])
+            dp = _from_move(dp, 2)
         elif 9 <= i < 11:  # a run of ply 31 on, whose cut-30 loss is empty
-            dp = replace(dp, moves=dp.moves[30:])
+            dp = _from_move(dp, 30)
         dps.append(dp)
     backend = SyntheticBackend(cfg)
     bank = BackendBank(strength=backend, policy=backend, value=backend)
@@ -665,3 +669,9 @@ def test_feature_store_bad_line_is_data_error_with_position(tmp_path, damage, li
     path.write_text("\n".join(damage(path.read_text().splitlines())) + "\n")
     with pytest.raises(DataError, match=f"store.jsonl:{line}:"):
         read_feature_store(path)
+
+
+def test_datapoint_columns_of_unequal_length_are_a_data_error():
+    _, dp = _dp()
+    with pytest.raises(DataError, match="plies, states and moves must have equal lengths"):
+        replace(dp, moves=dp.moves[1:])

@@ -209,16 +209,16 @@ def test_split_four_plies_alternation():
     record = parse_sgf(text)
     group = RankGroup("go", 2, "1d")
     black, white = split_sides(record, "m1", group)
-    assert [m[0] for m in black.moves] == [1, 3]
-    assert [m[0] for m in white.moves] == [2, 4]
+    assert black.plies == (1, 3)
+    assert white.plies == (2, 4)
     assert black.side == BLACK and white.side == WHITE
 
 
 def test_split_51_plies_parity():
     record = _go_record(plies=51)
     black, white = split_sides(record, "m2", _accepted_group(record))
-    assert black.k == 26
-    assert white.k == 25
+    assert len(black.plies) == 26
+    assert len(white.plies) == 25
 
 
 def test_split_partition_on_corpus(corpus_dir):
@@ -228,8 +228,8 @@ def test_split_partition_on_corpus(corpus_dir):
         if not decision.accepted:
             continue
         black, white = split_sides(record, path.stem, decision.group)
-        black_set = {m[0] for m in black.moves}
-        white_set = {m[0] for m in white.moves}
+        black_set = set(black.plies)
+        white_set = set(white.plies)
         assert black_set.isdisjoint(white_set)
         assert black_set | white_set == set(range(1, len(record.plies) + 1))
 

@@ -63,9 +63,8 @@ def test_infinite_temperature_limit_uniform_choice():
     match = synthlab.gen_match(cfg, 0, "hot", player_skill=-200.0)
     backend = SyntheticBackend(cfg)
     dp = synthlab.to_datapoint(match)
-    states = [state for _, state, _ in dp.moves]
-    moves = [move for _, _, move in dp.moves]
-    priors = backend.policy_prior_many(states, moves, "a")
+    states = list(dp.states)
+    priors = backend.policy_prior_many(states, list(dp.moves), "a")
     m = cfg.moves_per_state
     # sd of the mean of priors is below (1/m)/sqrt(plies); allow 4 sigma
     assert abs(priors.mean() - 1 / m) < 4 * (1 / m) / np.sqrt(len(states))
@@ -102,7 +101,7 @@ def test_priors_sum_to_one_per_state_and_level():
     cfg = small_config()
     backend = SyntheticBackend(cfg)
     match = synthlab.gen_match(cfg, 1, "sum1")
-    for _, state, _ in synthlab.to_datapoint(match).moves[:10]:
+    for state in synthlab.to_datapoint(match).states[:10]:
         for level in cfg.level_labels():
             moves = [str(m) for m in range(cfg.moves_per_state)]
             dist = backend.policy_prior_many([state] * len(moves), moves, level)
@@ -119,8 +118,7 @@ def test_own_level_prior_geomean_beats_far_level():
     for i in range(30):
         match = synthlab.gen_match(cfg, 0, f"gibbs-{i}", player_skill=0.5)
         dp = synthlab.to_datapoint(match)
-        states = [state for _, state, _ in dp.moves]
-        moves = [move for _, _, move in dp.moves]
+        states, moves = list(dp.states), list(dp.moves)
         own_logs.append(np.log(backend.policy_prior_many(states, moves, "own")).mean())
         far_logs.append(np.log(backend.policy_prior_many(states, moves, "far")).mean())
     assert np.mean(own_logs) > np.mean(far_logs)
@@ -182,16 +180,17 @@ def test_datapoint_conversion_round_trip_fields():
     cfg = small_config()
     match = synthlab.gen_match(cfg, 2, "dpconv")
     dp = synthlab.to_datapoint(match)
-    assert dp.k == cfg.plies_per_match
+    assert len(dp.plies) == cfg.plies_per_match
     assert dp.group.index == 2
-    assert dp.moves[0][0] == 1
-    assert dp.moves[-1][0] == cfg.plies_per_match
-    assert dp.moves[5][1] == synthlab.state_id("dpconv", 6)
+    assert dp.plies[0] == 1
+    assert dp.plies[-1] == cfg.plies_per_match
+    assert dp.states[5] == synthlab.state_id("dpconv", 6)
 
 
 
 def _triples_sha256(datapoints) -> str:
-    return hashlib.sha256(json.dumps([dp.moves for dp in datapoints]).encode()).hexdigest()
+    triples = [list(zip(dp.plies, dp.states, dp.moves)) for dp in datapoints]
+    return hashlib.sha256(json.dumps(triples).encode()).hexdigest()
 
 
 def test_generated_datapoints_are_byte_pinned():
