@@ -13,7 +13,7 @@ from .errors import DataError
 
 # What a line that cannot be decoded, parsed or assembled into a record raises.
 BAD_LINE = (ValueError, KeyError, IndexError, TypeError, AttributeError, RecursionError,
-            DataError)
+            OverflowError, DataError)
 
 
 class at_line:
@@ -37,6 +37,16 @@ def strings(rec: dict, *keys) -> list[str]:
     for key, value in zip(keys, values):
         if not isinstance(value, str):
             raise TypeError(f"{key} must be a string, not {type(value).__name__}")
+    return values
+
+
+def integers(rec: dict, *keys) -> list[int]:
+    """``rec``'s values at ``keys``; one that is not a JSON integer (a bool
+    is not) raises TypeError."""
+    values = [rec[key] for key in keys]
+    for key, value in zip(keys, values):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise TypeError(f"{key} must be an integer, not {type(value).__name__}")
     return values
 
 

@@ -17,8 +17,9 @@ state, and the indices of the last ``moves`` sequence.  The strength,
 policy and value calls of one extraction batch all pass the same states
 and moves, so each is one array expression over those rows; each match's
 quality block is derived once per batch, and the strength call derives
-each match's noise block once.  A malformed id, a ply outside the match or
-a move that is not an in-range integer raises DataError; a malformed id
+each match's noise block once; each kind is seeded for the whole batch in
+one ``rng.substreams`` pass.  A malformed id, a ply outside the match or a
+move that is not an in-range integer raises DataError; a malformed id
 raises the error of ``parse_state_id``.
 """
 
@@ -32,9 +33,9 @@ from ..synthlab import (
     SynthConfig,
     parse_state_id,
     perceived_qualities,
-    quality_block,
+    quality_blocks,
     row_max,
-    strength_noise_block,
+    strength_noise_blocks,
 )
 from .base import Backend, BackendDescriptor, floor_priors
 
@@ -93,13 +94,14 @@ class SyntheticBackend(Backend):
         self._last_moves = None
         self._last_cols = None
 
-    def _stack(self, block, runs) -> np.ndarray:
-        """Each state's row of its match's ``block``, stacked in state order."""
+    def _stack(self, blocks, runs) -> np.ndarray:
+        """Each state's row of its match's block, stacked in state order;
+        ``blocks`` derives every run's block in one pass."""
         uids, stops, plies = runs
         rows = np.empty((len(plies), self.config.moves_per_state))
         start = 0
-        for uid, stop in zip(uids, stops):
-            rows[start:stop] = block(self.config, uid)[plies[start:stop]]
+        for block, stop in zip(blocks(self.config, uids), stops):
+            rows[start:stop] = block[plies[start:stop]]
             start = stop
         return rows
 
@@ -115,7 +117,7 @@ class SyntheticBackend(Backend):
                 raise DataError(f"state {states[int(outside.argmax())]!r} is outside plies "
                                 f"1-{self.config.plies_per_match} of a match")
             runs = (uids, stops, plies)
-            self._last_rows = self._stack(quality_block, runs)
+            self._last_rows = self._stack(quality_blocks, runs)
             self._last_states, self._last_runs = states, runs
         return self._last_rows
 
@@ -137,7 +139,7 @@ class SyntheticBackend(Backend):
         beta = q[rows, cols]
         sd = self.config.strength_noise_sd
         if sd > 0:
-            beta = beta + sd * self._stack(strength_noise_block, self._last_runs)[rows, cols]
+            beta = beta + sd * self._stack(strength_noise_blocks, self._last_runs)[rows, cols]
         return beta
 
     def policy_prior_many(self, states, moves, level: str) -> np.ndarray:

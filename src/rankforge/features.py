@@ -40,10 +40,11 @@ from operator import attrgetter
 
 import numpy as np
 
-from .artifacts import at_line, read_jsonl, strings, write_jsonl
+from .artifacts import at_line, integers, read_jsonl, strings, write_jsonl
 from .backends.base import WINRATE_EPS, BackendBank, logit
 from .errors import BackendError, BackendTimeoutError, ConfigError, DataError, SchemaMismatchError
 from .records.ranks import group_label
+from .records.types import check_side
 
 # Loss statistic -> its reduction of the kept losses (std with ddof=0)
 LOSS_STATS = {"mean": np.mean, "median": np.median, "std": np.std}
@@ -403,11 +404,12 @@ def read_feature_store(path):
     for lineno, rec in records:
         with at_line(path, lineno, "feature row"):
             match_id, player_id, side = strings(rec, "match_id", "player_id", "side")
+            (group_index,) = integers(rec, "group_index")
             row = StoredFeature(
                 match_id=match_id,
                 player_id=player_id,
-                side=side,
-                group_index=int(rec["group_index"]),
+                side=check_side(side),
+                group_index=group_index,
                 vector=FeatureVector(tuple(rec["features"]), rec["schema_id"]),
             )
             group_label(config.game, row.group_index)

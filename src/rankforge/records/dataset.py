@@ -2,9 +2,9 @@
 format of ``rankforge.artifacts``.  A line keeps one ``{"ply", "state",
 "move"}`` object per move; a ``DataPoint`` holds them as three columns."""
 
-from ..artifacts import at_line, read_jsonl, strings, write_jsonl
+from ..artifacts import at_line, integers, read_jsonl, strings, write_jsonl
 from .ranks import group_label
-from .types import DataPoint, RankGroup
+from .types import DataPoint, RankGroup, check_side
 
 
 def write_datapoints(path, datapoints) -> None:
@@ -23,7 +23,7 @@ def write_datapoints(path, datapoints) -> None:
 
 
 def _ply(m: dict) -> tuple[int, str, str | None]:
-    ply, state, move = int(m["ply"]), m["state"], m["move"]
+    (ply,), state, move = integers(m, "ply"), m["state"], m["move"]
     if not isinstance(state, str) or not (move is None or isinstance(move, str)):
         raise TypeError(f"a state must be a string and a move a string or null, "
                         f"not {type(state).__name__} and {type(move).__name__}")
@@ -39,13 +39,13 @@ def read_datapoints(path) -> list[DataPoint]:
         with at_line(path, lineno, "data point"):
             match_id, player_id, side = strings(rec, "match_id", "player_id", "side")
             game = rec["game"]
-            index = int(rec["group_index"])
+            (index,) = integers(rec, "group_index")
             plies, states, moves = tuple(zip(*map(_ply, rec["moves"]))) or ((), (), ())
             out.append(
                 DataPoint(
                     match_id=match_id,
                     player_id=player_id,
-                    side=side,
+                    side=check_side(side),
                     group=RankGroup(game=game, index=index,
                                     label=group_label(game, index)),
                     plies=plies,

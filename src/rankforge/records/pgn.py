@@ -68,6 +68,8 @@ def _scan_game(text: str, pos: int):
             pos = length if nl < 0 else nl + 1
         elif ch == "(":
             pos = _skip_variation(text, pos + 1)
+        elif ch == ")":
+            raise ParseError("')' outside a variation", offset=pos)
         elif ch == "[":
             break  # next game's tag section
         elif ch == "$":

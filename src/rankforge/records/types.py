@@ -9,6 +9,13 @@ BLACK = "black"
 WHITE = "white"
 
 
+def check_side(side: str) -> str:
+    """``side`` if it is one that records write; otherwise ValueError."""
+    if side not in (BLACK, WHITE):
+        raise ValueError(f"side must be {BLACK!r} or {WHITE!r}, not {side!r}")
+    return side
+
+
 class Termination:
     PASS_PASS = "pass_pass"
     RESIGN = "resign"

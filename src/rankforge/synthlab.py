@@ -11,11 +11,12 @@ prior of a move at a policy level is the softmax at that level's
 temperature, and the value of a state is its best quality, so the
 deterioration caused by a move is exactly (best - chosen) quality.
 
-Matches of one skill are sampled ``SAMPLE_CHUNK`` at a time: one softmax and
-one cumulative sum over their stacked quality blocks, while each match
-draws from its own ``"moves"`` substream.  Both work row by row, so a
-match's moves do not depend on the chunk it was sampled in, and
-``gen_match`` is a chunk of one.
+A match's quality block and move draws come from its own ``"qualities"``
+and ``"moves"`` substreams, seeded for every uid of a call in one
+``rng.substreams`` pass.  Matches of one skill are then drawn and sampled
+``SAMPLE_CHUNK`` at a time: one softmax and one cumulative sum over their
+stacked quality blocks.  Both work row by row, so a match's moves do not
+depend on the chunk it was sampled in, and ``gen_match`` is a chunk of one.
 
 Plateau configs give a policy level a perception window: qualities are
 clipped into ``[q_lo, q_hi]`` before its softmax, which flattens that
@@ -26,11 +27,12 @@ outside the window.  Players never clip; generation is unaffected.
 import hashlib
 import json
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .rng import substream
+from .rng import substream, substreams
 
 STATE_PREFIX = "syn"
 
@@ -129,7 +131,7 @@ class SynthMatch:
     true_group: int
     player_skill: float
     # moves[i] is the move chosen at ply i + 1, in state state_id(uid, i + 1),
-    # of quality quality_block(config, uid)[i, moves[i]]; a tuple, so == works
+    # of quality next(quality_blocks(config, [uid]))[i, moves[i]]; a tuple, so == works
     moves: tuple[int, ...]
 
 
@@ -150,16 +152,26 @@ def log_softmax(values: np.ndarray, axis: int = -1) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
 
 
-def quality_block(config: SynthConfig, uid: str) -> np.ndarray:
-    """The (plies, M) quality table slice for one match, derived from the
-    config seed and the match uid alone."""
-    gen = substream(config.seed, "qualities", uid)
-    return gen.standard_normal((config.plies_per_match, config.moves_per_state))
+def _normal_blocks(config: SynthConfig, stream: str, uids):
+    shape = (config.plies_per_match, config.moves_per_state)
+    return substreams(config.seed, (stream,), uids, lambda gen: gen.standard_normal(shape))
 
 
-def strength_noise_block(config: SynthConfig, uid: str) -> np.ndarray:
-    gen = substream(config.seed, "strength-noise", uid)
-    return gen.standard_normal((config.plies_per_match, config.moves_per_state))
+def quality_blocks(config: SynthConfig, uids):
+    """An iterator over the (plies, M) quality table slice of each match,
+    derived from the config seed and the match uid alone."""
+    return _normal_blocks(config, "qualities", uids)
+
+
+def strength_noise_blocks(config: SynthConfig, uids):
+    return _normal_blocks(config, "strength-noise", uids)
+
+
+def move_draws(config: SynthConfig, uids):
+    """An iterator over each match's uniform draw per ply, which picks its
+    move from the cumulative softmax."""
+    return substreams(config.seed, ("moves",), uids,
+                      lambda gen: gen.random(config.plies_per_match))
 
 
 def state_id(uid: str, ply: int) -> str:
@@ -199,26 +211,25 @@ def gen_match(
 def gen_matches(config: SynthConfig, group: int, uids, skill: float) -> list[SynthMatch]:
     """One match per uid, all at one skill, sampled ``SAMPLE_CHUNK`` matches
     at a time from their stacked quality blocks."""
+    blocks, draws = quality_blocks(config, uids), move_draws(config, uids)
     matches = []
     for start in range(0, len(uids), SAMPLE_CHUNK):
         chunk = uids[start:start + SAMPLE_CHUNK]
-        qualities = np.concatenate([quality_block(config, uid) for uid in chunk])
-        chosen = sample_moves(config, chunk, qualities, skill)
+        chosen = sample_moves(config, np.concatenate(list(islice(blocks, len(chunk)))),
+                              np.concatenate(list(islice(draws, len(chunk)))), skill)
         matches.extend(SynthMatch(uid=uid, true_group=group, player_skill=skill, moves=tuple(row))
                        for uid, row in zip(chunk, chosen.tolist()))
     return matches
 
 
-def sample_moves(config: SynthConfig, uids, qualities: np.ndarray,
+def sample_moves(config: SynthConfig, qualities: np.ndarray, draws: np.ndarray,
                  skill: float) -> np.ndarray:
-    """The chosen move index per ply of each match in ``uids``, one row per
-    match, given their quality blocks stacked in uid order, at the skill's
-    temperature.  Each match draws from its own substream."""
+    """The chosen move index per ply, one row per match, given the matches'
+    quality blocks and move draws stacked in the same order, at the skill's
+    temperature."""
     cdf = np.cumsum(softmax(qualities / config.temperature(skill)), axis=1)
-    draws = np.concatenate([substream(config.seed, "moves", uid).random(config.plies_per_match)
-                            for uid in uids])
     chosen = (draws[:, None] > cdf).sum(axis=1)
-    return np.minimum(chosen, config.moves_per_state - 1).reshape(len(uids), -1)
+    return np.minimum(chosen, config.moves_per_state - 1).reshape(-1, config.plies_per_match)
 
 
 def gen_group_pool(
@@ -306,10 +317,9 @@ def bayes_oracle_accuracy(
     for t in range(trials):
         true_group = int(picker.integers(config.groups))
         loglik = np.zeros(config.groups)
-        for i in range(n):
-            uid = f"{seed_tag}-t{t:05d}-m{i:02d}"
-            qualities = quality_block(config, uid)
-            chosen = sample_moves(config, [uid], qualities, float(true_group))[0]
+        uids = [f"{seed_tag}-t{t:05d}-m{i:02d}" for i in range(n)]
+        for qualities, match_draws in zip(quality_blocks(config, uids), move_draws(config, uids)):
+            chosen = sample_moves(config, qualities, match_draws, float(true_group))[0]
             # (R, plies, M) scaled qualities; exact per-group log-softmax
             scaled = qualities[None, :, :] / temps[:, None, None]
             logp = log_softmax(scaled, axis=2)

@@ -29,7 +29,7 @@ from rankforge.errors import (
     ConfigError,
     DataError,
 )
-from rankforge.synthlab import SynthConfig, SynthLevel, gen_match, quality_block, to_datapoint
+from rankforge.synthlab import SynthConfig, SynthLevel, gen_match, quality_blocks, to_datapoint
 
 
 def tiny_config() -> SynthConfig:
@@ -89,7 +89,7 @@ def test_logit_strictly_increasing(wr):
 def test_strength_is_quality_without_noise():
     cfg = tiny_config()
     backend = SyntheticBackend(cfg)
-    q = quality_block(cfg, "m1")
+    q = next(quality_blocks(cfg, ["m1"]))
     dp = to_datapoint(gen_match(cfg, 1, "m1"))
     for i, (state, move) in enumerate(zip(dp.states, dp.moves)):
         assert backend.score_strength(state, move) == q[i, int(move)]
@@ -156,7 +156,7 @@ def test_deterioration_semantics():
     cfg = tiny_config()
     backend = SyntheticBackend(cfg)
     match = gen_match(cfg, 2, "m5")
-    q = quality_block(cfg, "m5")
+    q = next(quality_blocks(cfg, ["m5"]))
     dp = to_datapoint(match)
     for i, (state, move) in enumerate(zip(dp.states, dp.moves)):
         before = backend.evaluate_state_many([state])[0]

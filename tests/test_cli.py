@@ -2,7 +2,9 @@ import csv
 import hashlib
 import json
 import math
+import os
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
@@ -225,6 +227,26 @@ def test_ingest_drops_a_pgn_with_a_malformed_fen(tmp_path, capsys, fen_tag, move
     assert out.read_text() == ""
     (dropped,) = json.loads(drops.read_text())
     assert dropped["file"] == "bad.pgn"
+    assert dropped["reason"].startswith("parse_error:")
+
+
+def test_ingest_drops_a_pgn_with_a_stray_close_paren_within_a_deadline(tmp_path):
+    # a ')' outside a variation once left the scanner on an empty token forever
+    records = tmp_path / "records"
+    records.mkdir()
+    (records / "stray.pgn").write_text('[Event "x"]\n[Result "1-0"]\n\n1. e4 ) e5 1-0\n')
+    out = tmp_path / "chess.jsonl"
+    drops = tmp_path / "drops.json"
+    src = Path(cli.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-m", "rankforge.cli", "ingest", "--game", "chess",
+         "--records-dir", str(records), "--out", str(out), "--drops", str(drops)],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "Traceback" not in done.stderr
+    assert out.read_text() == ""
+    (dropped,) = json.loads(drops.read_text())
+    assert dropped["file"] == "stray.pgn"
     assert dropped["reason"].startswith("parse_error:")
 
 
@@ -960,13 +982,32 @@ STORE_ROW = {"match_id": "m", "player_id": "p", "side": "black", "group_index": 
     ("extract", "data.jsonl", json.dumps({**GO_POINT, "match_id": 7}).encode(), 1),
     ("train", "store.jsonl",
      (STORE_HEADER + "\n" + json.dumps({**STORE_ROW, "player_id": ["p"]})).encode(), 2),
+    ("extract", "data.jsonl", json.dumps(GO_POINT).replace('"ply": 1', '"ply": 1e400').encode(),
+     1),
+    ("extract", "data.jsonl", json.dumps({**GO_POINT, "moves": [
+        {"ply": 1.9, "state": ".", "move": "aa"}]}).encode(), 1),
+    ("extract", "data.jsonl", json.dumps({**GO_POINT, "moves": [
+        {"ply": "2", "state": ".", "move": "aa"}]}).encode(), 1),
+    ("extract", "data.jsonl", json.dumps({**GO_POINT, "group_index": True}).encode(), 1),
+    ("extract", "data.jsonl", json.dumps({**GO_POINT, "side": "green"}).encode(), 1),
+    ("train", "store.jsonl",
+     (STORE_HEADER + "\n" + json.dumps({**STORE_ROW, "group_index": True})).encode(), 2),
+    ("train", "store.jsonl",
+     (STORE_HEADER + "\n" + json.dumps({**STORE_ROW, "group_index": 1.5})).encode(), 2),
+    ("train", "store.jsonl",
+     (STORE_HEADER + "\n" + json.dumps({**STORE_ROW, "side": "green"})).encode(), 2),
+    ("eval", "model.json", b'{"format": "rankforge-gbdt/1", "base_score": 0, "trees": [], '
+                           b'"params": {}, "n_features": 1e400}', 1),
 ], ids=["datapoint-not-object", "datapoint-moves-not-list", "datapoint-group-out-of-range",
         "datapoint-go-group-below-0", "datapoint-go-group-11", "datapoint-chess-group-8",
         "datapoint-synthetic-group-below-0",
         "dataset-not-utf8", "store-not-utf8", "model-cut", "model-without-fields",
         "cache-not-utf8", "dataset-deep", "store-deep", "model-deep", "cache-deep-not-last",
         "datapoint-no-moves", "datapoint-plies-not-increasing", "datapoint-match-id-not-string",
-        "store-player-id-list"])
+        "store-player-id-list", "datapoint-ply-1e400", "datapoint-ply-not-integer",
+        "datapoint-ply-string", "datapoint-group-bool", "datapoint-side-unknown",
+        "store-group-bool", "store-group-not-integer", "store-side-unknown",
+        "model-n-features-1e400"])
 def test_bad_artifact_exits_two_naming_the_line(tmp_path, capsys, monkeypatch,
                                                 mock_backend_cmd, command, name, content, line):
     bad = tmp_path / name

@@ -10,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 from helpers.oracles import reference_loss_stat
 from rankforge.backends import BackendBank, BackendDescriptor, SubprocessBackend, SyntheticBackend
+from rankforge import synthlab
 from rankforge.backends import synthetic
 from rankforge.errors import BackendError, ConfigError, DataError, SchemaMismatchError
 from rankforge.features import (
@@ -185,9 +186,9 @@ def test_move_losses_synthetic_semantics():
     backend = SyntheticBackend(cfg)
     losses, clamps = move_losses(dp.states, dp.moves, backend)
     assert clamps == 0
-    from rankforge.synthlab import quality_block
+    from rankforge.synthlab import quality_blocks
 
-    q = quality_block(cfg, dp.match_id)
+    q = next(quality_blocks(cfg, [dp.match_id]))
     for loss, match_ply in zip(losses, range(cfg.plies_per_match)):
         chosen = int(dp.moves[match_ply])
         assert loss == pytest.approx(q[match_ply].max() - q[match_ply, chosen], abs=1e-12)
@@ -222,9 +223,9 @@ def test_move_losses_ten_move_replay_oracle():
     cfg, dp = _dp(gen_match(tiny_config(), 0, "replay10"))
     backend = SyntheticBackend(cfg)
     losses, _ = move_losses(dp.states, dp.moves, backend)
-    from rankforge.synthlab import quality_block
+    from rankforge.synthlab import quality_blocks
 
-    q = quality_block(cfg, "replay10")
+    q = next(quality_blocks(cfg, ["replay10"]))
     expected = [q[i].max() - q[i, int(dp.moves[i])] for i in range(10)]
     assert losses.tolist() == pytest.approx(expected, abs=1e-12)
 
@@ -610,24 +611,25 @@ def test_same_ply_runs_of_a_batch_equal_one_point_extraction():
 
 
 def test_synthetic_backend_derives_each_block_once_per_match_per_batch(monkeypatch):
-    calls = {"quality": [], "noise": []}
-    for name, block in (("quality", "quality_block"), ("noise", "strength_noise_block")):
-        original = getattr(synthetic, block)
-        monkeypatch.setattr(synthetic, block, lambda config, uid, seen=calls[name],
-                            original=original: seen.append(uid) or original(config, uid))
     cfg = desk_config()
     assert cfg.strength_noise_sd > 0
     pool = pool_to_datapoints(gen_group_pool(cfg, "blocks", 3 * EXTRACT_BATCH // cfg.groups))
     dps = [dp for g in sorted(pool) for dp in pool[g]]
     assert len(dps) == 3 * EXTRACT_BATCH
+    # the keys of every bulk seeding pass, per stream
+    passes = {("qualities",): [], ("strength-noise",): []}
+    original = synthlab.substreams
+    monkeypatch.setattr(synthlab, "substreams", lambda seed, prefix, keys, draw:
+                        passes[prefix].append(list(keys)) or original(seed, prefix, keys, draw))
     backend = SyntheticBackend(cfg)
     bank = BackendBank(strength=backend, policy=backend, value=backend)
     fconfig = FeatureConfig(game="synthetic", policy_levels=cfg.level_labels(),
                             loss_selected=(LossSpec("mean", None),))
     rows, _ = extract_many(dps, bank, fconfig)
     assert len(rows) == len(dps)
-    for seen in calls.values():
-        assert sorted(seen) == sorted(dp.match_id for dp in dps)
+    for keys in passes.values():
+        assert keys == [[dp.match_id for dp in dps[start:start + EXTRACT_BATCH]]
+                        for start in range(0, len(dps), EXTRACT_BATCH)]
 
 
 def test_feature_store_round_trip(tmp_path):

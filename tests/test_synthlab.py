@@ -52,7 +52,7 @@ def test_zero_temperature_limit_picks_argmax():
     cfg = small_config()
     match = synthlab.gen_match(cfg, 3, "cold", player_skill=200.0)
     for i, move in enumerate(match.moves):
-        q = synthlab.quality_block(cfg, "cold")[i]
+        q = next(synthlab.quality_blocks(cfg, ["cold"]))[i]
         assert move == int(np.argmax(q))
         assert q.max() - q[move] == 0.0
 
@@ -77,7 +77,7 @@ def test_mean_deterioration_monotone_in_skill():
         dets = []
         for i in range(40):
             match = synthlab.gen_match(cfg, 0, f"det-{tag}-{i}", player_skill=skill)
-            q = synthlab.quality_block(cfg, f"det-{tag}-{i}")
+            q = next(synthlab.quality_blocks(cfg, [f"det-{tag}-{i}"]))
             dets.extend(q[j].max() - q[j, move] for j, move in enumerate(match.moves))
         means.append(np.mean(dets))
     assert means[0] > means[1] > means[2]
@@ -90,7 +90,7 @@ def test_monotone_separability_mean_quality():
         qs = []
         for i in range(50):
             match = synthlab.gen_match(cfg, 0, f"sep-{tag}-{i}", player_skill=skill)
-            q = synthlab.quality_block(cfg, f"sep-{tag}-{i}")
+            q = next(synthlab.quality_blocks(cfg, [f"sep-{tag}-{i}"]))
             qs.extend(q[j, move] for j, move in enumerate(match.moves))
         per_skill.append((np.mean(qs), np.std(qs) / np.sqrt(len(qs))))
     (lo_mean, lo_sem), (hi_mean, hi_sem) = per_skill
