@@ -36,7 +36,7 @@ from .config import (
     run_config_from,
 )
 from .errors import BackendError, ConfigError, DataError, RankforgeError
-from .estimator import TrainingSetSpec, train_meta_model
+from .estimator import TrainingSetSpec, group_count, train_meta_model
 from .evalharness import (
     AblationContext,
     EvalProtocol,
@@ -206,9 +206,11 @@ def cmd_extract(args) -> int:
 
 def _group_count(game: str, pool: dict, run: RunConfig | None) -> int:
     """The game's group count, else ``[synth] groups``, else (no config) one
-    more than the pool's top group; a pool group beyond it is a DataError."""
+    more than the pool's top group, at most ``synthlab.MAX_GROUPS``; a pool
+    group beyond it is a DataError."""
     top = max(pool, default=-1)
-    count = GROUP_COUNTS.get(game) or (run.synth.groups if run and run.synth else top + 1)
+    count = GROUP_COUNTS.get(game) or (run.synth.groups if run and run.synth
+                                       else min(top + 1, synthlab.MAX_GROUPS))
     if top >= count:
         raise DataError(f"feature store holds group {top}, but {game} has {count} groups")
     return count
@@ -232,6 +234,10 @@ def cmd_eval(args) -> int:
     config, rows = read_feature_store(args.features)
     if model.schema_id and model.schema_id != config.schema_id():
         raise DataError("model and feature store schemas differ")
+    count, expected = group_count(model), GROUP_COUNTS.get(config.game)
+    if count != expected if expected else count > synthlab.MAX_GROUPS:
+        limit = expected or f"at most {synthlab.MAX_GROUPS}"
+        raise DataError(f"model predicts into {count} rank groups, but {config.game} has {limit}")
     protocol = EvalProtocol(mode=args.mode, n=args.n,
                             repetitions=args.repetitions, seed=args.seed)
     if args.mode == "random":

@@ -153,6 +153,23 @@ class FlatTree:
                       for name, dtype in _FLAT_DTYPES.items()})
 
 
+def _check_loaded(tree: FlatTree, n_features: int) -> None:
+    """A loaded tree must be one the walk can finish: 1-D node arrays of one
+    nonzero length, each feature in [-1, n_features), and each internal
+    node's children inside the tree and above its own id, as ``_flatten``'s
+    pre-order writes them, which also bounds the walk's depth."""
+    size = tree.feature.shape
+    if len(size) != 1 or not size[0] or any(getattr(tree, name).shape != size
+                                             for name in _FLAT_DTYPES):
+        raise DataError("a model tree's node arrays must have one nonzero length")
+    if ((tree.feature < -1) | (tree.feature >= n_features)).any():
+        raise DataError(f"a model tree splits on a feature outside [-1, {n_features})")
+    inner = np.flatnonzero(tree.feature >= 0)
+    for child in (tree.left[inner], tree.right[inner]):
+        if ((child <= inner) | (child >= size[0])).any():
+            raise DataError("a model tree's child id is not inside the tree and above its parent")
+
+
 def _flatten(root) -> FlatTree:
     feature, threshold, left, right, value = [], [], [], [], []
 
@@ -271,12 +288,16 @@ class TreeEnsemble:
     def from_dict(cls, data: dict) -> "TreeEnsemble":
         if data.get("format") != FORMAT_TAG:
             raise DataError(f"unsupported model format {data.get('format')!r}")
+        n_features = int(data["n_features"])
+        trees = [FlatTree.from_dict(t) for t in data["trees"]]
+        for tree in trees:
+            _check_loaded(tree, n_features)
         return cls(
             base_score=float(data["base_score"]),
-            trees=[FlatTree.from_dict(t) for t in data["trees"]],
+            trees=trees,
             params=GbdtParams(**data["params"]),
             schema_id=data.get("schema_id", ""),
-            n_features=int(data["n_features"]),
+            n_features=n_features,
             meta=dict(data.get("meta", {})),
         )
 

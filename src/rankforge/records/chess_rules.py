@@ -5,6 +5,16 @@ a move returns a new position).  Moves use from-square, to-square, and an
 optional promotion piece; their text form is UCI-style ("e2e4", "e7e8q"),
 with castling encoded as the king's two-square move.
 
+Each rule of piece geometry is one table.  ``_STEPS`` holds the knight's
+and the king's steps and ``_RAYS`` the sliders' directions, which
+``pseudo_moves`` walks.  ``_LEAPERS`` holds, per attacking side, the steps
+from an attacked square to the pawns, knights and king that attack it.
+``_CASTLES`` has one row per wing, kingside first: the right's flag, the
+king's target file, the rook's file, the files that must be empty, and the
+files the king stands on or crosses, none of which may be attacked.
+``to_fen`` joins the ranks and replaces each run of empty squares with its
+length, longest run first, so no run is split.
+
 ``legal_moves`` runs the full legality test (make the move, then ask
 whether the own king is attacked) only on moves that could fail it.  A
 pseudo-move is accepted without that test when the side to move is not in
@@ -38,6 +48,13 @@ _KNIGHT = ((1, 2), (2, 1), (2, -1), (1, -2), (-1, -2), (-2, -1), (-2, 1), (-1, 2
 _KING = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1))
 _BISHOP = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 _ROOK = ((1, 0), (-1, 0), (0, 1), (0, -1))
+_STEPS = {"N": _KNIGHT, "K": _KING}
+_RAYS = {"B": _BISHOP, "R": _ROOK, "Q": _BISHOP + _ROOK}
+_LEAPERS = {
+    True: ((((-1, -1), (1, -1)), "P"), (_KNIGHT, "N"), (_KING, "K")),
+    False: ((((-1, 1), (1, 1)), "p"), (_KNIGHT, "n"), (_KING, "k")),
+}
+_CASTLES = (("K", 6, 7, (5, 6), (4, 5, 6)), ("Q", 2, 0, (1, 2, 3), (4, 3, 2)))
 
 INITIAL_FEN = "rnbqkbnr/pppppppp/8/8/8/8/PPPPPPPP/RNBQKBNR w KQkq - 0 1"
 
@@ -131,25 +148,12 @@ class Position:
         return cls(board, parts[1] == "w", castling, ep, halfmove, fullmove)
 
     def to_fen(self) -> str:
-        rows = []
-        for rank in range(7, -1, -1):
-            row = ""
-            empty = 0
-            for file in range(8):
-                piece = self.board[square(file, rank)]
-                if piece == ".":
-                    empty += 1
-                else:
-                    if empty:
-                        row += str(empty)
-                        empty = 0
-                    row += piece
-            if empty:
-                row += str(empty)
-            rows.append(row)
+        placement = "/".join("".join(self.board[sq:sq + 8]) for sq in range(56, -8, -8))
+        for run in range(8, 0, -1):
+            placement = placement.replace("." * run, str(run))
         return " ".join(
             [
-                "/".join(rows),
+                placement,
                 "w" if self.white_to_move else "b",
                 self.castling or "-",
                 square_name(self.ep) if self.ep is not None else "-",
@@ -172,23 +176,11 @@ class Position:
 
     def is_attacked(self, sq: int, by_white: bool) -> bool:
         file, rank = sq % 8, sq // 8
-        pawn = "P" if by_white else "p"
-        pawn_rank = rank - 1 if by_white else rank + 1
-        if 0 <= pawn_rank < 8:
-            for df in (-1, 1):
-                f = file + df
-                if 0 <= f < 8 and self.board[square(f, pawn_rank)] == pawn:
+        for steps, piece in _LEAPERS[by_white]:
+            for df, dr in steps:
+                f, r = file + df, rank + dr
+                if 0 <= f < 8 and 0 <= r < 8 and self.board[square(f, r)] == piece:
                     return True
-        knight = "N" if by_white else "n"
-        for df, dr in _KNIGHT:
-            f, r = file + df, rank + dr
-            if 0 <= f < 8 and 0 <= r < 8 and self.board[square(f, r)] == knight:
-                return True
-        king = "K" if by_white else "k"
-        for df, dr in _KING:
-            f, r = file + df, rank + dr
-            if 0 <= f < 8 and 0 <= r < 8 and self.board[square(f, r)] == king:
-                return True
         for dirs, sliders in ((_BISHOP, "BQ"), (_ROOK, "RQ")):
             wanted = sliders if by_white else sliders.lower()
             for df, dr in dirs:
@@ -223,43 +215,31 @@ class Position:
             file, rank = sq % 8, sq // 8
             piece_kind = piece.upper()
             if piece_kind == "P":
+                promos = PROMOTIONS if rank + up == last_rank else (None,)
                 one = square(file, rank + up)
                 if self.board[one] == ".":
-                    if rank + up == last_rank:
-                        moves.extend(Move(sq, one, p) for p in PROMOTIONS)
-                    else:
-                        moves.append(Move(sq, one))
-                        if rank == start_rank:
-                            two = square(file, rank + 2 * up)
-                            if self.board[two] == ".":
-                                moves.append(Move(sq, two))
+                    moves += [Move(sq, one, p) for p in promos]
+                    two = square(file, rank + 2 * up)
+                    if rank == start_rank and self.board[two] == ".":
+                        moves.append(Move(sq, two))
                 for df in (-1, 1):
                     f = file + df
                     if not 0 <= f < 8:
                         continue
                     target = square(f, rank + up)
                     if self._enemy(self.board[target]):
-                        if rank + up == last_rank:
-                            moves.extend(Move(sq, target, p) for p in PROMOTIONS)
-                        else:
-                            moves.append(Move(sq, target))
-                    elif self.ep is not None and target == self.ep:
+                        moves += [Move(sq, target, p) for p in promos]
+                    elif target == self.ep:
                         moves.append(Move(sq, target))
-            elif piece_kind == "N":
-                for df, dr in _KNIGHT:
+            elif piece_kind in _STEPS:
+                for df, dr in _STEPS[piece_kind]:
                     f, r = file + df, rank + dr
                     if 0 <= f < 8 and 0 <= r < 8 and not self._own(self.board[square(f, r)]):
                         moves.append(Move(sq, square(f, r)))
-            elif piece_kind == "K":
-                for df, dr in _KING:
-                    f, r = file + df, rank + dr
-                    if 0 <= f < 8 and 0 <= r < 8 and not self._own(self.board[square(f, r)]):
-                        moves.append(Move(sq, square(f, r)))
-                moves.extend(self._castling_moves(sq))
+                if piece_kind == "K":
+                    moves.extend(self._castling_moves(sq))
             else:
-                dirs = (_BISHOP if piece_kind == "B" else _ROOK if piece_kind == "R"
-                        else _BISHOP + _ROOK)
-                for df, dr in dirs:
+                for df, dr in _RAYS[piece_kind]:
                     f, r = file + df, rank + dr
                     while 0 <= f < 8 and 0 <= r < 8:
                         target = self.board[square(f, r)]
@@ -273,37 +253,18 @@ class Position:
         return moves
 
     def _castling_moves(self, king_sq: int):
-        moves = []
-        rank = 0 if self.white_to_move else 7
+        white = self.white_to_move
+        rank = 0 if white else 7
         if king_sq != square(4, rank):
-            return moves
-        rights = self.castling
-        kingside = ("K" if self.white_to_move else "k") in rights
-        queenside = ("Q" if self.white_to_move else "q") in rights
-        enemy = not self.white_to_move
-        if self.is_attacked(king_sq, enemy):
-            return moves
-        if kingside:
-            f1, g1 = square(5, rank), square(6, rank)
-            rook = square(7, rank)
-            if (
-                self.board[f1] == self.board[g1] == "."
-                and self.board[rook] == ("R" if self.white_to_move else "r")
-                and not self.is_attacked(f1, enemy)
-                and not self.is_attacked(g1, enemy)
-            ):
-                moves.append(Move(king_sq, g1))
-        if queenside:
-            d1, c1, b1 = square(3, rank), square(2, rank), square(1, rank)
-            rook = square(0, rank)
-            if (
-                self.board[d1] == self.board[c1] == self.board[b1] == "."
-                and self.board[rook] == ("R" if self.white_to_move else "r")
-                and not self.is_attacked(d1, enemy)
-                and not self.is_attacked(c1, enemy)
-            ):
-                moves.append(Move(king_sq, c1))
-        return moves
+            return []
+        return [
+            Move(king_sq, square(king_file, rank))
+            for flag, king_file, rook_file, empty, crossed in _CASTLES
+            if (flag if white else flag.lower()) in self.castling
+            and self.board[square(rook_file, rank)] == ("R" if white else "r")
+            and all(self.board[square(f, rank)] == "." for f in empty)
+            and not any(self.is_attacked(square(f, rank), not white) for f in crossed)
+        ]
 
     def make(self, move: Move) -> "Position":
         board = self.board.copy()
@@ -325,16 +286,12 @@ class Position:
             board[move.to_sq] = piece
         castling = self.castling
         if kind == "K":
-            castling = castling.replace("K", "").replace("Q", "") if self.white_to_move \
-                else castling.replace("k", "").replace("q", "")
-            if move.to_sq - move.from_sq == 2:  # kingside
+            castling = "".join(flag for flag in castling if flag.isupper() != self.white_to_move)
+            if abs(move.to_sq - move.from_sq) == 2:
                 rank = move.from_sq // 8
-                board[square(5, rank)] = board[square(7, rank)]
-                board[square(7, rank)] = "."
-            elif move.from_sq - move.to_sq == 2:  # queenside
-                rank = move.from_sq // 8
-                board[square(3, rank)] = board[square(0, rank)]
-                board[square(0, rank)] = "."
+                rook, to = (7, 5) if move.to_sq > move.from_sq else (0, 3)
+                board[square(to, rank)] = board[square(rook, rank)]
+                board[square(rook, rank)] = "."
         for sq, flag in ((0, "Q"), (7, "K"), (56, "q"), (63, "k")):
             if move.from_sq == sq or move.to_sq == sq:
                 castling = castling.replace(flag, "")

@@ -7,6 +7,7 @@ Comments, variations, and numeric annotation glyphs are skipped.
 
 import datetime
 import re
+import textwrap
 
 from ..errors import ParseError
 from .chess_rules import Move, Position, parse_san, to_san
@@ -225,13 +226,6 @@ def serialize_pgn(record: MatchRecord) -> str:
             tokens.append(f"{position.fullmove}.")
         tokens.append(to_san(position, Move.from_uci(ply.move)))
     tokens.append(result)
-    movetext, line = [], ""
-    for token in tokens:
-        if line and len(line) + 1 + len(token) > 80:
-            movetext.append(line)
-            line = token
-        else:
-            line = f"{line} {token}" if line else token
-    if line:
-        movetext.append(line)
+    movetext = textwrap.wrap(" ".join(tokens), 80, break_long_words=False,
+                             break_on_hyphens=False)
     return "\n".join(lines + movetext) + "\n"

@@ -3,7 +3,8 @@
 Go has 11 groups: 3-5k, 1-2k, then 1d through 9d.  Chess has 8 groups of
 200 rating points from R1000 to R2599.  Index 0 is always the weakest.
 A model predicts into its game's ``GROUP_COUNTS`` entry, or, for a synthetic
-run, which has none, into its ``[synth] groups``.  ``group_label`` rejects an
+run, which has none, into its ``[synth] groups``, at most
+``synthlab.MAX_GROUPS``.  ``group_label`` rejects an
 index below 0 or at or above the game's count; a synthetic index ``g{index}``
 has no upper bound here.
 """

@@ -13,8 +13,9 @@ keys under one path prefix in one vector pass, with the same bits:
   the root seed's words padded to four and then each path token's words,
   into a pool of four uint32 words.  Every word after the first four is
   mixed into each pool word on its own, and the hash constant it meets
-  depends only on its position.  So the root and the prefix are mixed once
-  (and cached), and each key's words are mixed in as uint32 lanes, one
+  depends only on its position.  So NumPy's own SeedSequence mixes the
+  root and the prefix, once per prefix (cached), and the emulation starts
+  at the key words: each key's words are mixed in as uint32 lanes, one
   batch of lanes per key word count.
 - ``generate_state(4, uint64)`` hashes the pool with fixed constants, again
   as uint32 lanes.  PCG64 (PCG XSL-RR 128/64, O'Neill 2014) seeds its
@@ -93,37 +94,14 @@ def _word_count(token: int) -> int:
     return (token.bit_length() + 31) // 32 or 1
 
 
-def _mix(x: int, y: int) -> int:
-    r = (MIX_L * x - MIX_R * y) & MASK32
-    return r ^ (r >> 16)
-
-
 @lru_cache(maxsize=64)
 def _prefix_pool(root_seed: int, prefix: tuple) -> tuple[np.ndarray, int]:
     """SeedSequence's pool after the root seed and the prefix tokens, and the
-    hash constant that the next entropy word meets."""
-    if root_seed < 0:
-        raise ValueError(f"root seed must be non-negative, got {root_seed}")
-    words = [t >> (32 * i) & MASK32 for t in (root_seed, *prefix) for i in range(_word_count(t))]
-    root = _word_count(root_seed)
-    words[root:root] = [0] * (POOL_WORDS - root)
-    hc = INIT_A
-
-    def hashmix(value: int) -> int:
-        nonlocal hc
-        value ^= hc
-        hc = hc * MULT_A & MASK32
-        value = value * hc & MASK32
-        return value ^ (value >> 16)
-
-    pool = [hashmix(w) for w in words[:POOL_WORDS]]
-    for src in range(POOL_WORDS):
-        for dst in range(POOL_WORDS):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for w in words[POOL_WORDS:]:
-        pool = [_mix(p, hashmix(w)) for p in pool]
-    return _frozen(pool), hc
+    hash constant that the next entropy word meets: each entropy word costs
+    four hashmix calls, and the root is padded to ``POOL_WORDS`` words."""
+    pool = np.random.SeedSequence(root_seed, spawn_key=prefix).pool
+    words = max(POOL_WORDS, _word_count(root_seed)) + sum(map(_word_count, prefix))
+    return _frozen(pool), INIT_A * pow(MULT_A, POOL_WORDS * words, 1 << 32) & MASK32
 
 
 @lru_cache(maxsize=64)

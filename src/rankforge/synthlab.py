@@ -42,6 +42,10 @@ STATE_PREFIX = "syn"
 # whole group at a time; a chunk's stack is 16 x 80 x 16 floats.
 SAMPLE_CHUNK = 16
 
+# The most rank groups a synthetic game has.  An evaluation builds an r x r
+# confusion matrix, so `eval` holds a model file's group count to it.
+MAX_GROUPS = 100
+
 
 @dataclass(frozen=True)
 class SynthLevel:
@@ -87,8 +91,8 @@ class SynthConfig:
         raise ConfigError(f"unknown policy level {label!r}")
 
     def validate(self) -> None:
-        if self.groups < 2:
-            raise ConfigError("need at least 2 rank groups")
+        if not 2 <= self.groups <= MAX_GROUPS:
+            raise ConfigError(f"need 2 to {MAX_GROUPS} rank groups")
         if self.moves_per_state < 2:
             raise ConfigError("need at least 2 moves per state")
         if self.plies_per_match < 1:

@@ -523,7 +523,9 @@ def test_eval_group_unknown_to_model_exits_two(tmp_path, capsys, mode):
     TINY_SYNTH.replace("ns = [1, 3]", 'ns = ["x"]'),
     TINY_SYNTH.replace("num_trees = 25", "num_trees = [1]"),
     "note = 2024-01-01\n" + TINY_SYNTH,
-], ids=["seed-string", "synth-without-groups", "ns-string", "num-trees-array", "date-value"])
+    TINY_SYNTH.replace("groups = 3\n", "groups = 101\n"),
+], ids=["seed-string", "synth-without-groups", "ns-string", "num-trees-array", "date-value",
+        "synth-groups-past-the-bound"])
 def test_pipeline_bad_config_value_exits_one(tmp_path, config_text):
     config = tmp_path / "run.toml"
     config.write_text(config_text)
@@ -683,6 +685,16 @@ def test_train_store_group_beyond_the_synth_groups_exits_two(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+def test_train_store_group_beyond_the_synthetic_bound_exits_two(tmp_path, capsys):
+    store, model = _tiny_store(tmp_path)
+    _rewrite_store(store, group=lambda g: g + 98)  # top group 100
+    capsys.readouterr()
+    assert main(["train", "--features", str(store), "--n", "1", "--repetitions", "20",
+                 "--out", str(model)]) == 2
+    assert "data error: feature store holds group 100, but synthetic has 100 groups" in (
+        capsys.readouterr().err)
+
+
 def test_ablate_test_store_group_beyond_the_synth_groups_exits_two(tmp_path, capsys):
     store, _ = _tiny_store(tmp_path)
     test_store = tmp_path / "test.jsonl"
@@ -721,6 +733,45 @@ def test_eval_with_a_model_without_group_count_exits_two(tmp_path, capsys):
     assert main(["eval", "--n", "1", "--model", str(model), "--features", str(store),
                  "--out", str(tmp_path / "rep")]) == 2
     assert "data error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("game, r_groups", [(None, 99999999999999999999), (None, 101),
+                                            ("go", 8)],
+                         ids=["beyond-int64", "beyond-synthetic-bound", "not-the-go-count"])
+def test_eval_with_a_group_count_the_game_cannot_have_exits_two(tmp_path, capsys, game,
+                                                                r_groups):
+    store, model = _tiny_store(tmp_path)
+    if game:
+        _rewrite_store(store, game=game)
+        assert main(["train", "--features", str(store), "--n", "1", "--repetitions", "20",
+                     "--out", str(model)]) == 0
+    blob = json.loads(model.read_text())
+    blob["meta"]["r_groups"] = r_groups
+    model.write_text(json.dumps(blob))
+    capsys.readouterr()
+    assert main(["eval", "--n", "1", "--model", str(model), "--features", str(store),
+                 "--out", str(tmp_path / "rep")]) == 2
+    err = capsys.readouterr().err
+    assert f"data error: model predicts into {r_groups} rank groups" in err
+    assert "Traceback" not in err
+
+
+def test_eval_with_a_model_node_that_is_its_own_child_exits_two_within_a_deadline(tmp_path):
+    # such a node once sent the prediction walk round in a loop forever
+    store, model = _tiny_store(tmp_path)
+    blob = json.loads(model.read_text())
+    tree = blob["trees"][0]
+    assert tree["feature"][0] >= 0
+    tree["left"][0] = tree["right"][0] = 0
+    model.write_text(json.dumps(blob))
+    src = Path(cli.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-m", "rankforge.cli", "eval", "--n", "1", "--model", str(model),
+         "--features", str(store), "--out", str(tmp_path / "rep")],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2, done.stderr
+    assert f"{model}:1: bad model" in done.stderr
+    assert "Traceback" not in done.stderr
 
 
 def test_player_eval_with_every_player_excluded_names_the_count_and_n(tmp_path, capsys):
@@ -954,6 +1005,13 @@ STORE_HEADER = json.dumps({"schema": {"schema_id": STORE_CONFIG.schema_id(),
                                       "config": STORE_CONFIG.to_dict()}})
 STORE_ROW = {"match_id": "m", "player_id": "p", "side": "black", "group_index": 0,
              "schema_id": STORE_CONFIG.schema_id(), "features": [1.0]}
+STUMP = {"feature": [0, -1, -1], "threshold": [0.5, 0.0, 0.0], "left": [1, -1, -1],
+         "right": [2, -1, -1], "value": [0.0, 0.0, 1.0]}
+
+
+def _model_line(tree):
+    return json.dumps({"format": "rankforge-gbdt/1", "base_score": 0.0, "params": {},
+                       "n_features": 2, "trees": [tree]}).encode()
 
 
 @pytest.mark.parametrize("command, name, content, line", [
@@ -998,6 +1056,11 @@ STORE_ROW = {"match_id": "m", "player_id": "p", "side": "black", "group_index": 
      (STORE_HEADER + "\n" + json.dumps({**STORE_ROW, "side": "green"})).encode(), 2),
     ("eval", "model.json", b'{"format": "rankforge-gbdt/1", "base_score": 0, "trees": [], '
                            b'"params": {}, "n_features": 1e400}', 1),
+    ("eval", "model.json", _model_line({**STUMP, "value": [0.0]}), 1),
+    ("eval", "model.json", _model_line({name: [] for name in STUMP}), 1),
+    ("eval", "model.json", _model_line({**STUMP, "feature": [2, -1, -1]}), 1),
+    ("eval", "model.json", _model_line({**STUMP, "feature": [-2, -1, -1]}), 1),
+    ("eval", "model.json", _model_line({**STUMP, "right": [3, -1, -1]}), 1),
 ], ids=["datapoint-not-object", "datapoint-moves-not-list", "datapoint-group-out-of-range",
         "datapoint-go-group-below-0", "datapoint-go-group-11", "datapoint-chess-group-8",
         "datapoint-synthetic-group-below-0",
@@ -1007,7 +1070,8 @@ STORE_ROW = {"match_id": "m", "player_id": "p", "side": "black", "group_index": 
         "store-player-id-list", "datapoint-ply-1e400", "datapoint-ply-not-integer",
         "datapoint-ply-string", "datapoint-group-bool", "datapoint-side-unknown",
         "store-group-bool", "store-group-not-integer", "store-side-unknown",
-        "model-n-features-1e400"])
+        "model-n-features-1e400", "model-tree-lengths-differ", "model-tree-empty",
+        "model-feature-past-n-features", "model-feature-below-leaf", "model-child-past-the-tree"])
 def test_bad_artifact_exits_two_naming_the_line(tmp_path, capsys, monkeypatch,
                                                 mock_backend_cmd, command, name, content, line):
     bad = tmp_path / name

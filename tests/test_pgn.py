@@ -198,12 +198,17 @@ def test_perft_reference_counts():
         "r3k2r/p1ppqpb1/bn2pnp1/3PN3/1p2P3/2N2Q1p/PPPBBPPP/R3K2R w KQkq - 0 1"
     )
     assert perft(kiwipete, 2) == 2039
+    assert perft(kiwipete, 3) == 97862
     endgame = Position.from_fen("8/2p5/3p4/KP5r/1R3p1k/8/4P1P1/8 w - - 0 1")
     assert perft(endgame, 3) == 2812
+    assert perft(endgame, 4) == 43238
     promos = Position.from_fen(
         "r3k2r/Pppp1ppp/1b3nbN/nP6/BBP1P3/q4N2/Pp1P2PP/R2Q1RK1 w kq - 0 1"
     )
     assert perft(promos, 2) == 264
+    assert perft(promos, 3) == 9467
+    position5 = Position.from_fen("rnbq1k1r/pp1Pbppp/2p5/8/2B5/8/PPP1NnPP/RNBQK2R w KQ - 1 8")
+    assert perft(position5, 3) == 62379
 
 
 @pytest.mark.parametrize("fen", [
@@ -227,6 +232,14 @@ def test_fen_round_trip():
     fen = "rnbq1k1r/pp1Pbppp/2p5/8/2B5/8/PPP1NnPP/RNBQK2R w KQ - 1 8"
     assert Position.from_fen(fen).to_fen() == fen
     assert Position.initial().to_fen() == INITIAL_FEN
+
+
+def test_fen_round_trip_keeps_every_field(game_positions):
+    for pos in game_positions:
+        back = Position.from_fen(pos.to_fen())
+        assert back.board == pos.board
+        assert (back.white_to_move, back.castling, back.ep, back.halfmove, back.fullmove) == (
+            pos.white_to_move, pos.castling, pos.ep, pos.halfmove, pos.fullmove)
 
 
 def test_corpus_round_trip_identity(corpus_dir):
