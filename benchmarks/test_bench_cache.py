@@ -5,8 +5,9 @@
 The generated cache has the records-engine workload's shape: 25,000 lines,
 half of them on Go positions of 19 ranks of 19 points plus ko and side
 fields (about 390 characters), half on chess FEN strings, over the three
-kinds and three policy levels.  One benchmark times ``ResponseCache``
-loading it.  One times a cold ``CachedBackend`` call of 1,200 misses,
+kinds and three policy levels; each policy value is a prior in
+``[PRIOR_FLOOR, 1]``, so the load keeps every line.  One benchmark times
+``ResponseCache`` loading it.  One times a cold ``CachedBackend`` call of 1,200 misses,
 answered at once by an in-process fake, into an empty cache: key lookups,
 the misses' lines and their one write.  One times formatting the request
 lines of a 1,200-request batch.
@@ -19,7 +20,8 @@ import random
 import numpy as np
 import pytest
 
-from rankforge.backends import Backend, BackendDescriptor, CachedBackend, ResponseCache
+from rankforge.backends import (PRIOR_FLOOR, Backend, BackendDescriptor, CachedBackend,
+                                ResponseCache)
 from rankforge.backends.client import request_lines
 
 LINES, BATCH, SEED = 25_000, 1_200, 0
@@ -52,7 +54,9 @@ def cache_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("cache") / "cache.jsonl"
     keys = _keys(rng, LINES)
     path.write_text("".join(
-        json.dumps({"b": b, "k": k, "s": s, "m": m, "l": lv, "v": rng.uniform(-2, 2)}) + "\n"
+        json.dumps({"b": b, "k": k, "s": s, "m": m, "l": lv,
+                    "v": rng.uniform(PRIOR_FLOOR, 1) if k == "policy" else rng.uniform(-2, 2)})
+        + "\n"
         for b, k, s, m, lv in keys))
     return path, keys
 

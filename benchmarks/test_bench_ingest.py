@@ -1,13 +1,14 @@
-"""Chess-ingest microbenchmarks on a pinned corpus.
+"""Ingest microbenchmarks on pinned corpora.
 
     python3 -m pytest benchmarks --benchmark-only
 
-The corpus is 40 seeded random legal games of 30 to 69 plies that the
-default filter accepts, written as the records-engine benchmark writes its
-chess corpus (workload seed 0), one PGN file each.  One benchmark times
-``cli.ingest_directory`` for chess on it: PGN parsing and SAN replay.  The
-other times writing those 40 games: random legal playouts, the filter and
-``serialize_pgn``.
+The chess corpus is 40 seeded random legal games of 30 to 69 plies that
+the default filter accepts, the Go corpus 20 seeded random legal games of
+60 to 139 plies, each written as the records-engine benchmark writes its
+corpus (workload seed 0), one PGN or SGF file per game.  Two benchmarks
+time ``cli.ingest_directory`` on them: PGN parsing and SAN replay, and SGF
+parsing and board replay.  One times writing the 40 chess games: random
+legal playouts, the filter and ``serialize_pgn``.
 """
 
 import importlib.util
@@ -17,10 +18,10 @@ from pathlib import Path
 import pytest
 
 from rankforge import cli
-from rankforge.records import FilterConfig, filter_match, serialize_pgn
+from rankforge.records import FilterConfig, filter_match, serialize_pgn, serialize_sgf
 
 CORPUS_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "make_corpus.py"
-GAMES, SEED = 40, 0
+GAMES, GO_GAMES, SEED = 40, 20, 0
 
 
 def _corpus_module():
@@ -42,6 +43,16 @@ def _chess_games(corpus):
     return texts
 
 
+def _go_games(corpus):
+    texts = []
+    for i in range(GO_GAMES):
+        rng = random.Random(f"go/{SEED}/{i}")
+        record = corpus.random_go_record(rng, rng.randrange(60, 140),
+                                         rng.choice(["B+Resign", "W+Resign", "B+3.5"]))
+        texts.append(serialize_sgf(record))
+    return texts
+
+
 @pytest.fixture(scope="module")
 def corpus():
     return _corpus_module()
@@ -58,3 +69,11 @@ def test_ingest_40_chess_games(benchmark, corpus, tmp_path):
     datapoints, drops = benchmark.pedantic(
         cli.ingest_directory, args=(tmp_path, "chess", FilterConfig()), rounds=5, iterations=1)
     assert len(datapoints) == 2 * GAMES and not drops
+
+
+def test_ingest_20_go_games(benchmark, corpus, tmp_path):
+    for i, text in enumerate(_go_games(corpus)):
+        (tmp_path / f"go_{i:03d}.sgf").write_text(text)
+    datapoints, drops = benchmark.pedantic(
+        cli.ingest_directory, args=(tmp_path, "go", FilterConfig()), rounds=5, iterations=1)
+    assert len(datapoints) == 2 * GO_GAMES and not drops

@@ -18,11 +18,11 @@ class SchemaMismatchError(DataError):
 
 
 class ParseError(DataError):
-    """Malformed game record text."""
+    """Malformed game record text; ``offset`` is a character index into it."""
 
     def __init__(self, message: str, offset: int | None = None):
         if offset is not None:
-            message = f"{message} (byte offset {offset})"
+            message = f"{message} (character offset {offset})"
         super().__init__(message)
         self.offset = offset
 

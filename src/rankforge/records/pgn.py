@@ -3,6 +3,13 @@
 SAN movetext is resolved against the legal-move generator; each ply
 records the FEN before the move and the move in from-to(-promotion) form.
 Comments, variations, and numeric annotation glyphs are skipped.
+
+Tag pairs are read with ``_TAG_RE`` and movetext through one token
+expression, ``_MOVETEXT``: after optional whitespace, a word (a move, a
+move number or a result), a '(', ')' or the next game's '[', a '{'
+comment, a ';' comment to the end of the line, or a '$' NAG.  A variation
+is skipped through ``_VARIATION``, which sees only parentheses and '{'
+comments.
 """
 
 import datetime
@@ -15,78 +22,62 @@ from .types import BLACK, WHITE, MatchRecord, Ply, Termination
 
 RESULTS = ("1-0", "0-1", "1/2-1/2", "*")
 
-_TAG_RE = re.compile(r'\[\s*(\w+)\s+"((?:[^"\\]|\\.)*)"\s*\]')
+_TAG_RE = re.compile(r'[ \t\r\n]*\[\s*(\w+)\s+"((?:[^"\\]|\\.)*)"\s*\]')
 _MOVE_NUMBER_RE = re.compile(r"^\d+\.*$")
-
-
-def _skip_comment(text: str, pos: int) -> int:
-    end = text.find("}", pos)
-    if end < 0:
-        raise ParseError("unterminated comment", offset=pos)
-    return end + 1
+# Groups: 1 a word, 2 '(', ')' or '[', 3 and 4 a comment's '{' and '}' (empty
+# when the text ends inside it), 5 the letters and digits after a '$', whose
+# isdigit() prefix is the NAG.
+_MOVETEXT = re.compile(r"[ \t\r\n]*(?:([^ \t\r\n{();\[$][^ \t\r\n{();]*)|([()\[])"
+                       r"|(\{)[^}]*(\}?)|;[^\n]*\n?|\$([^\W_]*))")
+# Groups: 1 '(' or ')', 2 and 3 a comment's '{' and '}'; all are empty at the
+# end of the text.
+_VARIATION = re.compile(r"[^(){]*(?:([()])|(\{)[^}]*(\}?)|\Z)")
 
 
 def _skip_variation(text: str, pos: int) -> int:
+    """The end of the variation whose '(' ends at pos."""
     depth = 1
-    while pos < len(text):
-        ch = text[pos]
-        pos += 1
-        if ch == "{":
-            pos = _skip_comment(text, pos)
-        elif ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth == 0:
-                return pos
-    raise ParseError("unterminated variation", offset=pos)
+    for m in _VARIATION.finditer(text, pos):
+        paren, brace, close = m.groups()
+        if brace and not close:
+            raise ParseError("unterminated comment", offset=m.end(2))
+        depth += (paren == "(") - (paren == ")")
+        if not depth:
+            return m.end()
+    raise ParseError("unterminated variation", offset=len(text))
 
 
 def _scan_game(text: str, pos: int):
     """Scan one game starting at pos; returns (tags, san_tokens, result, end)."""
     tags: dict[str, str] = {}
-    length = len(text)
-    while pos < length:
-        while pos < length and text[pos] in " \t\r\n":
-            pos += 1
-        if pos >= length or text[pos] != "[":
-            break
-        match = _TAG_RE.match(text, pos)
-        if not match:
-            raise ParseError("malformed tag pair", offset=pos)
+    while match := _TAG_RE.match(text, pos):
         tags[match.group(1)] = match.group(2).replace('\\"', '"').replace("\\\\", "\\")
         pos = match.end()
+    movetext = pos
     tokens: list[str] = []
     result = None
-    while pos < length:
-        ch = text[pos]
-        if ch in " \t\r\n":
-            pos += 1
-        elif ch == "{":
-            pos = _skip_comment(text, pos + 1)
-        elif ch == ";":
-            nl = text.find("\n", pos)
-            pos = length if nl < 0 else nl + 1
-        elif ch == "(":
-            pos = _skip_variation(text, pos + 1)
-        elif ch == ")":
-            raise ParseError("')' outside a variation", offset=pos)
-        elif ch == "[":
-            break  # next game's tag section
-        elif ch == "$":
-            pos += 1
-            while pos < length and text[pos].isdigit():
-                pos += 1
-        else:
-            start = pos
-            while pos < length and text[pos] not in " \t\r\n{();":
-                pos += 1
-            token = text[start:pos]
-            if token in RESULTS:
-                result = token
+    while match := _MOVETEXT.match(text, pos):
+        pos = match.end()
+        word, punct, brace, close, nag = match.groups()
+        if word:
+            if word in RESULTS:
+                result = word
                 break
-            if not _MOVE_NUMBER_RE.match(token):
-                tokens.append(token)
+            if not _MOVE_NUMBER_RE.match(word):
+                tokens.append(word)
+        elif punct == "(":
+            pos = _skip_variation(text, pos)
+        elif punct == ")":
+            raise ParseError("')' outside a variation", offset=pos - 1)
+        elif punct:  # '[': a tag the tag pattern refused, or the next game's tags
+            if match.start() == movetext:
+                raise ParseError("malformed tag pair", offset=pos - 1)
+            pos -= 1
+            break
+        elif brace and not close:
+            raise ParseError("unterminated comment", offset=match.end(3))
+        elif nag and not nag.isdigit():  # a word glued to the NAG starts after its digits
+            pos = match.start(5) + next(i for i, ch in enumerate(nag) if not ch.isdigit())
     return tags, tokens, result, pos
 
 
@@ -94,10 +85,6 @@ def iter_pgn_games(text: str):
     """Yield (tags, san_tokens, result) for each game in the text."""
     pos = 0
     while True:
-        while pos < len(text) and text[pos] in " \t\r\n":
-            pos += 1
-        if pos >= len(text):
-            return
         tags, tokens, result, pos = _scan_game(text, pos)
         if not tags and not tokens:
             return
@@ -195,7 +182,8 @@ _TERMINATION_TAGS = {
 
 def serialize_pgn(record: MatchRecord) -> str:
     """Serialize a chess record back to PGN; parse(serialize(r)) == r for
-    records parse_pgn produced."""
+    records parse_pgn produced.  The moves are replayed from the first
+    ply's position."""
     result = record.result or ("1/2-1/2" if record.termination == Termination.DRAW else "*")
     tags = [
         ("Event", "?"),
@@ -220,11 +208,13 @@ def serialize_pgn(record: MatchRecord) -> str:
     lines = [f'[{name} "{value}"]' for name, value in tags]
     lines.append("")
     tokens = []
+    position = Position.from_fen(record.plies[0].state_before) if record.plies else None
     for ply in record.plies:
-        position = Position.from_fen(ply.state_before)
         if position.white_to_move:
             tokens.append(f"{position.fullmove}.")
-        tokens.append(to_san(position, Move.from_uci(ply.move)))
+        move = Move.from_uci(ply.move)
+        tokens.append(to_san(position, move))
+        position = position.make(move)
     tokens.append(result)
     movetext = textwrap.wrap(" ".join(tokens), 80, break_long_words=False,
                              break_on_hyphens=False)

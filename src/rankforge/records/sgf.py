@@ -3,6 +3,11 @@
 Only the main line is read: at every branch point the first subtree
 continues the game and the remaining variations are skipped.  Board
 states are reconstructed by replaying the moves.
+
+The text is read through one token expression, ``_TOKEN``: after optional
+whitespace, a tree or node delimiter, a property identifier, a bracketed
+value with its escapes kept (group 5, its ``]``, is empty when the text
+ends inside it), or any other character, which a backslash takes with it.
 """
 
 import datetime
@@ -16,124 +21,74 @@ _MOVE_PROPS = ("B", "W")
 _SETUP_PROPS = ("AB", "AW", "AE", "HA")
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def next(self) -> str:
-        ch = self.peek()
-        self.pos += 1
-        return ch
-
-    def skip_ws(self) -> None:
-        while self.peek() and self.peek() in " \t\r\n":
-            self.pos += 1
-
-    def error(self, message: str) -> ParseError:
-        return ParseError(message, offset=self.pos)
+# \w also holds numerals such as '½': an identifier is the run's isalpha() prefix
+_TOKEN = re.compile(r"[ \t\r\n]*(([();])|([^\W\d_]+)|\[([^\\\]]*(?:\\.[^\\\]]*)*)(\]?)|\\?.)", re.S)
+_ESCAPE = re.compile(r"\\(.)", re.S)
 
 
-def _read_prop_value(sc: _Scanner) -> str:
-    # caller consumed '['; SGF escapes ']' and '\' with a backslash
-    out = []
-    while True:
-        ch = sc.next()
-        if ch == "":
-            raise sc.error("unterminated property value")
-        if ch == "\\":
-            out.append(sc.next())
-        elif ch == "]":
-            return "".join(out)
-        else:
-            out.append(ch)
-
-
-def _read_node(sc: _Scanner) -> dict:
-    props: dict[str, list[str]] = {}
-    while True:
-        sc.skip_ws()
-        ch = sc.peek()
-        if not ch.isalpha():
-            return props
-        ident = []
-        while sc.peek().isalpha():
-            ident.append(sc.next())
-        name = "".join(ident)
-        sc.skip_ws()
-        if sc.peek() != "[":
-            raise sc.error(f"property {name} without value")
-        values = []
-        while sc.peek() == "[":
-            sc.next()
-            values.append(_read_prop_value(sc))
-            sc.skip_ws()
-        props.setdefault(name, []).extend(values)
-
-
-def _skip_subtree(sc: _Scanner) -> None:
-    depth = 1
-    while depth:
-        ch = sc.next()
-        if ch == "":
-            raise sc.error("unbalanced parentheses")
-        if ch == "\\":
-            sc.next()
-        elif ch == "[":
-            _read_prop_value(sc)
-        elif ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-
-
-def _open_tree(sc: _Scanner) -> None:
-    # caller consumed the tree's '('
-    sc.skip_ws()
-    if sc.peek() != ";":
-        raise sc.error("game tree without a node")
-
-
-def _main_line_nodes(sc: _Scanner) -> list[dict]:
+def _main_line_nodes(text: str) -> list[dict]:
     """The main line: each game tree's node sequence, then its first
-    subtree's; sibling variations are skipped.  The descent is a loop, so
-    any nesting depth parses."""
-    sc.skip_ws()
-    if sc.next() != "(":
-        raise sc.error("SGF must start with '('")
-    _open_tree(sc)
+    subtree's; sibling variations are skipped.  One pass over the tokens
+    keeps the main line's open trees, the current node, whether the
+    innermost main-line tree has closed, and the depth of a skipped
+    variation, so any nesting depth parses."""
     nodes: list[dict] = []
-    depth = 1  # game trees opened on the main line, not yet closed
-    while True:
-        sc.skip_ws()
-        ch = sc.peek()
-        if ch == ";":
-            sc.next()
-            nodes.append(_read_node(sc))
-        elif ch == "(":
-            sc.next()
-            _open_tree(sc)
-            depth += 1
-        elif ch == ")":
-            sc.next()
-            break
-        elif ch == "":
-            raise sc.error("unbalanced parentheses")
+    node = values = name = None  # name: an identifier awaiting its first value
+    trees, closed, skip = 0, False, 0
+    for m in _TOKEN.finditer(text.rstrip(" \t\r\n")):  # '.' would take a trailing space
+        token, punct, ident, value, close = m.groups()
+        if skip:  # a sibling variation: only its nesting and its values' ends count
+            if value is not None and not close:
+                raise ParseError("unterminated property value", offset=len(text))
+            skip += (punct == "(") - (punct == ")")
+        elif not trees:
+            if closed:
+                raise ParseError("trailing content after game tree", offset=m.start(1))
+            if punct != "(":
+                raise ParseError("SGF must start with '('", offset=m.start(1))
+            trees = 1
+        elif closed:  # each enclosing tree ends after the variations that follow its first subtree
+            if punct == ")":
+                trees -= 1
+            elif punct == "(":
+                skip = 1
+            else:
+                raise ParseError("unbalanced parentheses", offset=m.start(1))
+        elif node is None and punct != ";":
+            raise ParseError("game tree without a node", offset=m.start(1))
         else:
-            raise sc.error(f"unexpected character {ch!r}")
-    # the innermost tree is closed; each enclosing tree ends after the
-    # variations that follow its first subtree
-    for _ in range(depth - 1):
-        sc.skip_ws()
-        while sc.peek() == "(":
-            sc.next()
-            _skip_subtree(sc)
-            sc.skip_ws()
-        if sc.next() != ")":
-            raise sc.error("unbalanced parentheses")
+            if name:
+                if value is None:
+                    raise ParseError(f"property {name} without value", offset=m.start(1))
+                values, name = node.setdefault(name, []), None
+            if value is not None and values is not None:
+                if not close:
+                    raise ParseError("unterminated property value", offset=len(text))
+                values.append(_ESCAPE.sub(r"\1", value) if "\\" in value else value)
+                continue
+            values = None
+            if ident and ident.isalpha():
+                name = ident
+            elif punct == ";":
+                node = {}
+                nodes.append(node)
+            elif punct == "(":
+                trees += 1
+                node = None
+            elif punct == ")":
+                trees -= 1
+                closed = True
+            else:
+                letters = ident and next(i for i, ch in enumerate(ident) if not ch.isalpha())
+                if letters:
+                    raise ParseError(f"property {token[:letters]} without value",
+                                     offset=m.start(1) + letters)
+                raise ParseError(f"unexpected character {token[0]!r}", offset=m.start(1))
+    if trees or not closed:
+        raise ParseError("SGF must start with '('" if not trees
+                         else "game tree without a node" if node is None
+                         else f"property {name} without value" if name
+                         else "unbalanced parentheses", offset=len(text))
     return nodes
 
 
@@ -178,13 +133,7 @@ def _parse_date(value: str) -> datetime.date | None:
 
 def parse_sgf(text: str) -> MatchRecord:
     """Parse a single SGF game tree into a match record (main line only)."""
-    sc = _Scanner(text)
-    nodes = _main_line_nodes(sc)
-    sc.skip_ws()
-    if sc.peek():
-        raise sc.error("trailing content after game tree")
-    if not nodes:
-        raise ParseError("empty game tree", offset=0)
+    nodes = _main_line_nodes(text)
     root = nodes[0]
     if "GM" in root and root["GM"][0].strip() != "1":
         raise ParseError(f"not a Go record (GM={root['GM'][0]})")

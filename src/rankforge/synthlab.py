@@ -16,7 +16,8 @@ and ``"moves"`` substreams, seeded for every uid of a call in one
 ``rng.substreams`` pass.  Matches of one skill are then drawn and sampled
 ``SAMPLE_CHUNK`` at a time: one softmax and one cumulative sum over their
 stacked quality blocks.  Both work row by row, so a match's moves do not
-depend on the chunk it was sampled in, and ``gen_match`` is a chunk of one.
+depend on the chunk it was sampled in: ``gen_matches`` with one uid gives
+the same match.
 
 Plateau configs give a policy level a perception window: qualities are
 clipped into ``[q_lo, q_hi]`` before its softmax, which flattens that
@@ -196,20 +197,6 @@ def perceived_qualities(level: SynthLevel, qualities: np.ndarray) -> np.ndarray:
     if level.q_lo is None and level.q_hi is None:
         return qualities
     return np.clip(qualities, level.q_lo, level.q_hi)
-
-
-def gen_match(
-    config: SynthConfig,
-    group: int,
-    uid: str,
-    player_skill: float | None = None,
-) -> SynthMatch:
-    """Generate one match: per ply, sample a move from the softmax of the
-    state's qualities at the player's skill temperature."""
-    if not 0 <= group < config.groups:
-        raise ConfigError(f"group {group} outside [0, {config.groups})")
-    skill = float(group) if player_skill is None else float(player_skill)
-    return gen_matches(config, group, [uid], skill)[0]
 
 
 def gen_matches(config: SynthConfig, group: int, uids, skill: float) -> list[SynthMatch]:

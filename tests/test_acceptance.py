@@ -368,7 +368,7 @@ def _mock_bank(cmd, mode: str, levels, timeout=10.0) -> BackendBank:
 
 def test_criterion_protocol_conformance(mock_backend_cmd):
     cfg = replace(synthlab.desk_config(), plies_per_match=12)
-    dps = [synthlab.to_datapoint(synthlab.gen_match(cfg, g, f"proto-{g}-{i}"))
+    dps = [synthlab.to_datapoint(synthlab.gen_matches(cfg, g, [f"proto-{g}-{i}"], float(g))[0])
            for g in range(2) for i in range(3)]
     fconfig = FeatureConfig(game="synthetic", policy_levels=("lv1", "lv2"),
                             loss_selected=(LossSpec("mean", None),))
@@ -385,7 +385,7 @@ def test_criterion_protocol_conformance(mock_backend_cmd):
 
     # a hanging value backend drops exactly the affected match, by name
     poisoned = synthlab.to_datapoint(
-        synthlab.gen_match(cfg, 0, "proto-HANG-affected"))
+        synthlab.gen_matches(cfg, 0, ["proto-HANG-affected"], 0.0)[0])
     bank_c = _mock_bank(mock_backend_cmd, "hang", fconfig.policy_levels, timeout=1.5)
     try:
         rows_c, report_c = extract_many([*dps, poisoned], bank_c, fconfig)

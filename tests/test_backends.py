@@ -29,7 +29,7 @@ from rankforge.errors import (
     ConfigError,
     DataError,
 )
-from rankforge.synthlab import SynthConfig, SynthLevel, gen_match, quality_blocks, to_datapoint
+from rankforge.synthlab import SynthConfig, SynthLevel, gen_matches, quality_blocks, to_datapoint
 
 
 def tiny_config() -> SynthConfig:
@@ -90,7 +90,7 @@ def test_strength_is_quality_without_noise():
     cfg = tiny_config()
     backend = SyntheticBackend(cfg)
     q = next(quality_blocks(cfg, ["m1"]))
-    dp = to_datapoint(gen_match(cfg, 1, "m1"))
+    dp = to_datapoint(gen_matches(cfg, 1, ["m1"], 1.0)[0])
     for i, (state, move) in enumerate(zip(dp.states, dp.moves)):
         assert backend.score_strength(state, move) == q[i, int(move)]
 
@@ -98,7 +98,7 @@ def test_strength_is_quality_without_noise():
 def test_repeat_queries_bit_identical():
     cfg = tiny_config()
     backend = SyntheticBackend(cfg)
-    dp = to_datapoint(gen_match(cfg, 1, "m2"))
+    dp = to_datapoint(gen_matches(cfg, 1, ["m2"], 1.0)[0])
     state, move = dp.states[3], dp.moves[3]
     first = backend.score_strength(state, move)
     second = backend.score_strength(state, move)
@@ -110,14 +110,14 @@ def test_repeat_queries_bit_identical():
 
 def test_unknown_level_is_config_error():
     backend = SyntheticBackend(tiny_config())
-    state = to_datapoint(gen_match(tiny_config(), 0, "m3")).states[0]
+    state = to_datapoint(gen_matches(tiny_config(), 0, ["m3"], 0.0)[0]).states[0]
     with pytest.raises(ConfigError):
         backend.policy_prior_many([state], ["0"], "nope")
 
 
 def test_illegal_move_is_domain_error():
     backend = SyntheticBackend(tiny_config())
-    state = to_datapoint(gen_match(tiny_config(), 0, "m4")).states[0]
+    state = to_datapoint(gen_matches(tiny_config(), 0, ["m4"], 0.0)[0]).states[0]
     with pytest.raises(DataError):
         backend.score_strength(state, "99")
 
@@ -125,7 +125,7 @@ def test_illegal_move_is_domain_error():
 def test_bad_moves_raise_typed_errors_on_every_call():
     config = tiny_config()
     backend = SyntheticBackend(config)
-    states = list(to_datapoint(gen_match(config, 0, "m5")).states[:2])
+    states = list(to_datapoint(gen_matches(config, 0, ["m5"], 0.0)[0]).states[:2])
     width = config.moves_per_state
     for _ in range(2):
         with pytest.raises(DataError, match=f"move '99' out of range for {width} moves"):
@@ -142,7 +142,7 @@ def test_prior_floor_applied():
         levels=(SynthLevel("sharp", 5.0),), seed=4,
     )
     backend = SyntheticBackend(cfg)
-    match = gen_match(cfg, 0, "floor", player_skill=-10.0)
+    match = gen_matches(cfg, 0, ["floor"], -10.0)[0]
     q = None
     for state in to_datapoint(match).states:
         priors = backend.policy_prior_many([state] * cfg.moves_per_state,
@@ -155,7 +155,7 @@ def test_prior_floor_applied():
 def test_deterioration_semantics():
     cfg = tiny_config()
     backend = SyntheticBackend(cfg)
-    match = gen_match(cfg, 2, "m5")
+    match = gen_matches(cfg, 2, ["m5"], 2.0)[0]
     q = next(quality_blocks(cfg, ["m5"]))
     dp = to_datapoint(match)
     for i, (state, move) in enumerate(zip(dp.states, dp.moves)):
@@ -573,7 +573,7 @@ class _CountingBackend(SyntheticBackend):
 
 def test_cache_round_trip_and_reuse(tmp_path):
     cfg = tiny_config()
-    match = gen_match(cfg, 0, "c1")
+    match = gen_matches(cfg, 0, ["c1"], 0.0)[0]
     states = list(to_datapoint(match).states)
     path = tmp_path / "cache.jsonl"
 
@@ -628,7 +628,7 @@ def test_cache_cuts_a_bad_last_line_that_ends_in_a_newline(tmp_path):
 
 def test_cached_backend_fetches_a_repeated_request_once(tmp_path):
     cfg = tiny_config()
-    states = list(to_datapoint(gen_match(cfg, 0, "rep")).states[:3])
+    states = list(to_datapoint(gen_matches(cfg, 0, ["rep"], 0.0)[0]).states[:3])
     inner = _CountingBackend(cfg)
     path = tmp_path / "cache.jsonl"
     cached = CachedBackend(inner, ResponseCache(path))

@@ -35,7 +35,7 @@ from rankforge.synthlab import (
     SynthLevel,
     desk_config,
     gen_group_pool,
-    gen_match,
+    gen_matches,
     pool_to_datapoints,
     to_datapoint,
 )
@@ -51,7 +51,7 @@ def tiny_config() -> SynthConfig:
 
 def _dp(match=None):
     cfg = tiny_config()
-    match = match or gen_match(cfg, 1, "feat-dp")
+    match = match or gen_matches(cfg, 1, ["feat-dp"], 1.0)[0]
     return cfg, to_datapoint(match)
 
 
@@ -213,14 +213,14 @@ def test_move_losses_value_table_blunder():
 
 def test_move_losses_best_move_zero():
     cfg = tiny_config()
-    match = gen_match(cfg, 2, "best", player_skill=50.0)  # near-argmax play
+    match = gen_matches(cfg, 2, ["best"], 50.0)[0]  # near-argmax play
     dp = to_datapoint(match)
     losses, _ = move_losses(dp.states, dp.moves, SyntheticBackend(cfg))
     assert all(abs(loss) < 1e-9 for loss in losses)
 
 
 def test_move_losses_ten_move_replay_oracle():
-    cfg, dp = _dp(gen_match(tiny_config(), 0, "replay10"))
+    cfg, dp = _dp(gen_matches(tiny_config(), 0, ["replay10"], 0.0)[0])
     backend = SyntheticBackend(cfg)
     losses, _ = move_losses(dp.states, dp.moves, backend)
     from rankforge.synthlab import quality_blocks
@@ -260,7 +260,7 @@ class _CrcWinrates:
 @pytest.mark.parametrize("transform", ["identity", "logit"])
 def test_batched_move_losses_equal_one_point_calls(transform):
     cfg = tiny_config()
-    dps = [to_datapoint(gen_match(cfg, i % 3, f"mixed-{i}")) for i in range(5)]
+    dps = [to_datapoint(gen_matches(cfg, i % 3, [f"mixed-{i}"], float(i % 3))[0]) for i in range(5)]
     dps = [_from_move(dp, start) for dp, start in zip(dps, (0, 7, 9, 3, 5))]
     backend = SyntheticBackend(cfg) if transform == "identity" else _CrcWinrates()
     losses, clamps = move_losses([s for dp in dps for s in dp.states],
@@ -328,7 +328,7 @@ def test_extract_features_deterministic_and_ordered():
 
 def test_extract_many_sorted_and_complete():
     cfg = tiny_config()
-    dps = [to_datapoint(gen_match(cfg, g, f"em-{g}-{i}"))
+    dps = [to_datapoint(gen_matches(cfg, g, [f"em-{g}-{i}"], float(g))[0])
            for g in range(3) for i in range(4)]
     backend = SyntheticBackend(cfg)
     bank = BackendBank(strength=backend, policy=backend, value=backend)
@@ -342,7 +342,7 @@ def test_extract_many_sorted_and_complete():
 
 def test_extract_many_drops_on_backend_error():
     cfg = tiny_config()
-    dps = [to_datapoint(gen_match(cfg, 0, f"drop-{i}")) for i in range(3)]
+    dps = [to_datapoint(gen_matches(cfg, 0, [f"drop-{i}"], 0.0)[0]) for i in range(3)]
 
     class _Flaky(SyntheticBackend):
         def evaluate_state_many(self, states, moves=None):
@@ -363,7 +363,7 @@ def test_extract_many_drops_on_backend_error():
 @pytest.mark.parametrize("answer", [1e308, math.inf, math.nan])
 def test_extract_many_drops_exactly_the_point_of_a_non_finite_feature(answer):
     cfg = tiny_config()
-    dps = [to_datapoint(gen_match(cfg, 0, f"huge-{i}")) for i in range(5)]
+    dps = [to_datapoint(gen_matches(cfg, 0, [f"huge-{i}"], 0.0)[0]) for i in range(5)]
     # the odd points start at ply 4, so their cut-3 loss is empty and flagged
     dps = [_from_move(dp, 3) if i % 2 else dp for i, dp in enumerate(dps)]
 
@@ -392,7 +392,7 @@ def test_extract_many_over_several_batches_equals_one_point_extraction():
     cfg = tiny_config()
     dps = []
     for i in range(2 * EXTRACT_BATCH + 5):
-        dp = to_datapoint(gen_match(cfg, i % 3, f"batch-{i}"))
+        dp = to_datapoint(gen_matches(cfg, i % 3, [f"batch-{i}"], float(i % 3))[0])
         if i % 2:  # starts at ply 4, so its cut-3 loss is empty and flagged
             dp = replace(_from_move(dp, 3), side="white")
         dps.append(dp)
@@ -434,7 +434,8 @@ class _FailOneMatch(SyntheticBackend):
 @pytest.mark.parametrize("fault", ["value-error", "non-finite-strength"])
 def test_traces_hold_the_kept_points_once_in_input_order(fault):
     cfg = tiny_config()
-    dps = [to_datapoint(gen_match(cfg, i % 3, f"trace-{i}")) for i in range(2 * EXTRACT_BATCH + 3)]
+    dps = [to_datapoint(gen_matches(cfg, i % 3, [f"trace-{i}"], float(i % 3))[0])
+           for i in range(2 * EXTRACT_BATCH + 3)]
     backend = _FailOneMatch(cfg, f"trace-{EXTRACT_BATCH + 4}", fault)
     bank = BackendBank(strength=backend, policy=backend, value=backend)
     fconfig = FeatureConfig(game="synthetic", policy_levels=cfg.level_labels(),
@@ -456,7 +457,7 @@ def test_traces_hold_the_kept_points_once_in_input_order(fault):
 
 def test_traces_stay_empty_without_losses():
     cfg = tiny_config()
-    dps = [to_datapoint(gen_match(cfg, 0, f"noloss-{i}")) for i in range(3)]
+    dps = [to_datapoint(gen_matches(cfg, 0, [f"noloss-{i}"], 0.0)[0]) for i in range(3)]
     backend = SyntheticBackend(cfg)
     bank = BackendBank(strength=backend, policy=backend)
     fconfig = FeatureConfig(game="synthetic", policy_levels=cfg.level_labels(),
@@ -477,7 +478,7 @@ def test_backend_error_drops_exactly_the_failing_point_of_a_batch(mock_backend_c
     cfg = tiny_config()
     uids = [f"mid-{i}" for i in range(EXTRACT_BATCH)]
     uids[7] = "mid-BAD-7"
-    dps = [to_datapoint(gen_match(cfg, 0, uid)) for uid in uids]
+    dps = [to_datapoint(gen_matches(cfg, 0, [uid], 0.0)[0]) for uid in uids]
     fconfig = FeatureConfig(game="synthetic", policy_levels=("lv1", "lv2"),
                             loss_selected=(LossSpec("mean", None),))
     failing = _engine_bank(mock_backend_cmd, "error")
@@ -501,7 +502,8 @@ def test_synthetic_backend_parses_a_clean_batch_at_most_once(monkeypatch):
     monkeypatch.setattr(synthetic, "parse_moves",
                         lambda moves, width: calls.append("moves") or parse_moves(moves, width))
     cfg = tiny_config()
-    dps = [to_datapoint(gen_match(cfg, i % 3, f"parse-{i}")) for i in range(2 * EXTRACT_BATCH + 3)]
+    dps = [to_datapoint(gen_matches(cfg, i % 3, [f"parse-{i}"], float(i % 3))[0])
+           for i in range(2 * EXTRACT_BATCH + 3)]
     backend = SyntheticBackend(cfg)
     bank = BackendBank(strength=backend, policy=backend, value=backend)
     fconfig = FeatureConfig(game="synthetic", policy_levels=cfg.level_labels(),
@@ -528,7 +530,7 @@ _MALFORMED_IDS = {
 def test_malformed_state_id_in_a_run_raises_its_data_error(kind, where):
     cfg = tiny_config()
     assert cfg.plies_per_match == 10
-    dps = [to_datapoint(gen_match(cfg, 1, f"bad-{i}")) for i in range(3)]
+    dps = [to_datapoint(gen_matches(cfg, 1, [f"bad-{i}"], 1.0)[0]) for i in range(3)]
     at = {"first": 0, "middle": 4, "last": 9}[where]
     template, message = _MALFORMED_IDS[kind]
     state = template.format(uid="bad-1", ply=dps[1].plies[at])
@@ -552,7 +554,7 @@ def test_synthetic_state_that_is_not_a_str_reads_as_its_str():
             return self.text
 
     cfg = tiny_config()
-    dp = to_datapoint(gen_match(cfg, 1, "obj"))
+    dp = to_datapoint(gen_matches(cfg, 1, ["obj"], 1.0)[0])
     states, moves = dp.states, dp.moves
     backend = SyntheticBackend(cfg)
     expected = backend.policy_prior_many(states, moves, "lo")
@@ -590,7 +592,7 @@ def test_same_ply_runs_of_a_batch_equal_one_point_extraction():
     cfg = desk_config()
     dps = []
     for i in range(EXTRACT_BATCH + 4):
-        dp = to_datapoint(gen_match(cfg, i % cfg.groups, f"run-{i}"))
+        dp = to_datapoint(gen_matches(cfg, i % cfg.groups, [f"run-{i}"], float(i % cfg.groups))[0])
         if 5 <= i < 9:  # a run that starts at ply 3
             dp = _from_move(dp, 2)
         elif 9 <= i < 11:  # a run of ply 31 on, whose cut-30 loss is empty
@@ -634,7 +636,7 @@ def test_synthetic_backend_derives_each_block_once_per_match_per_batch(monkeypat
 
 def test_feature_store_round_trip(tmp_path):
     cfg = tiny_config()
-    dps = [to_datapoint(gen_match(cfg, g, f"st-{g}-{i}"))
+    dps = [to_datapoint(gen_matches(cfg, g, [f"st-{g}-{i}"], float(g))[0])
            for g in range(2) for i in range(2)]
     backend = SyntheticBackend(cfg)
     bank = BackendBank(strength=backend, policy=backend, value=backend)

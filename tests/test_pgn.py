@@ -3,6 +3,7 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from helpers.oracles import perft, reference_legal_moves, reference_parse_san, reference_to_san
 
 from rankforge.errors import DataError, ParseError
@@ -64,6 +65,34 @@ def test_comments_nags_variations_skipped():
     )
     record = parse_pgn(text)
     assert [p.move for p in record.plies] == ["e2e4", "e7e5", "g1f3", "b8c6"]
+
+
+@pytest.mark.parametrize("text,expected", [
+    ("1. e4 (1. d4 ; c) e5 *", [({}, ["e4", "e5"], "*")]),
+    ("1. e4 (1. d4 {c ) e5 *", "unterminated comment"),
+    ("1. e4$1 e5 *", [({}, ["e4$1", "e5"], "*")]),
+    ('1. e4 [White "x"] 1. d4 *', [({}, ["e4"], None), ({"White": "x"}, ["d4"], "*")]),
+    ("1. e4 $ e5 *", [({}, ["e4", "e5"], "*")]),
+], ids=["semicolon-in-variation", "comment-cut-off-in-variation", "nag-glued-to-a-move",
+        "tags-after-movetext", "nag-without-digits"])
+def test_movetext_edge_cases_keep_their_outcome(text, expected):
+    if isinstance(expected, list):
+        assert list(iter_pgn_games(text)) == expected
+    else:
+        with pytest.raises(ParseError, match=expected):
+            list(iter_pgn_games(text))
+
+
+_PGN_TEXT = st.text(alphabet='(){}[];$"\n 1.-*/0e4d5Nf3xO=Qab', max_size=50)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.one_of(_PGN_TEXT, _PGN_TEXT.map(lambda body: '[Result "*"]\n\n1. e4 ' + body)))
+def test_text_over_the_delimiters_parses_or_raises_parse_error(text):
+    try:
+        parse_pgn_collection(text)
+    except ParseError as exc:
+        assert exc.offset is None or 0 <= exc.offset <= len(text)
 
 
 def test_termination_tags():

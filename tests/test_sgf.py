@@ -1,4 +1,7 @@
+import re
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rankforge.errors import ParseError
 from rankforge.records import parse_sgf, serialize_sgf
@@ -138,3 +141,39 @@ def test_211_ply_game_round_trips_move_list(corpus_dir):
     again = parse_sgf(serialize_sgf(record))
     assert [p.move for p in again.plies] == [p.move for p in record.plies]
     assert again == record
+
+
+HEAD = "(;GM[1]SZ[19]"
+
+
+@pytest.mark.parametrize("text,expected", [
+    (HEAD + ";B[pd];C[abc", "unterminated property value"),
+    (HEAD + ";B[pd];C[ab\\", "unterminated property value"),
+    (HEAD + ";B[pd](;W[dp];B[pp])(;W[dd]\\(;B[qq]))", ["pd", "dp", "pp"]),
+    (HEAD + ";B[pd](;W[dp];B[pp])(;W[dd]C[ab", "unterminated property value"),
+    (HEAD + "éX[a];B[pd];W[dp])", ["pd", "dp"]),
+    (HEAD + "B½[a];B[pd])", "property B without value"),
+    (HEAD + "Ⅷ[a];B[pd])", "unexpected character 'Ⅷ'"),
+    (HEAD + "C_[a];B[pd])", "property C without value"),
+    (HEAD + "_C[a];B[pd])", "unexpected character '_'"),
+], ids=["value-cut-off", "value-cut-off-after-backslash", "escaped-paren-in-skipped-variation",
+        "value-cut-off-in-skipped-variation", "non-ascii-identifier", "numeral-in-identifier",
+        "numeral-identifier", "underscore-in-identifier", "underscore-identifier"])
+def test_token_edge_cases_keep_their_outcome(text, expected):
+    if isinstance(expected, list):
+        assert [p.move for p in parse_sgf(text).plies] == expected
+    else:
+        with pytest.raises(ParseError, match=re.escape(expected)):
+            parse_sgf(text)
+
+
+_SGF_TEXT = st.text(alphabet="()[];\\ \n\tBWCpdtt1é½Ⅷ_", max_size=40)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.one_of(_SGF_TEXT, _SGF_TEXT.map(lambda body: HEAD + body)))
+def test_text_over_the_delimiters_parses_or_raises_parse_error(text):
+    try:
+        parse_sgf(text)
+    except ParseError as exc:
+        assert exc.offset is None or 0 <= exc.offset <= len(text)

@@ -27,14 +27,15 @@ def small_config(**overrides) -> SynthConfig:
 
 def test_same_seed_identical_matches():
     cfg = small_config()
-    m1 = synthlab.gen_match(cfg, 2, "uid-7")
-    m2 = synthlab.gen_match(cfg, 2, "uid-7")
+    m1 = synthlab.gen_matches(cfg, 2, ["uid-7"], 2.0)[0]
+    m2 = synthlab.gen_matches(cfg, 2, ["uid-7"], 2.0)[0]
     assert m1 == m2
 
 
 def test_different_uid_different_matches():
     cfg = small_config()
-    assert synthlab.gen_match(cfg, 2, "uid-7") != synthlab.gen_match(cfg, 2, "uid-8")
+    assert (synthlab.gen_matches(cfg, 2, ["uid-7"], 2.0)[0]
+            != synthlab.gen_matches(cfg, 2, ["uid-8"], 2.0)[0])
 
 
 def test_config_validation():
@@ -50,7 +51,7 @@ def test_config_validation():
 def test_zero_temperature_limit_picks_argmax():
     # a huge skill sends the temperature to ~0: argmax play, no deterioration
     cfg = small_config()
-    match = synthlab.gen_match(cfg, 3, "cold", player_skill=200.0)
+    match = synthlab.gen_matches(cfg, 3, ["cold"], 200.0)[0]
     for i, move in enumerate(match.moves):
         q = next(synthlab.quality_blocks(cfg, ["cold"]))[i]
         assert move == int(np.argmax(q))
@@ -60,7 +61,7 @@ def test_zero_temperature_limit_picks_argmax():
 def test_infinite_temperature_limit_uniform_choice():
     # temperature ~inf: uniform play; chosen prior averages 1/M at any level
     cfg = small_config(plies_per_match=4000)
-    match = synthlab.gen_match(cfg, 0, "hot", player_skill=-200.0)
+    match = synthlab.gen_matches(cfg, 0, ["hot"], -200.0)[0]
     backend = SyntheticBackend(cfg)
     dp = synthlab.to_datapoint(match)
     states = list(dp.states)
@@ -76,7 +77,7 @@ def test_mean_deterioration_monotone_in_skill():
     for skill, tag in ((0.0, "s0"), (1.5, "s1"), (3.0, "s2")):
         dets = []
         for i in range(40):
-            match = synthlab.gen_match(cfg, 0, f"det-{tag}-{i}", player_skill=skill)
+            match = synthlab.gen_matches(cfg, 0, [f"det-{tag}-{i}"], skill)[0]
             q = next(synthlab.quality_blocks(cfg, [f"det-{tag}-{i}"]))
             dets.extend(q[j].max() - q[j, move] for j, move in enumerate(match.moves))
         means.append(np.mean(dets))
@@ -89,7 +90,7 @@ def test_monotone_separability_mean_quality():
     for skill, tag in ((0.0, "lo"), (3.0, "hi")):
         qs = []
         for i in range(50):
-            match = synthlab.gen_match(cfg, 0, f"sep-{tag}-{i}", player_skill=skill)
+            match = synthlab.gen_matches(cfg, 0, [f"sep-{tag}-{i}"], skill)[0]
             q = next(synthlab.quality_blocks(cfg, [f"sep-{tag}-{i}"]))
             qs.extend(q[j, move] for j, move in enumerate(match.moves))
         per_skill.append((np.mean(qs), np.std(qs) / np.sqrt(len(qs))))
@@ -100,7 +101,7 @@ def test_monotone_separability_mean_quality():
 def test_priors_sum_to_one_per_state_and_level():
     cfg = small_config()
     backend = SyntheticBackend(cfg)
-    match = synthlab.gen_match(cfg, 1, "sum1")
+    match = synthlab.gen_matches(cfg, 1, ["sum1"], 1.0)[0]
     for state in synthlab.to_datapoint(match).states[:10]:
         for level in cfg.level_labels():
             moves = [str(m) for m in range(cfg.moves_per_state)]
@@ -116,7 +117,7 @@ def test_own_level_prior_geomean_beats_far_level():
     backend = SyntheticBackend(cfg)
     own_logs, far_logs = [], []
     for i in range(30):
-        match = synthlab.gen_match(cfg, 0, f"gibbs-{i}", player_skill=0.5)
+        match = synthlab.gen_matches(cfg, 0, [f"gibbs-{i}"], 0.5)[0]
         dp = synthlab.to_datapoint(match)
         states, moves = list(dp.states), list(dp.moves)
         own_logs.append(np.log(backend.policy_prior_many(states, moves, "own")).mean())
@@ -166,19 +167,19 @@ def test_chunked_pools_equal_one_match_at_a_time():
     groups = synthlab.gen_group_pool(cfg, "chunk", per_group)
     for g, matches in groups.items():
         assert len(matches) == per_group
-        assert matches == [synthlab.gen_match(cfg, g, m.uid) for m in matches]
+        assert matches == [synthlab.gen_matches(cfg, g, [m.uid], float(g))[0] for m in matches]
     players = synthlab.gen_player_pool(cfg, "chunk", 2, 20)
     for g, pool in players.items():
         for matches in pool.values():
             assert len(matches) == 20
             assert len({m.player_skill for m in matches}) == 1
-            assert matches == [synthlab.gen_match(cfg, g, m.uid, player_skill=m.player_skill)
+            assert matches == [synthlab.gen_matches(cfg, g, [m.uid], m.player_skill)[0]
                                for m in matches]
 
 
 def test_datapoint_conversion_round_trip_fields():
     cfg = small_config()
-    match = synthlab.gen_match(cfg, 2, "dpconv")
+    match = synthlab.gen_matches(cfg, 2, ["dpconv"], 2.0)[0]
     dp = synthlab.to_datapoint(match)
     assert len(dp.plies) == cfg.plies_per_match
     assert dp.group.index == 2
