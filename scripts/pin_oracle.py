@@ -12,7 +12,6 @@ from rankforge import synthlab
 
 trials = int(sys.argv[1]) if len(sys.argv) > 1 else 4000
 cfg = synthlab.desk_config()
-cfg.validate()
 t0 = time.time()
 accuracy = synthlab.bayes_oracle_accuracy(cfg, n=20, trials=trials, seed_tag="pin")
 fixture = {

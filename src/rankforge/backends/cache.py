@@ -46,8 +46,9 @@ def cache_lines(records: list[tuple[tuple, float]]) -> str:
 class ResponseCache:
     """An unparseable last line, or one cut inside a character, is the torn
     tail of an interrupted write: it is skipped on load and cut off, from
-    its first byte, before the next record is appended.  A bad line
-    anywhere else raises DataError."""
+    its first byte, before the next record is appended.  A last line read
+    whole but without its newline is kept, and the newline is written
+    before the next record.  A bad line anywhere else raises DataError."""
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
@@ -93,8 +94,9 @@ class ResponseCache:
         self._fh.write(cache_lines(records))
 
     def _cut_torn_tail(self) -> None:
-        """Truncate the torn tail skipped on load, or else anything after the
-        file's last newline, so the next record starts on a fresh line."""
+        """Truncate the torn tail skipped on load, or else end a last line
+        that was read whole but lacks its newline, so the next record starts
+        on a fresh line."""
         size = self.path.stat().st_size if self.path.exists() else 0
         if size:
             with self.path.open("rb+") as fh:
@@ -103,8 +105,7 @@ class ResponseCache:
                     return
                 fh.seek(size - 1)
                 if fh.read(1) != b"\n":
-                    fh.seek(0)
-                    fh.truncate(fh.read().rfind(b"\n") + 1)
+                    fh.write(b"\n")
 
     def flush(self) -> None:
         if self._fh is not None:

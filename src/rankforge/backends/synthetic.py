@@ -9,9 +9,8 @@ Semantics, all derived from one seeded table:
 so the deterioration computed downstream is exactly best - chosen quality.
 States are self-describing ids.
 
-The ids of the last ``states`` sequence are parsed once per run of one
-match: each id is split once, the prefix and uid are checked once per run
-and the ply texts once per sequence.  Beside the runs, the backend keeps
+The ids of the last ``states`` sequence are parsed into runs of one match
+by ``synthlab.parse_state_runs``.  Beside the runs, the backend keeps
 the sequence's quality rows stacked as one (states, M) matrix, one row per
 state, and the indices of the last ``moves`` sequence.  The strength,
 policy and value calls of one extraction batch all pass the same states
@@ -19,19 +18,15 @@ and moves, so each is one array expression over those rows; each match's
 quality block is derived once per batch, and the strength call derives
 each match's noise block once; each kind is seeded for the whole batch in
 one ``rng.substreams`` pass.  A malformed id, a ply outside the match or a
-move that is not an in-range integer raises DataError; a malformed id
-raises the error of ``parse_state_id``.
+move that is not an in-range integer raises DataError.
 """
-
-from itertools import groupby, repeat
 
 import numpy as np
 
 from ..errors import DataError
 from ..synthlab import (
-    STATE_PREFIX,
     SynthConfig,
-    parse_state_id,
+    parse_state_runs,
     perceived_qualities,
     quality_blocks,
     row_max,
@@ -51,35 +46,6 @@ def parse_moves(moves, width: int) -> np.ndarray:
         move = moves[int(outside.argmax())]
         raise DataError(f"move {move!r} out of range for {width} moves per state")
     return cols
-
-
-def parse_state_runs(states) -> tuple[list, list, np.ndarray]:
-    """(uids, stops, plies): the match uid and end of each run of consecutive
-    ``states`` of one match, and every state's ply.  A malformed id, or a
-    state that is not a str, is left to ``parse_state_id``."""
-    if not states:
-        return [], [], np.empty(0, dtype=np.int64)
-    try:
-        heads, _, texts = zip(*map(str.rpartition, states, repeat(":")))
-    except TypeError:  # a state that is not a str
-        heads = texts = ()
-    uids, stops, stop = [], [], 0
-    for head, run in groupby(heads):
-        prefix, _, uid = head.partition(":")
-        if prefix != STATE_PREFIX or not uid:
-            break
-        stop += len(list(run))
-        uids.append(uid)
-        stops.append(stop)
-    if stop == len(states) and all(texts) and "".join(texts).isdecimal():
-        try:
-            return uids, stops, np.array(texts, dtype=np.int64)
-        except OverflowError:  # a ply past int64 is past every match: clip it
-            return uids, stops, np.array([min(int(t), 2**63 - 1) for t in texts])
-    for state in states:
-        parse_state_id(state)  # raises the DataError of the first malformed id
-    # every state that is not a str reads as an id through its str()
-    return parse_state_runs(tuple(map(str, states)))
 
 
 class SyntheticBackend(Backend):

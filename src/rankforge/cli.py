@@ -60,6 +60,7 @@ from .features import extract_many, move_losses, read_feature_store, write_featu
 from .gbdt import GbdtParams, TreeEnsemble
 from .records import (
     GROUP_COUNTS,
+    MAX_GROUPS,
     FilterConfig,
     filter_match,
     parse_sgf,
@@ -206,11 +207,11 @@ def cmd_extract(args) -> int:
 
 def _group_count(game: str, pool: dict, run: RunConfig | None) -> int:
     """The game's group count, else ``[synth] groups``, else (no config) one
-    more than the pool's top group, at most ``synthlab.MAX_GROUPS``; a pool
+    more than the pool's top group, at most ``MAX_GROUPS``; a pool
     group beyond it is a DataError."""
     top = max(pool, default=-1)
     count = GROUP_COUNTS.get(game) or (run.synth.groups if run and run.synth
-                                       else min(top + 1, synthlab.MAX_GROUPS))
+                                       else min(top + 1, MAX_GROUPS))
     if top >= count:
         raise DataError(f"feature store holds group {top}, but {game} has {count} groups")
     return count
@@ -235,8 +236,8 @@ def cmd_eval(args) -> int:
     if model.schema_id and model.schema_id != config.schema_id():
         raise DataError("model and feature store schemas differ")
     count, expected = group_count(model), GROUP_COUNTS.get(config.game)
-    if count != expected if expected else count > synthlab.MAX_GROUPS:
-        limit = expected or f"at most {synthlab.MAX_GROUPS}"
+    if count != expected if expected else count > MAX_GROUPS:
+        limit = expected or f"at most {MAX_GROUPS}"
         raise DataError(f"model predicts into {count} rank groups, but {config.game} has {limit}")
     protocol = EvalProtocol(mode=args.mode, n=args.n,
                             repetitions=args.repetitions, seed=args.seed)

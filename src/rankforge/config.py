@@ -47,16 +47,10 @@ def config_hash(data: dict) -> str:
 def synth_config_from(data: dict, seed: int) -> SynthConfig:
     levels = []
     for entry in data.get("levels", []):
-        if not isinstance(entry, list) or len(entry) < 2:
-            raise ConfigError("synth.levels entries must be [label, skill, ...]")
-        label, skill = str(entry[0]), float(entry[1])
-        kwargs = {
-            name: float(value)
-            for name, value in zip(("q_lo", "q_hi", "q_center"), entry[2:])
-            if value is not None and value != ""
-        }
-        levels.append(SynthLevel(label, skill, **kwargs))
-    cfg = SynthConfig(
+        if not isinstance(entry, list) or len(entry) != 2:
+            raise ConfigError("synth.levels entries must be [label, skill]")
+        levels.append(SynthLevel(str(entry[0]), float(entry[1])))
+    return SynthConfig(
         groups=int(data["groups"]),
         moves_per_state=int(data["moves_per_state"]),
         plies_per_match=int(data["plies_per_match"]),
@@ -67,8 +61,6 @@ def synth_config_from(data: dict, seed: int) -> SynthConfig:
         strength_noise_sd=float(data.get("strength_noise_sd", 0.0)),
         seed=int(data.get("seed", seed)),
     )
-    cfg.validate()
-    return cfg
 
 
 def gbdt_params_from(data: dict) -> GbdtParams:

@@ -3,7 +3,7 @@
 from .dataset import read_datapoints, write_datapoints
 from .filtering import FilterConfig, FilterDecision, filter_match
 from .pgn import iter_pgn_games, parse_pgn, serialize_pgn
-from .ranks import GROUP_COUNTS, group_label, rank_group_of
+from .ranks import GROUP_COUNTS, MAX_GROUPS, group_label, rank_group_of
 from .sgf import parse_sgf, serialize_sgf
 from .types import (
     BLACK,
@@ -19,6 +19,7 @@ from .types import (
 __all__ = [
     "BLACK",
     "GROUP_COUNTS",
+    "MAX_GROUPS",
     "WHITE",
     "DataPoint",
     "FilterConfig",

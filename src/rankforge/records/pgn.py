@@ -82,13 +82,17 @@ def _scan_game(text: str, pos: int):
 
 
 def iter_pgn_games(text: str):
-    """Yield (tags, san_tokens, result) for each game in the text."""
+    """Yield (tags, san_tokens, result) for each game in the text.  A scan
+    that finds neither tags nor moves (only comments, NAGs or a result)
+    yields nothing; the text ends where a scan does not advance."""
     pos = 0
     while True:
-        tags, tokens, result, pos = _scan_game(text, pos)
-        if not tags and not tokens:
+        tags, tokens, result, end = _scan_game(text, pos)
+        if end == pos:
             return
-        yield tags, tokens, result
+        if tags or tokens:
+            yield tags, tokens, result
+        pos = end
 
 
 def _parse_date(value: str | None) -> datetime.date | None:

@@ -3,10 +3,9 @@
 Go has 11 groups: 3-5k, 1-2k, then 1d through 9d.  Chess has 8 groups of
 200 rating points from R1000 to R2599.  Index 0 is always the weakest.
 A model predicts into its game's ``GROUP_COUNTS`` entry, or, for a synthetic
-run, which has none, into its ``[synth] groups``, at most
-``synthlab.MAX_GROUPS``.  ``group_label`` rejects an
-index below 0 or at or above the game's count; a synthetic index ``g{index}``
-has no upper bound here.
+run, which has none, into its ``[synth] groups``, at most ``MAX_GROUPS``.
+``group_label`` rejects an index below 0 or at or above the game's count; a
+synthetic index ``g{index}`` has no upper bound here.
 """
 
 import re
@@ -15,6 +14,9 @@ from ..errors import ConfigError, RankRangeError
 from .types import RankGroup
 
 GROUP_COUNTS = {"go": 11, "chess": 8}
+# The most rank groups a synthetic game has.  An evaluation builds an r x r
+# confusion matrix, so `eval` holds a model file's group count to it.
+MAX_GROUPS = 100
 
 _GO_LABELS = ["3-5k", "1-2k"] + [f"{d}d" for d in range(1, 10)]
 _GO_LABEL_RE = re.compile(r"^\s*(\d+)\s*(k|kyu|d|dan)\s*$", re.IGNORECASE)

@@ -23,7 +23,9 @@ _SETUP_PROPS = ("AB", "AW", "AE", "HA")
 
 # \w also holds numerals such as '½': an identifier is the run's isalpha() prefix
 _TOKEN = re.compile(r"[ \t\r\n]*(([();])|([^\W\d_]+)|\[([^\\\]]*(?:\\.[^\\\]]*)*)(\]?)|\\?.)", re.S)
-_ESCAPE = re.compile(r"\\(.)", re.S)
+# FF[4]: a backslash before a line break (a soft line break) is removed with
+# it; before any other character it is dropped and the character kept
+_ESCAPE = re.compile(r"\\(?:\r\n|\n\r|[\r\n]|(.))", re.S)
 
 
 def _main_line_nodes(text: str) -> list[dict]:

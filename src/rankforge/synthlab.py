@@ -19,20 +19,23 @@ stacked quality blocks.  Both work row by row, so a match's moves do not
 depend on the chunk it was sampled in: ``gen_matches`` with one uid gives
 the same match.
 
-Plateau configs give a policy level a perception window: qualities are
-clipped into ``[q_lo, q_hi]`` before its softmax, which flattens that
-level's likelihood over the groups whose typical move quality falls
-outside the window.  Players never clip; generation is unaffected.
+A policy level may have a taste, ``q_center``: it perceives a move's
+quality as closeness to its taste, ``-(q - q_center)^2``, before its
+softmax, so its likelihood over groups peaks where the typical chosen
+quality meets the taste and falls on both sides.  Players perceive
+qualities as they are; generation is unaffected.
 """
 
 import hashlib
 import json
 from dataclasses import dataclass, replace
-from itertools import islice
+from itertools import groupby, islice, repeat
 
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .records.ranks import MAX_GROUPS, group_label
+from .records.types import DataPoint, RankGroup
 from .rng import substream, substreams
 
 STATE_PREFIX = "syn"
@@ -43,27 +46,20 @@ STATE_PREFIX = "syn"
 # whole group at a time; a chunk's stack is 16 x 80 x 16 floats.
 SAMPLE_CHUNK = 16
 
-# The most rank groups a synthetic game has.  An evaluation builds an r x r
-# confusion matrix, so `eval` holds a model file's group count to it.
-MAX_GROUPS = 100
-
 
 @dataclass(frozen=True)
 class SynthLevel:
     """One policy-bank skill level: a label, a skill anchor, and an
-    optional perception of move qualities.
+    optional taste.
 
-    A window (q_lo, q_hi) clips qualities, flattening the level's
-    likelihood where chosen moves leave the window.  A bump (q_center)
-    makes the level perceive quality as closeness to its own taste,
-    -(q - q_center)^2, so moves better than the level's anchor look as
+    A level without a taste perceives qualities as they are.  A taste
+    (q_center) makes the level perceive quality as closeness to it,
+    -(q - q_center)^2, so moves better than the level's taste look as
     unlikely as worse ones; its likelihood curve over groups is then
     single-peaked and two-sided ambiguous."""
 
     label: str
     skill: float
-    q_lo: float | None = None
-    q_hi: float | None = None
     q_center: float | None = None
 
 
@@ -91,7 +87,7 @@ class SynthConfig:
                 return lv
         raise ConfigError(f"unknown policy level {label!r}")
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not 2 <= self.groups <= MAX_GROUPS:
             raise ConfigError(f"need 2 to {MAX_GROUPS} rank groups")
         if self.moves_per_state < 2:
@@ -117,10 +113,10 @@ class SynthConfig:
                 "plies_per_match": self.plies_per_match,
                 "temperature_base": self.temperature_base,
                 "temperature_decay": self.temperature_decay,
-                "levels": [
-                    [lv.label, lv.skill, lv.q_lo, lv.q_hi, lv.q_center]
-                    for lv in self.levels
-                ],
+                # five slots per level, two always None: the pinned config
+                # hashes were taken over this layout
+                "levels": [[lv.label, lv.skill, None, None, lv.q_center]
+                           for lv in self.levels],
                 "player_offset_sd": self.player_offset_sd,
                 "strength_noise_sd": self.strength_noise_sd,
                 "seed": self.seed,
@@ -191,12 +187,41 @@ def parse_state_id(state: str) -> tuple[str, int]:
     return uid, int(ply)
 
 
+def parse_state_runs(states) -> tuple[list, list, np.ndarray]:
+    """(uids, stops, plies): the match uid and end of each run of consecutive
+    ``states`` of one match, and every state's ply.  Each id is split once,
+    its prefix and uid checked once per run and the ply texts once per
+    sequence.  A malformed id raises the DataError of ``parse_state_id``;
+    a state that is not a str reads as an id through its str()."""
+    if not states:
+        return [], [], np.empty(0, dtype=np.int64)
+    try:
+        heads, _, texts = zip(*map(str.rpartition, states, repeat(":")))
+    except TypeError:  # a state that is not a str
+        heads = texts = ()
+    uids, stops, stop = [], [], 0
+    for head, run in groupby(heads):
+        prefix, _, uid = head.partition(":")
+        if prefix != STATE_PREFIX or not uid:
+            break
+        stop += len(list(run))
+        uids.append(uid)
+        stops.append(stop)
+    if stop == len(states) and all(texts) and "".join(texts).isdecimal():
+        try:
+            return uids, stops, np.array(texts, dtype=np.int64)
+        except OverflowError:  # a ply past int64 is past every match: clip it
+            return uids, stops, np.array([min(int(t), 2**63 - 1) for t in texts])
+    for state in states:
+        parse_state_id(state)  # raises the DataError of the first malformed id
+    # every state that is not a str reads as an id through its str()
+    return parse_state_runs(tuple(map(str, states)))
+
+
 def perceived_qualities(level: SynthLevel, qualities: np.ndarray) -> np.ndarray:
-    if level.q_center is not None:
-        return -((qualities - level.q_center) ** 2)
-    if level.q_lo is None and level.q_hi is None:
+    if level.q_center is None:
         return qualities
-    return np.clip(qualities, level.q_lo, level.q_hi)
+    return -((qualities - level.q_center) ** 2)
 
 
 def gen_matches(config: SynthConfig, group: int, uids, skill: float) -> list[SynthMatch]:
@@ -260,9 +285,6 @@ def gen_player_pool(
 
 def to_datapoint(match: SynthMatch, player_id: str | None = None):
     """A synthetic match as a data point, format-identical to parsed records."""
-    from .records.ranks import group_label
-    from .records.types import DataPoint, RankGroup
-
     plies = tuple(range(1, len(match.moves) + 1))
     return DataPoint(
         match_id=match.uid,
@@ -340,12 +362,13 @@ def desk_config(seed: int = 20240210) -> SynthConfig:
 
 
 def two_plateau_config(seed: int = 20240211) -> SynthConfig:
-    """Two policy levels with complementary perception windows.
+    """Two policy levels with different tastes.
 
-    The capped level cannot tell good moves apart, so its likelihood
-    saturates over the strong half of the groups; the floored level is
-    blind among weak moves and saturates over the weak half.  Together
-    they separate all groups.
+    A level's prior of the chosen moves is highest for the groups whose
+    typical chosen quality meets its taste and falls on both sides, so
+    one level alone confuses groups on either side of its peak.  The two
+    tastes sit at different qualities, so together the levels separate
+    groups that either alone confuses.
     """
     base = desk_config(seed)
     return replace(

@@ -81,7 +81,6 @@ def desk():
     """The pinned desk-scale run: pools, per-n models, per-n reports."""
     t0 = time.time()
     cfg = synthlab.desk_config()
-    cfg.validate()
     backend = SyntheticBackend(cfg)
     bank = BackendBank(strength=backend, policy=backend, value=backend)
     fconfig = desk_feature_config(cfg)
@@ -185,7 +184,6 @@ def test_criterion_ablation_direction(ablation_results):
 
 def test_criterion_two_plateau_levels(desk):
     cfg = synthlab.two_plateau_config()
-    cfg.validate()
     backend = SyntheticBackend(cfg)
     bank = BackendBank(strength=backend, policy=backend, value=backend)
     fconfig = FeatureConfig(game="synthetic", policy_levels=cfg.level_labels(),

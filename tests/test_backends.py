@@ -626,6 +626,21 @@ def test_cache_cuts_a_bad_last_line_that_ends_in_a_newline(tmp_path):
     assert path.read_text().count("\n") == 2
 
 
+def test_cache_keeps_a_whole_last_line_that_lacks_its_newline(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    keys = [("b", "value", f"s{i}", None, None) for i in range(3)]
+    cache = ResponseCache(path)
+    cache.put_many([(keys[0], 0.25), (keys[1], 0.5)])
+    cache.close()
+    path.write_bytes(path.read_bytes()[:-1])  # the last record, all but its newline
+    cache = ResponseCache(path)
+    assert [cache.get(k) for k in keys[:2]] == [0.25, 0.5]
+    cache.put_many([(keys[2], 0.75)])
+    cache.close()
+    assert [ResponseCache(path).get(k) for k in keys] == [0.25, 0.5, 0.75]
+    assert path.read_text().count("\n") == 3
+
+
 def test_cached_backend_fetches_a_repeated_request_once(tmp_path):
     cfg = tiny_config()
     states = list(to_datapoint(gen_matches(cfg, 0, ["rep"], 0.0)[0]).states[:3])

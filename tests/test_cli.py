@@ -56,6 +56,8 @@ ns = [3]
 """
 NO_LOSS_SYNTH = TINY_SYNTH.replace('loss_selected = [["mean", 10], ["std", "all"]]',
                                   "include_loss = false")
+NO_SYNTH_TABLE = (TINY_SYNTH[:TINY_SYNTH.index("[synth]")]
+                  + TINY_SYNTH[TINY_SYNTH.index("[features]"):])
 
 
 # ---------------------------------------------------------------------------
@@ -524,14 +526,50 @@ def test_eval_group_unknown_to_model_exits_two(tmp_path, capsys, mode):
     TINY_SYNTH.replace("num_trees = 25", "num_trees = [1]"),
     "note = 2024-01-01\n" + TINY_SYNTH,
     TINY_SYNTH.replace("groups = 3\n", "groups = 101\n"),
+    TINY_SYNTH.replace("num_trees = 25", "num_trees = 0"),
+    TINY_SYNTH.replace("num_trees = 25", "num_trees = 25\nmax_leaves = 1"),
+    TINY_SYNTH.replace("min_samples_leaf = 8", "min_samples_leaf = 0"),
+    TINY_SYNTH.replace("num_trees = 25", "num_trees = 25\nfeature_fraction = 0.0"),
+    TINY_SYNTH.replace('["mean", 10]', '["mode", 10]'),
+    TINY_SYNTH.replace('["mean", 10]', '["mean", 0]'),
+    TINY_SYNTH.replace('["mean", 10]', '["mean"]'),
+    TINY_SYNTH.replace('policy_levels = ["a", "b"]', "policy_levels = []"),
+    TINY_SYNTH[:TINY_SYNTH.index("[features]")] + TINY_SYNTH[TINY_SYNTH.index("[training]"):],
+    NO_SYNTH_TABLE,
+    TINY_SYNTH.replace("plies_per_match = 20", "plies_per_match = 0"),
+    TINY_SYNTH.replace("strength_noise_sd = 0.5", "strength_noise_sd = -0.5"),
+    TINY_SYNTH.replace('["b", 1.75]', '["a", 1.75]'),
+    TINY_SYNTH.replace('["a", 0.25]', '["a", 0.25, 0.5]'),
 ], ids=["seed-string", "synth-without-groups", "ns-string", "num-trees-array", "date-value",
-        "synth-groups-past-the-bound"])
-def test_pipeline_bad_config_value_exits_one(tmp_path, config_text):
+        "synth-groups-past-the-bound", "no-trees", "one-leaf", "empty-leaves",
+        "zero-feature-fraction", "unknown-loss-stat", "zero-loss-cut", "loss-entry-without-cut",
+        "no-policy-levels", "no-features-table", "no-synth-table", "no-plies",
+        "negative-noise", "repeated-level-labels", "level-entry-with-three-values"])
+def test_pipeline_bad_config_value_exits_one(tmp_path, capsys, config_text):
     config = tmp_path / "run.toml"
     config.write_text(config_text)
     assert config_text != TINY_SYNTH
     assert main(["pipeline", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
     assert not (tmp_path / "out").exists()
+    assert "config error" in capsys.readouterr().err
+
+
+def test_pipeline_train_failure_names_its_stage(tmp_path, capsys):
+    config = tmp_path / "run.toml"
+    config.write_text(TINY_SYNTH.replace("ns = [1, 3]", "ns = [500]"))
+    assert main(["pipeline", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    assert "pipeline stage 'train' failed" in capsys.readouterr().err
+
+
+def test_pipeline_level_ablation_writes_one_column_per_level(tmp_path):
+    config = tmp_path / "run.toml"
+    config.write_text(TINY_SYNTH.replace("ns = [3]", "ns = [3]\nlevels = true"))
+    run = tmp_path / "run"
+    assert main(["pipeline", "--config", str(config), "--out", str(run)]) == 0
+    header = (run / "ablation" / "ablation_summary.csv").read_text().splitlines()[0].split(",")
+    assert header == ["n"] + [f"{name}_{metric}"
+                              for name in ("level_a_only", "level_b_only", "levels_combined")
+                              for metric in ("accuracy", "accuracy_pm1")]
 
 
 def test_ablate_matches_pipeline_ablation(tmp_path):
@@ -569,8 +607,9 @@ def test_pipeline_ablation_reuses_the_models_it_trained(tmp_path, monkeypatch):
     ("extract", (TINY_SYNTH + "\n[backends]\ntimeout = 5\n").encode()),
     ("extract", (TINY_SYNTH + '\n[backends]\ntimeout = "soon"\n').encode()),
     ("extract", ('backends = "engine"\n' + TINY_SYNTH).encode()),
+    ("extract", (NO_SYNTH_TABLE + '\n[backends]\nstrength = "builtin:synthetic"\n').encode()),
 ], ids=["config-not-utf8", "date-window-not-dates", "backends-without-engine",
-        "backends-timeout-string", "backends-not-a-table"])
+        "backends-timeout-string", "backends-not-a-table", "builtin-synthetic-without-synth"])
 def test_bad_input_is_config_error(tmp_path, capsys, command, config_bytes):
     config = tmp_path / "run.toml"
     if config_bytes is not None:

@@ -496,8 +496,8 @@ def test_backend_error_drops_exactly_the_failing_point_of_a_batch(mock_backend_c
 
 def test_synthetic_backend_parses_a_clean_batch_at_most_once(monkeypatch):
     calls = []
-    parse = synthetic.parse_state_id
-    monkeypatch.setattr(synthetic, "parse_state_id", lambda s: calls.append("state") or parse(s))
+    parse = synthlab.parse_state_id
+    monkeypatch.setattr(synthlab, "parse_state_id", lambda s: calls.append("state") or parse(s))
     parse_moves = synthetic.parse_moves
     monkeypatch.setattr(synthetic, "parse_moves",
                         lambda moves, width: calls.append("moves") or parse_moves(moves, width))

@@ -73,8 +73,13 @@ def test_comments_nags_variations_skipped():
     ("1. e4$1 e5 *", [({}, ["e4$1", "e5"], "*")]),
     ('1. e4 [White "x"] 1. d4 *', [({}, ["e4"], None), ({"White": "x"}, ["d4"], "*")]),
     ("1. e4 $ e5 *", [({}, ["e4", "e5"], "*")]),
+    ('[White "a"] 1. e4 1-0 {c} [White "b"] 1. d4 *',
+     [({"White": "a"}, ["e4"], "1-0"), ({"White": "b"}, ["d4"], "*")]),
+    ('[White "a"] 1. e4 1-0 {c}\n', [({"White": "a"}, ["e4"], "1-0")]),
+    ("{c}", []),
 ], ids=["semicolon-in-variation", "comment-cut-off-in-variation", "nag-glued-to-a-move",
-        "tags-after-movetext", "nag-without-digits"])
+        "tags-after-movetext", "nag-without-digits", "games-joined-by-a-comment",
+        "comment-after-the-last-game", "comment-alone"])
 def test_movetext_edge_cases_keep_their_outcome(text, expected):
     if isinstance(expected, list):
         assert list(iter_pgn_games(text)) == expected

@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -156,15 +157,29 @@ HEAD = "(;GM[1]SZ[19]"
     (HEAD + "Ⅷ[a];B[pd])", "unexpected character 'Ⅷ'"),
     (HEAD + "C_[a];B[pd])", "property C without value"),
     (HEAD + "_C[a];B[pd])", "unexpected character '_'"),
+    (HEAD + "PB[ab\\\r\ncd];B[pd])", {"black_player": "abcd"}),
+    (HEAD + "PB[ab\\\n\rcd];B[pd])", {"black_player": "abcd"}),
+    (HEAD + "PB[ab\\\ncd];B[pd])", {"black_player": "abcd"}),
+    (HEAD + "PB[ab\\\rcd];B[pd])", {"black_player": "abcd"}),
 ], ids=["value-cut-off", "value-cut-off-after-backslash", "escaped-paren-in-skipped-variation",
         "value-cut-off-in-skipped-variation", "non-ascii-identifier", "numeral-in-identifier",
-        "numeral-identifier", "underscore-in-identifier", "underscore-identifier"])
+        "numeral-identifier", "underscore-in-identifier", "underscore-identifier",
+        "soft-break-crlf", "soft-break-lfcr", "soft-break-lf", "soft-break-cr"])
 def test_token_edge_cases_keep_their_outcome(text, expected):
     if isinstance(expected, list):
         assert [p.move for p in parse_sgf(text).plies] == expected
+    elif isinstance(expected, dict):
+        record = parse_sgf(text)
+        assert {name: getattr(record, name) for name in expected} == expected
     else:
         with pytest.raises(ParseError, match=re.escape(expected)):
             parse_sgf(text)
+
+
+def test_name_with_a_backslash_and_a_newline_round_trips():
+    record = parse_sgf(MINIMAL)
+    record = replace(record, black_player="a\\\nb\\", white_player="c\\\r\nd]")
+    assert parse_sgf(serialize_sgf(record)) == record
 
 
 _SGF_TEXT = st.text(alphabet="()[];\\ \n\tBWCpdtt1é½Ⅷ_", max_size=40)

@@ -40,12 +40,12 @@ def test_different_uid_different_matches():
 
 def test_config_validation():
     with pytest.raises(ConfigError):
-        small_config(moves_per_state=1).validate()
+        small_config(moves_per_state=1)
     with pytest.raises(ConfigError):
-        small_config(temperature_decay=1.2).validate()
+        small_config(temperature_decay=1.2)
     with pytest.raises(ConfigError):
-        small_config(levels=(SynthLevel("a", 2.0), SynthLevel("b", 1.0))).validate()
-    small_config().validate()
+        small_config(levels=(SynthLevel("a", 2.0), SynthLevel("b", 1.0)))
+    small_config()
 
 
 def test_zero_temperature_limit_picks_argmax():
