@@ -7,7 +7,11 @@ half of them on Go positions of 19 ranks of 19 points plus ko and side
 fields (about 390 characters), half on chess FEN strings, over the three
 kinds and three policy levels; each policy value is a prior in
 ``[PRIOR_FLOOR, 1]``, so the load keeps every line.  One benchmark times
-``ResponseCache`` loading it.  One times a cold ``CachedBackend`` call of 1,200 misses,
+``ResponseCache`` loading it; each of its states is unique, the worst case
+for a load that holds each distinct field text once.  One times loading a
+cache of 5,000 states, each scored under all five (kind, level) pairs as the
+engine path scores a position, and reports the bytes the loaded cache holds
+(``tracemalloc``) in ``extra_info``.  One times a cold ``CachedBackend`` call of 1,200 misses,
 answered at once by an in-process fake, into an empty cache: key lookups,
 the misses' lines and their one write.  One times formatting the request
 lines of a 1,200-request batch.
@@ -16,12 +20,14 @@ lines of a 1,200-request batch.
 import itertools
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from rankforge.backends import (PRIOR_FLOOR, Backend, BackendDescriptor, CachedBackend,
                                 ResponseCache)
+from rankforge.backends.cache import cache_lines
 from rankforge.backends.client import request_lines
 
 LINES, BATCH, SEED = 25_000, 1_200, 0
@@ -65,6 +71,29 @@ def test_load_25000_line_cache(benchmark, cache_file):
     path, keys = cache_file
     cache = benchmark(ResponseCache, path)
     assert all(cache.get(key) is not None for key in keys[::997])
+
+
+@pytest.fixture(scope="module")
+def repeating_cache_file(tmp_path_factory):
+    rng = random.Random(SEED)
+    path = tmp_path_factory.mktemp("cache") / "repeating.jsonl"
+    states = [_go_state(rng) if i % 2 else _chess_state(rng) for i in range(LINES // len(KINDS))]
+    keys = [("2873955d6c8fe996", kind, state, f"m{i % 97}", level)
+            for i, state in enumerate(states) for kind, level in KINDS]
+    path.write_text(cache_lines([(key, rng.uniform(PRIOR_FLOOR, 1)) for key in keys]))
+    return path, keys
+
+
+def test_load_25000_line_cache_of_repeating_states(benchmark, repeating_cache_file):
+    path, keys = repeating_cache_file
+    tracemalloc.start()
+    before = tracemalloc.get_traced_memory()[0]
+    held = ResponseCache(path)
+    benchmark.extra_info["bytes_held"] = tracemalloc.get_traced_memory()[0] - before
+    tracemalloc.stop()
+    cache = benchmark(ResponseCache, path)
+    assert all(cache.get(key) is not None for key in keys[::997])
+    assert all(held.get(key) is not None for key in keys[::997])
 
 
 class _Instant(Backend):

@@ -13,6 +13,13 @@ non-finite value as ``NaN``, ``Infinity`` or ``-Infinity``).  Such a
 value, or a policy prior outside [PRIOR_FLOOR, 1], is never served: its
 line is read and skipped, so the request is fetched again and appended.
 The file is UTF-8; blank lines are skipped.
+
+A position is scored several times (a strength, a prior per policy level, a
+value), so its state text repeats over several lines, and every line repeats
+the identity, kind and level.  A load keeps one object per distinct field
+text: a key's fields are the same str objects as every equal field loaded
+before it.  Sharing is safe because a str is immutable; the keys hash and
+compare as before.
 """
 
 import codecs
@@ -56,7 +63,7 @@ class ResponseCache:
         self._fh = None
         self._torn_at = None  # byte offset of the skipped torn tail
         if self.path.exists():
-            data = self._data
+            data, keep = self._data, {}.setdefault  # one object per distinct field
             with self.path.open("rb") as fh:
                 for lineno, raw in enumerate(fh, start=1):
                     try:
@@ -64,12 +71,11 @@ class ResponseCache:
                         if not line:
                             continue
                         rec = decode(line)
-                        key = (rec["b"], rec["k"], rec["s"], rec.get("m"), rec.get("l"))
+                        b, k, s, m, lv = rec["b"], rec["k"], rec["s"], rec.get("m"), rec.get("l")
                         value = float(rec["v"])
                         # an unservable value is fetched again
-                        if (PRIOR_FLOOR <= value <= 1 if key[1] == "policy"
-                                else math.isfinite(value)):
-                            data[key] = value
+                        if PRIOR_FLOOR <= value <= 1 if k == "policy" else math.isfinite(value):
+                            data[keep(b, b), keep(k, k), keep(s, s), keep(m, m), keep(lv, lv)] = value
                     except UnicodeDecodeError:
                         with at_line(self.path, lineno, "UTF-8"):
                             # raises unless a write stopped inside the file's last character

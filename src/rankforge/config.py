@@ -44,6 +44,14 @@ def config_hash(data: dict) -> str:
 # Typed assembly
 
 
+def integer(value, key: str) -> int:
+    """``value`` of config key ``key`` when it is a TOML integer; a float, a
+    bool or a string raises ConfigError naming the key."""
+    if type(value) is not int:
+        raise ConfigError(f"{key} must be an integer, not {value!r}")
+    return value
+
+
 def synth_config_from(data: dict, seed: int) -> SynthConfig:
     levels = []
     for entry in data.get("levels", []):
@@ -51,22 +59,23 @@ def synth_config_from(data: dict, seed: int) -> SynthConfig:
             raise ConfigError("synth.levels entries must be [label, skill]")
         levels.append(SynthLevel(str(entry[0]), float(entry[1])))
     return SynthConfig(
-        groups=int(data["groups"]),
-        moves_per_state=int(data["moves_per_state"]),
-        plies_per_match=int(data["plies_per_match"]),
+        groups=integer(data["groups"], "synth.groups"),
+        moves_per_state=integer(data["moves_per_state"], "synth.moves_per_state"),
+        plies_per_match=integer(data["plies_per_match"], "synth.plies_per_match"),
         temperature_base=float(data["temperature_base"]),
         temperature_decay=float(data["temperature_decay"]),
         levels=tuple(levels),
         player_offset_sd=float(data.get("player_offset_sd", 0.0)),
         strength_noise_sd=float(data.get("strength_noise_sd", 0.0)),
-        seed=int(data.get("seed", seed)),
+        seed=integer(data.get("seed", seed), "synth.seed"),
     )
 
 
 def gbdt_params_from(data: dict) -> GbdtParams:
     """Absent keys keep the GbdtParams defaults."""
-    return GbdtParams(**{f.name: f.type(data[f.name]) for f in fields(GbdtParams)
-                         if f.name in data})
+    return GbdtParams(**{
+        f.name: integer(data[f.name], f"gbdt.{f.name}") if f.type is int else f.type(data[f.name])
+        for f in fields(GbdtParams) if f.name in data})
 
 
 def date_window_from(value) -> tuple[datetime.date, datetime.date] | None:
@@ -116,7 +125,7 @@ def run_config_from(data: dict) -> RunConfig:
 
 
 def _assemble_run_config(data: dict) -> RunConfig:
-    seed = int(data.get("seed", 0))
+    seed = integer(data.get("seed", 0), "seed")
     synth = synth_config_from(data["synth"], seed) if "synth" in data else None
     if "features" not in data:
         raise ConfigError("config needs a [features] section")
@@ -124,17 +133,21 @@ def _assemble_run_config(data: dict) -> RunConfig:
     training = data.get("training", {})
     evaluation = data.get("eval", {})
     ablation = data.get("ablation", {})
+    synth_table = data.get("synth", {})
     return RunConfig(
         raw=data,
         seed=seed,
         synth=synth,
         features=features,
-        train_ns=[int(n) for n in training.get("ns", [1, 5, 10, 15, 20])],
-        train_repetitions=int(training.get("repetitions_per_group", 1000)),
+        train_ns=[integer(n, "training.ns") for n in training.get("ns", [1, 5, 10, 15, 20])],
+        train_repetitions=integer(training.get("repetitions_per_group", 1000),
+                                  "training.repetitions_per_group"),
         gbdt=gbdt_params_from(data.get("gbdt", {})),
-        eval_repetitions=int(evaluation.get("repetitions", 500)),
-        ablation_ns=[int(n) for n in ablation.get("ns", [])],
+        eval_repetitions=integer(evaluation.get("repetitions", 500), "eval.repetitions"),
+        ablation_ns=[integer(n, "ablation.ns") for n in ablation.get("ns", [])],
         ablation_levels=bool(ablation.get("levels", False)),
-        train_matches_per_group=int(data.get("synth", {}).get("train_matches_per_group", 200)),
-        test_matches_per_group=int(data.get("synth", {}).get("test_matches_per_group", 100)),
+        train_matches_per_group=integer(synth_table.get("train_matches_per_group", 200),
+                                        "synth.train_matches_per_group"),
+        test_matches_per_group=integer(synth_table.get("test_matches_per_group", 100),
+                                       "synth.test_matches_per_group"),
     )

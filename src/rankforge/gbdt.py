@@ -57,6 +57,8 @@ class GbdtParams:
             raise ConfigError("max_leaves must be >= 2")
         if self.min_samples_leaf < 1:
             raise ConfigError("min_samples_leaf must be >= 1")
+        if not 0 < self.learning_rate < np.inf:
+            raise ConfigError("learning_rate must be finite and > 0")
         if not 0 < self.feature_fraction <= 1:
             raise ConfigError("feature_fraction must be in (0, 1]")
         if np.isnan(self.min_gain):

@@ -1,6 +1,10 @@
 """Data point JSONL: one player's side of one match per line, in the
 format of ``rankforge.artifacts``.  A line keeps one ``{"ply", "state",
-"move"}`` object per move; a ``DataPoint`` holds them as three columns."""
+"move"}`` object per move; a ``DataPoint`` holds them as three columns.
+
+The data points read from one file share their repeated values: equal move
+texts are one str, and equal ply columns one tuple.  Sharing is safe because
+a str and a tuple are immutable."""
 
 from ..artifacts import at_line, integers, read_jsonl, strings, write_jsonl
 from .ranks import group_label
@@ -34,7 +38,7 @@ def read_datapoints(path) -> list[DataPoint]:
     """The data points of a dataset.  A line that cannot be read, or whose
     data point breaks a ``DataPoint`` check, raises DataError naming
     ``path:line``."""
-    out = []
+    out, keep = [], {}.setdefault  # one object per distinct move text or ply column
     for lineno, rec in read_jsonl(path):
         with at_line(path, lineno, "data point"):
             match_id, player_id, side = strings(rec, "match_id", "player_id", "side")
@@ -48,9 +52,9 @@ def read_datapoints(path) -> list[DataPoint]:
                     side=check_side(side),
                     group=RankGroup(game=game, index=index,
                                     label=group_label(game, index)),
-                    plies=plies,
+                    plies=keep(plies, plies),
                     states=states,
-                    moves=moves,
+                    moves=tuple(map(keep, moves, moves)),
                 )
             )
     return out

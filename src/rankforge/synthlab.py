@@ -28,7 +28,9 @@ qualities as they are; generation is unaffected.
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, replace
+from functools import cache
 from itertools import groupby, islice, repeat
 
 import numpy as np
@@ -88,6 +90,11 @@ class SynthConfig:
         raise ConfigError(f"unknown policy level {label!r}")
 
     def __post_init__(self) -> None:
+        numbers = [self.temperature_base, self.temperature_decay, self.player_offset_sd,
+                   self.strength_noise_sd]
+        numbers += [v for lv in self.levels for v in (lv.skill, lv.q_center) if v is not None]
+        if not all(map(math.isfinite, numbers)):
+            raise ConfigError("temperatures, noise sds, level skills and tastes must be finite")
         if not 2 <= self.groups <= MAX_GROUPS:
             raise ConfigError(f"need 2 to {MAX_GROUPS} rank groups")
         if self.moves_per_state < 2:
@@ -283,9 +290,24 @@ def gen_player_pool(
     return pool
 
 
+@cache
+def _ply_column(length: int) -> tuple[int, ...]:
+    return tuple(range(1, length + 1))
+
+
+@cache
+def _move_text(move: int) -> str:
+    return str(move)
+
+
 def to_datapoint(match: SynthMatch, player_id: str | None = None):
-    """A synthetic match as a data point, format-identical to parsed records."""
-    plies = tuple(range(1, len(match.moves) + 1))
+    """A synthetic match as a data point, format-identical to parsed records.
+
+    Data points share their repeated values: every match of one length holds
+    one ``plies`` tuple, and every move index one text.  Sharing is safe
+    because a tuple and a str are immutable; only the state ids are each a
+    match's own."""
+    plies = _ply_column(len(match.moves))
     return DataPoint(
         match_id=match.uid,
         player_id=player_id or match.uid,
@@ -294,7 +316,7 @@ def to_datapoint(match: SynthMatch, player_id: str | None = None):
                         label=group_label("synthetic", match.true_group)),
         plies=plies,
         states=tuple(state_id(match.uid, ply) for ply in plies),
-        moves=tuple(map(str, match.moves)),
+        moves=tuple(map(_move_text, match.moves)),
     )
 
 

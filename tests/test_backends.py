@@ -4,6 +4,7 @@ import shlex
 import sys
 import threading
 import time
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -704,6 +705,47 @@ def test_cache_reads_but_never_serves_a_non_finite_value(tmp_path):
     cache.put_many([(("b", "value", "NaN", None, None), 0.5)])
     cache.close()
     assert ResponseCache(path).get(("b", "value", "NaN", None, None)) == 0.5
+
+
+# (kind, level) of each line per position, as the engine path scores it
+_SCORED_AS = (("strength", None), ("policy", "weak"), ("policy", "mid"), ("policy", "strong"),
+              ("value", None))
+
+
+def _repeating_cache(path, positions: int) -> list[tuple]:
+    """A cache of ``positions`` 400-character states, each under every
+    (kind, level) of ``_SCORED_AS``; its keys in line order."""
+    keys = [("2873955d6c8fe996", kind, f"{i:04d}" + "." * 396, f"m{i % 7}", level)
+            for i in range(positions) for kind, level in _SCORED_AS]
+    path.write_text(cache_lines([(key, 0.5) for key in keys]))
+    return keys
+
+
+def test_cache_load_holds_each_field_text_once(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    _repeating_cache(path, 3)
+    loaded = list(ResponseCache(path)._data)
+    assert len(loaded) == 15
+    for a in loaded:
+        for b in loaded:
+            for x, y in zip(a, b):
+                assert (x is y) == (x == y)
+
+
+def test_cache_load_bytes_per_line_of_repeating_states(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    keys = _repeating_cache(path, 400)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cache = ResponseCache(path)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert cache.get(keys[-1]) == 0.5
+    # about 230 bytes a line: its key tuple, value and dict slot, and a fifth
+    # of a state text; five field texts of each line's own make about 790
+    assert held / len(keys) < 400
 
 
 def test_bank_requires_backends_for_enabled_families():

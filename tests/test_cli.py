@@ -540,11 +540,36 @@ def test_eval_group_unknown_to_model_exits_two(tmp_path, capsys, mode):
     TINY_SYNTH.replace("strength_noise_sd = 0.5", "strength_noise_sd = -0.5"),
     TINY_SYNTH.replace('["b", 1.75]', '["a", 1.75]'),
     TINY_SYNTH.replace('["a", 0.25]', '["a", 0.25, 0.5]'),
+    TINY_SYNTH.replace("strength_noise_sd = 0.5", "strength_noise_sd = nan"),
+    TINY_SYNTH.replace("strength_noise_sd = 0.5", "player_offset_sd = nan"),
+    TINY_SYNTH.replace("temperature_base = 2.0", "temperature_base = nan"),
+    TINY_SYNTH.replace("temperature_base = 2.0", "temperature_base = inf"),
+    TINY_SYNTH.replace('["b", 1.75]', '["b", nan]'),
+    TINY_SYNTH.replace('["b", 1.75]', '["b", inf]'),
+    TINY_SYNTH.replace("num_trees = 25", "num_trees = 25\nlearning_rate = nan"),
+    TINY_SYNTH.replace("num_trees = 25", "num_trees = 25\nlearning_rate = inf"),
+    TINY_SYNTH.replace("num_trees = 25", "num_trees = 25\nlearning_rate = 0.0"),
+    TINY_SYNTH.replace("num_trees = 25", "num_trees = 25\nlearning_rate = -0.1"),
+    TINY_SYNTH.replace("groups = 3\n", "groups = 3.7\n"),
+    TINY_SYNTH.replace("plies_per_match = 20", "plies_per_match = true"),
+    TINY_SYNTH.replace("groups = 3\n", 'groups = "3"\n'),
+    TINY_SYNTH.replace("seed = 77", "seed = 77.0"),
+    TINY_SYNTH.replace("ns = [1, 3]", "ns = [1, 3.0]"),
+    TINY_SYNTH.replace("repetitions_per_group = 120", 'repetitions_per_group = "120"'),
+    TINY_SYNTH.replace("repetitions = 60", "repetitions = 60.5"),
+    TINY_SYNTH.replace("train_matches_per_group = 30", "train_matches_per_group = 30.0"),
+    TINY_SYNTH.replace("num_trees = 25", "num_trees = true"),
+    TINY_SYNTH.replace("ns = [3]", "ns = [true]"),
 ], ids=["seed-string", "synth-without-groups", "ns-string", "num-trees-array", "date-value",
         "synth-groups-past-the-bound", "no-trees", "one-leaf", "empty-leaves",
         "zero-feature-fraction", "unknown-loss-stat", "zero-loss-cut", "loss-entry-without-cut",
         "no-policy-levels", "no-features-table", "no-synth-table", "no-plies",
-        "negative-noise", "repeated-level-labels", "level-entry-with-three-values"])
+        "negative-noise", "repeated-level-labels", "level-entry-with-three-values",
+        "nan-noise", "nan-player-offset", "nan-temperature", "infinite-temperature",
+        "nan-level-skill", "infinite-level-skill", "nan-learning-rate", "infinite-learning-rate",
+        "zero-learning-rate", "negative-learning-rate", "float-groups", "bool-plies",
+        "string-groups", "float-seed", "float-in-ns", "string-repetitions",
+        "float-eval-repetitions", "float-train-matches", "bool-num-trees", "bool-in-ablation-ns"])
 def test_pipeline_bad_config_value_exits_one(tmp_path, capsys, config_text):
     config = tmp_path / "run.toml"
     config.write_text(config_text)

@@ -189,6 +189,16 @@ def test_datapoint_conversion_round_trip_fields():
 
 
 
+def test_datapoints_share_their_ply_column_and_move_texts():
+    matches = synthlab.gen_matches(small_config(), 1, ["share-a", "share-b"], 1.0)
+    first, second = map(synthlab.to_datapoint, matches)
+    assert first.plies is second.plies
+    moves = first.moves + second.moves
+    texts = {}
+    assert all(texts.setdefault(move, move) is move for move in moves)
+    assert len(texts) < len(moves)
+
+
 def _triples_sha256(datapoints) -> str:
     triples = [list(zip(dp.plies, dp.states, dp.moves)) for dp in datapoints]
     return hashlib.sha256(json.dumps(triples).encode()).hexdigest()
