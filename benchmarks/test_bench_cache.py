@@ -8,7 +8,7 @@ fields (about 390 characters), half on chess FEN strings, over the three
 kinds and three policy levels; each policy value is a prior in
 ``[PRIOR_FLOOR, 1]``, so the load keeps every line.  One benchmark times
 ``ResponseCache`` loading it; each of its states is unique, the worst case
-for a load that holds each distinct field text once.  One times loading a
+for a load that holds each distinct state text once.  One times loading a
 cache of 5,000 states, each scored under all five (kind, level) pairs as the
 engine path scores a position, and reports the bytes the loaded cache holds
 (``tracemalloc``) in ``extra_info``.  One times a cold ``CachedBackend`` call of 1,200 misses,

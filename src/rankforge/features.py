@@ -410,13 +410,12 @@ def read_feature_store(path):
                 player_id=player_id,
                 side=check_side(side),
                 group_index=group_index,
-                vector=FeatureVector(tuple(rec["features"]), schema_id),
+                vector=FeatureVector(tuple(rec["features"]), rec["schema_id"]),
             )
-            row_schema_id = rec["schema_id"]
             group_label(config.game, row.group_index)
             if not all(map(math.isfinite, row.vector.values)):
                 raise ValueError("feature value not finite")
-        if row_schema_id != schema_id:
+        if row.vector.schema_id != schema_id:
             raise SchemaMismatchError("feature store row with foreign schema id")
-        rows.append(row)  # its vector holds the header's schema id object
+        rows.append(row)
     return config, rows

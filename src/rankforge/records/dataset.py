@@ -1,10 +1,6 @@
 """Data point JSONL: one player's side of one match per line, in the
 format of ``rankforge.artifacts``.  A line keeps one ``{"ply", "state",
-"move"}`` object per move; a ``DataPoint`` holds them as three columns.
-
-The data points read from one file share their repeated values: equal move
-texts are one str, and equal ply columns one tuple.  Sharing is safe because
-a str and a tuple are immutable."""
+"move"}`` object per move; a ``DataPoint`` holds them as three columns."""
 
 from ..artifacts import at_line, integers, read_jsonl, strings, write_jsonl
 from .ranks import group_label
@@ -38,7 +34,7 @@ def read_datapoints(path) -> list[DataPoint]:
     """The data points of a dataset.  A line that cannot be read, or whose
     data point breaks a ``DataPoint`` check, raises DataError naming
     ``path:line``."""
-    out, keep = [], {}.setdefault  # one object per distinct move text or ply column
+    out = []
     for lineno, rec in read_jsonl(path):
         with at_line(path, lineno, "data point"):
             match_id, player_id, side = strings(rec, "match_id", "player_id", "side")
@@ -52,9 +48,9 @@ def read_datapoints(path) -> list[DataPoint]:
                     side=check_side(side),
                     group=RankGroup(game=game, index=index,
                                     label=group_label(game, index)),
-                    plies=keep(plies, plies),
+                    plies=plies,
                     states=states,
-                    moves=tuple(map(keep, moves, moves)),
+                    moves=moves,
                 )
             )
     return out

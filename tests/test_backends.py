@@ -721,14 +721,14 @@ def _repeating_cache(path, positions: int) -> list[tuple]:
     return keys
 
 
-def test_cache_load_holds_each_field_text_once(tmp_path):
+def test_cache_load_holds_each_state_and_identity_once(tmp_path):
     path = tmp_path / "cache.jsonl"
     _repeating_cache(path, 3)
     loaded = list(ResponseCache(path)._data)
     assert len(loaded) == 15
     for a in loaded:
         for b in loaded:
-            for x, y in zip(a, b):
+            for x, y in (a[0], b[0]), (a[2], b[2]):
                 assert (x is y) == (x == y)
 
 
@@ -743,9 +743,10 @@ def test_cache_load_bytes_per_line_of_repeating_states(tmp_path):
     finally:
         tracemalloc.stop()
     assert cache.get(keys[-1]) == 0.5
-    # about 230 bytes a line: its key tuple, value and dict slot, and a fifth
-    # of a state text; five field texts of each line's own make about 790
-    assert held / len(keys) < 400
+    # about 370 bytes a line: its key tuple, value and dict slot, its kind,
+    # move and level texts, and a fifth of a state text; a state and identity
+    # of each line's own make about 790
+    assert held / len(keys) < 550
 
 
 def test_bank_requires_backends_for_enabled_families():

@@ -29,7 +29,6 @@ from rankforge.features import (
     read_feature_store,
     write_feature_store,
 )
-from rankforge.records import read_datapoints, write_datapoints
 from rankforge.records.types import DataPoint, RankGroup
 from rankforge.synthlab import (
     SynthConfig,
@@ -649,33 +648,6 @@ def test_feature_store_round_trip(tmp_path):
     config2, rows2 = read_feature_store(path)
     assert config2.schema_id() == fconfig.schema_id()
     assert rows2 == rows
-
-
-def test_feature_store_rows_share_the_header_schema_id(tmp_path):
-    fconfig = FeatureConfig(game="synthetic", include_priors=False, include_loss=False)
-    row = StoredFeature("m", "p", "black", 0, FeatureVector((1.0,), fconfig.schema_id()))
-    path = tmp_path / "store.jsonl"
-    write_feature_store(path, [row, replace(row, match_id="n")], fconfig)
-    _, (first, second) = read_feature_store(path)
-    assert first.vector.schema_id is second.vector.schema_id
-    text = path.read_text().splitlines()
-    path.write_text("\n".join(text[:2] + [text[2].replace('"schema_id": "', '"schema_id": "zz')]))
-    with pytest.raises(SchemaMismatchError, match="row with foreign schema id"):
-        read_feature_store(path)
-
-
-def test_read_datapoints_share_move_texts_and_ply_columns(tmp_path):
-    path = tmp_path / "data.jsonl"
-    # texts of two characters: a decoder may share one-character strings anyway
-    matches = gen_matches(tiny_config(), 1, ["r1", "r2"], 1.0)
-    write_datapoints(path, [replace(dp, moves=tuple(f"q{move}" for move in dp.moves))
-                            for dp in map(to_datapoint, matches)])
-    first, second = read_datapoints(path)
-    assert first.plies is second.plies
-    moves = first.moves + second.moves
-    texts = {}
-    assert all(texts.setdefault(move, move) is move for move in moves)
-    assert len(texts) < len(moves)
 
 
 def test_feature_store_rejects_foreign_schema(tmp_path):
