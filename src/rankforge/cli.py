@@ -133,20 +133,15 @@ def cmd_ingest(args) -> int:
 
 def _build_bank(run: RunConfig, features) -> BackendBank:
     """The backends of ``run`` that the feature config ``features`` needs."""
-    backends_cfg = run.raw.get("backends", {})
     synthetic = SyntheticBackend(run.synth) if run.synth is not None else None
-    if not backends_cfg and synthetic is not None:
+    if run.backends is None and synthetic is not None:
         return BackendBank(strength=synthetic, policy=synthetic, value=synthetic)
-    try:
-        timeout = float(backends_cfg.get("timeout", 30.0))
-    except (AttributeError, TypeError, ValueError):
-        raise ConfigError("[backends] must be a table whose timeout is in seconds") from None
     cache_path = default_cache_path()
     cache = ResponseCache(cache_path) if cache_path else None
 
     def external(kind: str):
-        launch = backends_cfg.get(kind)
-        if not isinstance(launch, str):
+        launch = getattr(run.backends, kind, None)
+        if launch is None:
             raise ConfigError(f"[backends] names no {kind} engine")
         descriptor = BackendDescriptor(
             kind=kind,
@@ -158,7 +153,7 @@ def _build_bank(run: RunConfig, features) -> BackendBank:
             if synthetic is None:
                 raise ConfigError("builtin:synthetic backend needs a synthetic config")
             return synthetic
-        backend = SubprocessBackend(descriptor, timeout=timeout)
+        backend = SubprocessBackend(descriptor, timeout=run.backends.timeout)
         if cache is None:
             return backend
         return CachedBackend(backend, cache)
@@ -284,14 +279,14 @@ def _ablate(run: RunConfig, full_config, train_pool, test_pool, ns, outdir, fitt
         train_pool=train_pool,
         test_pool=test_pool,
         gbdt_params=run.gbdt,
-        train_repetitions=run.train_repetitions,
+        train_repetitions=run.training.repetitions_per_group,
         train_seed=run.seed,
-        eval_repetitions=run.eval_repetitions,
+        eval_repetitions=run.eval.repetitions,
         eval_seed=run.seed,
         r_groups=_group_count(full_config.game, {**test_pool, **train_pool}, run),
         fitted=fitted,
     )
-    masks = single_level_masks(full_config) if run.ablation_levels else family_masks(full_config)
+    masks = single_level_masks(full_config) if run.ablation.levels else family_masks(full_config)
     results = run_ablation(masks, ns, ctx)
     write_ablation_csv(results, outdir / "ablation_summary.csv")
     write_per_group_csv(results, max(ns), outdir / "ablation_per_group.csv")
@@ -306,7 +301,7 @@ def cmd_ablate(args) -> int:
         raise DataError("train and test stores have different schemas")
     outdir = Path(args.out)
     results = _ablate(run, train_config, pool_from_store(train_rows),
-                      pool_from_store(test_rows), run.ablation_ns or [10], outdir, {})
+                      pool_from_store(test_rows), run.ablation.ns or [10], outdir, {})
     for (name, n), report in results.items():
         write_report(report, outdir / f"{name}_n{n}")
     _log(f"ablate: {len(results)} runs -> {outdir}")
@@ -395,8 +390,8 @@ def run_pipeline(run: RunConfig, outdir) -> dict:
         metrics = {}
         models = {}
         r_groups = _group_count(run.features.game, train_pool, run)
-        for n in run.train_ns:
-            spec = TrainingSetSpec(n=n, repetitions_per_group=run.train_repetitions,
+        for n in run.training.ns:
+            spec = TrainingSetSpec(n=n, repetitions_per_group=run.training.repetitions_per_group,
                                    seed=run.seed)
             model = train_meta_model(train_pool, spec, run.gbdt,
                                      run.features.schema_id(), r_groups)
@@ -404,18 +399,18 @@ def run_pipeline(run: RunConfig, outdir) -> dict:
             models[n] = model
 
         stage = "eval"
-        for n in run.train_ns:
+        for n in run.training.ns:
             protocol = EvalProtocol(mode="random", n=n,
-                                    repetitions=run.eval_repetitions, seed=run.seed + n)
+                                    repetitions=run.eval.repetitions, seed=run.seed + n)
             report = run_random_sampling(test_pool, models[n], protocol)
             write_report(report, outdir / f"eval_n{n}")
             metrics[str(n)] = {"accuracy": report.accuracy,
                                "accuracy_pm1": report.accuracy_pm1}
 
         stage = "ablate"
-        if run.ablation_ns:
+        if run.ablation.ns:
             results = _ablate(run, run.features, train_pool, test_pool,
-                              run.ablation_ns, outdir / "ablation", models)
+                              run.ablation.ns, outdir / "ablation", models)
             metrics["ablation"] = {
                 f"{name}_n{n}": report.accuracy for (name, n), report in results.items()
             }
@@ -433,7 +428,7 @@ def run_pipeline(run: RunConfig, outdir) -> dict:
         "seed": run.seed,
         "synth_config_hash": run.synth.config_hash(),
         "feature_schema_id": run.features.schema_id(),
-        "train_ns": run.train_ns,
+        "train_ns": list(run.training.ns),
         "metrics": metrics,
     }
     write_json(outdir / "metrics.json", metrics)

@@ -40,7 +40,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .artifacts import at_line, integers, read_jsonl, strings, write_jsonl
+from .artifacts import at_line, from_table, integers, read_jsonl, strings, write_jsonl
 from .backends.base import WINRATE_EPS, BackendBank, logit
 from .errors import BackendError, BackendTimeoutError, ConfigError, DataError, SchemaMismatchError
 from .records.ranks import group_label
@@ -77,7 +77,7 @@ class LossSpec:
 
 @dataclass(frozen=True)
 class FeatureConfig:
-    game: str
+    game: str = "synthetic"
     policy_levels: tuple[str, ...] = ()
     loss_selected: tuple[LossSpec, ...] = ()
     include_strength: bool = True
@@ -133,21 +133,8 @@ class FeatureConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FeatureConfig":
-        """From a ``[features]`` table or a store header; a bad entry raises ValueError."""
-        loss = []
-        for entry in data.get("loss_selected", []):
-            if not isinstance(entry, list) or len(entry) != 2:
-                raise ValueError("features.loss_selected entries must be [stat, n_cut]")
-            stat, cut = entry
-            loss.append(LossSpec(str(stat), None if cut in ("all", "inf", None) else int(cut)))
-        return cls(
-            game=str(data.get("game", "synthetic")),
-            policy_levels=tuple(str(x) for x in data.get("policy_levels", ())),
-            loss_selected=tuple(loss),
-            include_strength=bool(data.get("include_strength", True)),
-            include_priors=bool(data.get("include_priors", True)),
-            include_loss=bool(data.get("include_loss", True)),
-        )
+        """From a ``[features]`` table or a store header (see ``from_table``)."""
+        return from_table(cls, data, "features")
 
 
 def go_default_config(policy_levels) -> FeatureConfig:

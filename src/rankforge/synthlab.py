@@ -76,6 +76,9 @@ class SynthConfig:
     player_offset_sd: float = 0.0
     strength_noise_sd: float = 0.0
     seed: int = 0
+    # matches per group of the pipeline's sets; config_hash leaves them out
+    train_matches_per_group: int = 200
+    test_matches_per_group: int = 100
 
     def temperature(self, skill: float) -> float:
         return self.temperature_base * self.temperature_decay ** skill

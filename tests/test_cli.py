@@ -1,5 +1,7 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -9,14 +11,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rankforge import cli, evalharness
 from rankforge.cli import main, run_pipeline
-from rankforge.config import (
-    read_config_text,
-    run_config_from,
-    synth_config_from,
-)
+from rankforge.config import read_config_text, run_config_from
 from rankforge.backends import SyntheticBackend
 from rankforge.errors import BackendError, ConfigError
 from rankforge.features import EXTRACT_BATCH, FeatureConfig, read_feature_store
@@ -58,6 +57,9 @@ NO_LOSS_SYNTH = TINY_SYNTH.replace('loss_selected = [["mean", 10], ["std", "all"
                                   "include_loss = false")
 NO_SYNTH_TABLE = (TINY_SYNTH[:TINY_SYNTH.index("[synth]")]
                   + TINY_SYNTH[TINY_SYNTH.index("[features]"):])
+# Every backend role on the mock engine; "{engine}" is its launch string.
+ENGINE_BACKENDS = "\n[backends]\n" + "".join(
+    f"{role} = '{{engine}}'\n" for role in ("strength", "policy", "value"))
 
 
 # ---------------------------------------------------------------------------
@@ -98,13 +100,11 @@ def test_config_reader_errors():
 
 
 def test_synth_config_assembly():
-    data = read_config_text(TINY_SYNTH)
-    cfg = synth_config_from(data["synth"], seed=int(data["seed"]))
-    assert cfg.groups == 3
-    assert cfg.seed == 77
-    assert cfg.level_labels() == ("a", "b")
-    run = run_config_from(data)
-    assert run.train_ns == [1, 3]
+    run = run_config_from(read_config_text(TINY_SYNTH))
+    assert run.synth.groups == 3
+    assert run.synth.seed == 77
+    assert run.synth.level_labels() == ("a", "b")
+    assert run.training.ns == (1, 3)
     assert run.features.width == 1 + 2 + 2
 
 
@@ -560,6 +560,17 @@ def test_eval_group_unknown_to_model_exits_two(tmp_path, capsys, mode):
     TINY_SYNTH.replace("train_matches_per_group = 30", "train_matches_per_group = 30.0"),
     TINY_SYNTH.replace("num_trees = 25", "num_trees = true"),
     TINY_SYNTH.replace("ns = [3]", "ns = [true]"),
+    TINY_SYNTH.replace("num_trees = 25", "num_tree = 5"),
+    TINY_SYNTH.replace("repetitions = 60", "repetition = 60"),
+    TINY_SYNTH.replace("[eval]", "[evall]"),
+    TINY_SYNTH.replace("seed = 77", "sead = 77"),
+    TINY_SYNTH.replace('policy_levels = ["a", "b"]',
+                       'policy_levels = ["a", "b"]\ninclude_priors = "false"'),
+    TINY_SYNTH.replace('policy_levels = ["a", "b"]', 'policy_levels = "ab"'),
+    TINY_SYNTH.replace('["mean", 10]', '["mean", 10.7]'),
+    TINY_SYNTH.replace('["mean", 10]', '["mean", true]'),
+    TINY_SYNTH.replace("ns = [3]", 'ns = [3]\nlevels = "false"'),
+    TINY_SYNTH.replace("temperature_base = 2.0", 'temperature_base = "2.0"'),
 ], ids=["seed-string", "synth-without-groups", "ns-string", "num-trees-array", "date-value",
         "synth-groups-past-the-bound", "no-trees", "one-leaf", "empty-leaves",
         "zero-feature-fraction", "unknown-loss-stat", "zero-loss-cut", "loss-entry-without-cut",
@@ -569,7 +580,10 @@ def test_eval_group_unknown_to_model_exits_two(tmp_path, capsys, mode):
         "nan-level-skill", "infinite-level-skill", "nan-learning-rate", "infinite-learning-rate",
         "zero-learning-rate", "negative-learning-rate", "float-groups", "bool-plies",
         "string-groups", "float-seed", "float-in-ns", "string-repetitions",
-        "float-eval-repetitions", "float-train-matches", "bool-num-trees", "bool-in-ablation-ns"])
+        "float-eval-repetitions", "float-train-matches", "bool-num-trees", "bool-in-ablation-ns",
+        "misspelt-gbdt-key", "misspelt-eval-key", "misspelt-section", "misspelt-top-level-key",
+        "string-include-priors", "string-policy-levels", "float-loss-cut", "bool-loss-cut",
+        "string-ablation-levels", "string-temperature"])
 def test_pipeline_bad_config_value_exits_one(tmp_path, capsys, config_text):
     config = tmp_path / "run.toml"
     config.write_text(config_text)
@@ -633,14 +647,19 @@ def test_pipeline_ablation_reuses_the_models_it_trained(tmp_path, monkeypatch):
     ("extract", (TINY_SYNTH + '\n[backends]\ntimeout = "soon"\n').encode()),
     ("extract", ('backends = "engine"\n' + TINY_SYNTH).encode()),
     ("extract", (NO_SYNTH_TABLE + '\n[backends]\nstrength = "builtin:synthetic"\n').encode()),
+    *(("extract", (TINY_SYNTH + ENGINE_BACKENDS + f"timeout = {timeout}\n").encode())
+      for timeout in ("nan", "inf", "1e400", "0", "-1")),
 ], ids=["config-not-utf8", "date-window-not-dates", "backends-without-engine",
-        "backends-timeout-string", "backends-not-a-table", "builtin-synthetic-without-synth"])
-def test_bad_input_is_config_error(tmp_path, capsys, command, config_bytes):
+        "backends-timeout-string", "backends-not-a-table", "builtin-synthetic-without-synth",
+        "timeout-nan", "timeout-inf", "timeout-1e400", "timeout-zero", "timeout-negative"])
+def test_bad_input_is_config_error(tmp_path, capsys, mock_backend_cmd, command, config_bytes):
+    tiny = tmp_path / "tiny.toml"
+    tiny.write_text(TINY_SYNTH)
+    dataset = tmp_path / "data.jsonl"
+    assert main(["synth", "--config", str(tiny), "--matches", "2", "--out", str(dataset)]) == 0
     config = tmp_path / "run.toml"
     if config_bytes is not None:
-        config.write_bytes(config_bytes)
-    dataset = tmp_path / "data.jsonl"
-    dataset.write_text("")
+        config.write_bytes(config_bytes.replace(b"{engine}", mock_backend_cmd("inorder").encode()))
     argv = {
         "pipeline": ["pipeline", "--config", str(config), "--out", str(tmp_path / "out")],
         "ingest": ["ingest", "--game", "go", "--records-dir", str(tmp_path),
@@ -650,6 +669,44 @@ def test_bad_input_is_config_error(tmp_path, capsys, command, config_bytes):
     }[command]
     assert main(argv) == 1
     assert "config error" in capsys.readouterr().err
+
+
+def _config_mutations():
+    """(key, config text) per misspelt key or section of TINY_SYNTH, and per
+    value of a type its key does not take."""
+    lines = TINY_SYNTH.splitlines()
+    section = ""
+    for i, line in enumerate(lines):
+        if line.startswith("["):
+            section = line.strip("[]")
+            yield section, "\n".join(lines[:i] + [f"[{section}x]"] + lines[i + 1:])
+        elif "=" in line:
+            key, value = (part.strip() for part in line.split("=", 1))
+            name = f"{section}.{key}".lstrip(".")
+            yield name, "\n".join(lines[:i] + [f"{key}x = {value}"] + lines[i + 1:])
+            kind = type(read_config_text(line)[key])
+            for wrong, wrong_kind in [('"x"', str), ("true", bool), ("2.5", float),
+                                      ("nan", None), ("inf", None), ("[[true]]", None)]:
+                if wrong_kind is not kind:
+                    yield name, "\n".join(lines[:i] + [f"{key} = {wrong}"] + lines[i + 1:])
+
+
+CONFIG_MUTATIONS = list(_config_mutations())
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(case=st.sampled_from(CONFIG_MUTATIONS))
+def test_mutated_config_value_is_config_error(tmp_path_factory, case):
+    _, text = case
+    workdir = tmp_path_factory.mktemp("mutated")
+    config = workdir / "run.toml"
+    config.write_text(text)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["extract", "--config", str(config), "--dataset", str(workdir / "d.jsonl"),
+                     "--out", str(workdir / "store.jsonl")])
+    assert code == 1, err.getvalue()
+    assert "config error" in err.getvalue() and "Traceback" not in err.getvalue()
 
 
 @pytest.mark.parametrize("command", ["train", "eval"])
@@ -709,6 +766,31 @@ def test_non_finite_feature_value_exits_two_naming_the_line(tmp_path, capsys,
     capsys.readouterr()
     assert main(argv) == 2
     assert f"{store}:2: bad feature row (feature value not finite)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("change", [
+    {"include_strength": False, "include_priors": False, "include_loss": False},
+    {"policy_levels": []},
+    {"include_priors": "no"},
+], ids=["no-feature-family", "priors-without-levels", "string-include-priors"])
+def test_bad_store_header_config_exits_two_naming_the_line(tmp_path, capsys, command, change):
+    store, model = _tiny_store(tmp_path)
+    header, *rows = store.read_text().splitlines()
+    header = json.loads(header)
+    header["schema"]["config"].update(change)
+    store.write_text("\n".join([json.dumps(header), *rows]) + "\n")
+    argv = {
+        "train": ["train", "--features", str(store), "--n", "1", "--repetitions", "20",
+                  "--out", str(tmp_path / "m2.json")],
+        "eval": ["eval", "--n", "1", "--model", str(model), "--features", str(store),
+                 "--out", str(tmp_path / "rep")],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"data error: {store}:1: bad feature store header" in err
+    assert "Traceback" not in err
 
 
 def _rewrite_store(store, game=None, keep=lambda row: True, group=lambda g: g):
